@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from losstomo import fixtures
-from losstomo.bench import ExperimentGrid, run_grid
+from losstomo.bench import DEFAULT_METHODS, ExperimentGrid, run_grid
+from losstomo.estimators import METHODS
 
 
 def main() -> int:
@@ -34,7 +35,7 @@ def main() -> int:
         beta_settings=[(1, 100), (5, 1000), (2, 1000), (1, 1000)],
         probe_counts=[50, 100, 200, 500],
         replicates=args.replicates,
-        methods=("le-xi", "pcem", "mvwa"),
+        methods=DEFAULT_METHODS,
         master_seed=args.seed,
     )
     report = run_grid(grid, net, workers=args.workers)
@@ -47,7 +48,7 @@ def main() -> int:
         oracle_grid = ExperimentGrid(
             beta_settings=[(1, 100)], probe_counts=[200],
             replicates=min(args.replicates, 20),
-            methods=("le-xi", "pcem", "nem", "mvwa"), master_seed=args.seed)
+            methods=METHODS, master_seed=args.seed)
         oracle_report = run_grid(oracle_grid, small, workers=args.workers)
         oracle_out = Path(args.out).with_suffix(".oracle.csv")
         oracle_out.write_text(oracle_report.to_csv(), encoding="utf-8")

@@ -13,7 +13,7 @@ from .simulator import SimConfig, sample_theta, simulate
 from .statistics import (DataError, InternalView, PatternTable, RegularityReport,
                          collapse_patterns, internal_states, internal_views,
                          parse_data, regularity_report, serialize_data,
-                         sufficiency_check)
+                         sufficiency_check, tree_views)
 from .topology import (GeneralNetwork, LinkRecord, MulticastTree, TopologyError,
                        parse_topology, serialize_topology, topological_order)
 

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import FLAG_OK, le_xi, mvwa, nem, pcem
+from .estimators import METHODS, estimator, nem
 from .simulator import SimConfig, sample_theta, simulate
 from .statistics import internal_views
 from .topology import GeneralNetwork
 
 CSV_HEADER = "setting,beta_a,beta_b,n,replicate,method,mse,runtime_ms,iterations,violations"
 
-DEFAULT_METHODS = ("le-xi", "pcem", "mvwa")
+DEFAULT_METHODS = tuple(m for m in METHODS if m != "nem")
 
 
 class GridError(ValueError):
@@ -81,7 +81,7 @@ def parse_grid(text: str, master_seed: int = 0) -> ExperimentGrid:
         except ValueError:
             raise GridError(f"line {lineno}: malformed number") from None
         methods = tuple(tok[5].split(","))
-        bad = [m for m in methods if m not in ("le-xi", "pcem", "nem", "mvwa")]
+        bad = [m for m in methods if m not in METHODS]
         if bad:
             raise GridError(f"line {lineno}: unknown methods {bad}")
         cells.append(GridCell(a, b, n, reps, methods))
@@ -152,33 +152,18 @@ def _run_methods(net: GeneralNetwork, cell: GridCell, replicate: int,
     views, report = internal_views(patterns, net)
     out = []
     for method in cell.methods:
+        row = {"setting": cell.setting, "beta_a": cell.beta_a, "beta_b": cell.beta_b,
+               "n": cell.probes, "replicate": replicate, "method": method}
         t0 = time.perf_counter()
         try:
-            if method == "le-xi":
-                res = le_xi(views, net, report=report)
-            elif method == "pcem":
-                res = pcem(views, net, report=report)
-            elif method == "nem":
-                res = nem(patterns, net)
-            elif method == "mvwa":
-                res = mvwa(patterns, net)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            err = mse(res.theta_hat, theta_true)
-            iters = res.iterations
-            violations = sum(1 for f in res.flags.values() if f != FLAG_OK)
+            res = (nem(patterns, net) if method == "nem"
+                   else estimator(method)(views, net, report=report))
+            row.update(mse=mse(res.theta_hat, theta_true), iterations=res.iterations,
+                       violations=res.violations())
         except ValueError as exc:
-            out.append({"setting": cell.setting, "beta_a": cell.beta_a,
-                        "beta_b": cell.beta_b, "n": cell.probes,
-                        "replicate": replicate, "method": method, "mse": None,
-                        "runtime_ms": (time.perf_counter() - t0) * 1e3,
-                        "iterations": 0, "violations": -1, "error": str(exc)})
-            continue
-        out.append({"setting": cell.setting, "beta_a": cell.beta_a,
-                    "beta_b": cell.beta_b, "n": cell.probes,
-                    "replicate": replicate, "method": method, "mse": err,
-                    "runtime_ms": (time.perf_counter() - t0) * 1e3,
-                    "iterations": iters, "violations": violations})
+            row.update(mse=None, iterations=0, violations=-1, error=str(exc))
+        row["runtime_ms"] = (time.perf_counter() - t0) * 1e3
+        out.append(row)
     return out
 
 

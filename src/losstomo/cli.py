@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .bench import GridError, parse_grid, run_grid
-from .estimators import le_xi, mvwa, nem, pcem
+from .estimators import METHODS, estimator, nem
 from .params import parse_rates, serialize_rates
 from .simulator import SimConfig, sample_theta, simulate
 from .statistics import DataError, internal_views, parse_data, serialize_data
@@ -51,43 +52,34 @@ def _cmd_simulate(args) -> int:
             raise CliError(f"--beta expects 'a,b', got {args.beta!r}") from None
         rng = np.random.Generator(np.random.Philox(
             seed=np.random.SeedSequence((args.seed, args.replicate, 0xA11CE))))
-        theta = sample_theta(a, b, net, rng)
+        theta = sample_theta(a, b, net, rng).theta
         cfg.beta = (a, b)
     else:
-        kind, values = parse_rates(Path(args.theta).read_text(encoding="utf-8"))
+        kind, theta = parse_rates(Path(args.theta).read_text(encoding="utf-8"))
         if kind != "theta":
             raise CliError(f"--theta file carries {kind!r} rates, expected theta")
-        missing = sorted(set(net.links) - set(values))
-        if missing:
-            raise CliError(f"--theta file lacks links {missing}")
-        from .params import LossRates
-        theta = LossRates(values)
     patterns = simulate(cfg, theta)
     Path(args.out).write_text(serialize_data(patterns), encoding="utf-8")
     if args.theta_out:
-        Path(args.theta_out).write_text(serialize_rates("theta", theta.theta),
-                                        encoding="utf-8")
+        Path(args.theta_out).write_text(serialize_rates("theta", theta), encoding="utf-8")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     net = _load_topology(args.topology)
     patterns = parse_data(Path(args.data).read_text(encoding="utf-8"), net)
-    if args.method in ("le-xi", "pcem"):
+    em = {"theta0": args.init, "tol": args.tol, "max_iter": args.max_iter}
+    if args.method == "nem":
+        result = nem(patterns, net, **em)
+    else:
+        options = {"le-xi": {"workers": args.threads}, "pcem": em, "mvwa": {}}
         views, report = internal_views(patterns, net)
-        if args.method == "le-xi":
-            result = le_xi(views, net, workers=args.threads, report=report)
-        else:
-            result = pcem(views, net, theta0=args.init, tol=args.tol,
-                          max_iter=args.max_iter, report=report)
-    elif args.method == "nem":
-        result = nem(patterns, net, theta0=args.init, tol=args.tol,
-                     max_iter=args.max_iter)
-    elif args.method == "mvwa":
-        result = mvwa(patterns, net)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown method {args.method!r}")
+        result = estimator(args.method)(views, net, report=report, **options[args.method])
     Path(args.out).write_text(estimate_csv(result), encoding="utf-8")
+    if not result.converged:
+        print(f"warning: {args.method} stopped after {result.iterations} sweeps "
+              f"without meeting --tol", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -101,6 +93,22 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _bounded(convert, ok, rule: str):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__   # argparse names it in "invalid int value"
+    return parse
+
+
+_COUNT = _bounded(int, lambda v: v >= 1, ">= 1")
+_TOL = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+_RATE = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="losstomo",
@@ -111,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--topology", required=True)
     sim.add_argument("--beta", help="a,b: draw per-link rates from Beta(a,b)")
     sim.add_argument("--theta", help="loss-rate file with explicit per-link rates")
-    sim.add_argument("--probes", type=int, required=True)
+    sim.add_argument("--probes", type=_COUNT, required=True)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--replicate", type=int, default=0)
     sim.add_argument("--out", required=True)
@@ -121,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate loss rates from probe data")
     est.add_argument("--topology", required=True)
     est.add_argument("--data", required=True)
-    est.add_argument("--method", required=True, choices=("le-xi", "pcem", "nem", "mvwa"))
-    est.add_argument("--tol", type=float, default=1e-6)
-    est.add_argument("--max-iter", type=int, default=10000)
-    est.add_argument("--init", type=float, default=0.03)
-    est.add_argument("--threads", type=int, default=1)
+    est.add_argument("--method", required=True, choices=METHODS)
+    est.add_argument("--tol", type=_TOL, default=1e-6)
+    est.add_argument("--max-iter", type=_COUNT, default=10000)
+    est.add_argument("--init", type=_RATE, default=0.03)
+    est.add_argument("--threads", type=_COUNT, default=1)
     est.add_argument("--out", required=True)
     est.set_defaults(fn=_cmd_estimate)
 
@@ -134,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--grid", required=True)
     ben.add_argument("--out", required=True)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--workers", type=int, default=1)
+    ben.add_argument("--workers", type=_COUNT, default=1)
     ben.set_defaults(fn=_cmd_bench)
     return parser
 

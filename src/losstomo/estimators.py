@@ -12,9 +12,9 @@ Four procedures over the same internal-view statistics:
 * nem: the brute-force EM that enumerates, per distinct receiver pattern,
   every feasible assignment of link states.  Exponential cost; kept as an
   oracle for small networks and refused above 20 links.
-* mvwa: estimates each tree separately with le_xi and combines shared
-  links by inverse-variance weights; contributions without a usable
-  variance are dropped from the average.
+* mvwa: solves each tree separately with le_xi, on that tree's slice of
+  the shared views, and combines shared links by inverse-variance weights;
+  contributions without a usable variance are dropped from the average.
 
 Estimates for links whose data fail the regularity conditions are still
 produced (projected onto [0, 1]) but flagged; links with no information at
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .likelihood import loglik_theta, observed_information
 from .params import XI_BOUNDARY_TOL
 from .statistics import (InternalView, PatternTable, RegularityReport,
-                         internal_views, regularity_report)
+                         internal_views, regularity_report, tree_views)
 from .topology import GeneralNetwork
 
 FLAG_OK = "ok"
@@ -42,6 +42,8 @@ FLAG_NON_ESTIMABLE = "non_estimable"
 _FLAG_RANK = {FLAG_OK: 0, FLAG_BOUNDARY: 1, FLAG_REGULARITY: 2, FLAG_NON_ESTIMABLE: 3}
 
 NEM_MAX_LINKS = 20
+
+METHODS = ("le-xi", "pcem", "nem", "mvwa")
 
 
 class UniqueRootUnavailable(ValueError):
@@ -125,7 +127,8 @@ class EstimateResult:
 
     theta_hat values live in [0, 1]; None marks a link the data say nothing
     about.  flags holds one of 'ok', 'boundary_projected',
-    'regularity_violated', 'non_estimable' per link.
+    'regularity_violated', 'non_estimable' per link.  converged is False
+    when an EM run stopped at its sweep cap before meeting its tolerance.
     """
 
     method: str
@@ -138,6 +141,7 @@ class EstimateResult:
     wall_time: float
     loglik_path: list[float] = field(default_factory=list)
     theta_path: list[dict[int, float]] = field(default_factory=list)
+    converged: bool = True
 
     def estimable_links(self) -> list[int]:
         return sorted(i for i, v in self.theta_hat.items() if v is not None)
@@ -343,6 +347,7 @@ def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float
 
     Stops when max|theta change| <= tol; tol <= 0 disables the rule and runs
     exactly max_iter sweeps (useful for lockstep comparisons and timing).
+    Converged means the tol rule stopped the loop.
     """
     order = net.order
     m = len(order)
@@ -353,6 +358,7 @@ def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float
     loglik_path: list[float] = []
     theta_path: list[dict[int, float]] = []
     iterations = 0
+    converged = False
     for iterations in range(1, max_iter + 1):
         om1, om0 = estep(theta)
         delta = 0.0
@@ -369,14 +375,16 @@ def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float
         if keep_history:
             theta_path.append({order[p]: theta[p] for p in range(m)})
         if tol > 0.0 and delta <= tol:
+            converged = True
             break
     theta_map = {order[p]: theta[p] for p in range(m)}
-    return theta_map, iterations, loglik_path, theta_path
+    return theta_map, iterations, converged, loglik_path, theta_path
 
 
 def _finish_em(method: str, net: GeneralNetwork, views: InternalView,
                report: RegularityReport, theta_map: dict[int, float],
-               iterations: int, loglik_path, theta_path, t0: float) -> EstimateResult:
+               iterations: int, converged: bool, loglik_path, theta_path,
+               t0: float) -> EstimateResult:
     theta_hat: dict[int, float | None] = {}
     for i in net.links:
         theta_hat[i] = None if i in report.no_information else theta_map[i]
@@ -385,7 +393,8 @@ def _finish_em(method: str, net: GeneralNetwork, views: InternalView,
     ll = _loglik_at(views, theta_hat, net)
     return EstimateResult(method, theta_hat, xi_hat, flags, iterations, ll,
                           report, time.perf_counter() - t0,
-                          loglik_path=loglik_path, theta_path=theta_path)
+                          loglik_path=loglik_path, theta_path=theta_path,
+                          converged=converged)
 
 
 def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-6,
@@ -438,10 +447,10 @@ def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-
             om0[q] = u * (1.0 - p)
         return om1, om0
 
-    theta_map, iterations, ll_path, th_path = _em_loop(
+    theta_map, iterations, converged, ll_path, th_path = _em_loop(
         net, views, estep, theta0, tol, max_iter, track_loglik, keep_history)
     return _finish_em("pcem", net, views, report, theta_map, iterations,
-                      ll_path, th_path, t0)
+                      converged, ll_path, th_path, t0)
 
 
 class _TreeSpace:
@@ -534,10 +543,10 @@ def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1
                                 om0[net_pos[q]] += share
         return om1, om0
 
-    theta_map, iterations, ll_path, th_path = _em_loop(
+    theta_map, iterations, converged, ll_path, th_path = _em_loop(
         net, views, estep, theta0, tol, max_iter, track_loglik, keep_history)
     return _finish_em("nem", net, views, report, theta_map, iterations,
-                      ll_path, th_path, t0)
+                      converged, ll_path, th_path, t0)
 
 
 def _single_tree_network(net: GeneralNetwork, tree_id: int) -> GeneralNetwork:
@@ -546,7 +555,8 @@ def _single_tree_network(net: GeneralNetwork, tree_id: int) -> GeneralNetwork:
     return GeneralNetwork(f"{net.name}.tree{tree_id}", records, [tree])
 
 
-def mvwa(patterns: PatternTable, net: GeneralNetwork) -> EstimateResult:
+def mvwa(views: InternalView, net: GeneralNetwork,
+         report: RegularityReport | None = None) -> EstimateResult:
     """Per-tree estimates combined by minimum-variance weighted averaging.
 
     Each tree is estimated on its own with le_xi.  Links seen by several
@@ -557,15 +567,13 @@ def mvwa(patterns: PatternTable, net: GeneralNetwork) -> EstimateResult:
     back to probe-count weights.  Links seen by one tree pass through.
     """
     t0 = time.perf_counter()
-    views, report = internal_views(patterns, net)
+    if report is None:
+        report = regularity_report(views, net)
     per_tree: dict[int, tuple[EstimateResult, dict[int, float]]] = {}
     iterations = 0
-    for k in sorted(patterns.counts):
+    for k in sorted(views.per_tree_n1):
         sub = _single_tree_network(net, k)
-        sub_patterns = PatternTable(
-            patterns.name, {k: patterns.probes[k]},
-            {k: patterns.receivers[k]}, {k: patterns.counts[k]})
-        sub_views, sub_report = internal_views(sub_patterns, sub)
+        sub_views, sub_report = tree_views(views, sub)
         res = le_xi(sub_views, sub, report=sub_report)
         filled = {i: (math.nan if v is None else v) for i, v in res.theta_hat.items()}
         variances = observed_information(filled, sub_views, sub)
@@ -599,7 +607,7 @@ def mvwa(patterns: PatternTable, net: GeneralNetwork) -> EstimateResult:
             weights = [1.0 / v for _, _, v, _ in usable]
         else:
             usable = entries
-            weights = [float(patterns.probes[k]) for k, _, _, _ in usable]
+            weights = [float(views.probes[k]) for k, _, _, _ in usable]
         total = sum(weights)
         est = sum(w * e for w, (_, e, _, _) in zip(weights, usable)) / total
         theta_hat[i] = min(1.0, max(0.0, est))
@@ -609,3 +617,10 @@ def mvwa(patterns: PatternTable, net: GeneralNetwork) -> EstimateResult:
     ll = _loglik_at(views, theta_hat, net)
     return EstimateResult("mvwa", theta_hat, xi_hat, flags, iterations, ll,
                           report, time.perf_counter() - t0)
+
+
+def estimator(method: str):
+    """The function a METHODS name selects, looked up when called so patches apply."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return globals()[method.replace("-", "_")]

@@ -10,6 +10,7 @@ distributed across workers.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,6 +75,11 @@ def _block_patterns(cfg: SimConfig, theta: dict[int, float], tree_id: int,
 def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
     """Run the experiment and return collapsed receiver observations."""
     th = _unwrap(theta, "theta")
+    if cfg.probes < 0:
+        raise ValueError(f"probe count must be >= 0, got {cfg.probes}")
+    bad = sorted(i for i in cfg.net.links if not 0.0 <= th.get(i, math.nan) <= 1.0)
+    if bad:
+        raise ValueError(f"links {bad} lack a loss rate in [0, 1]")
     split = cfg.tree_probes()
     jobs = []
     for k in sorted(split):

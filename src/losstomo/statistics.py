@@ -168,10 +168,23 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
             n0[i] = up - n1[i]
         per_tree_n1[k] = n1
         per_tree_n0[k] = n0
+    return _aggregate(per_tree_n1, per_tree_n0, dict(patterns.probes), net)
 
+
+def tree_views(views: InternalView, tree_net: GeneralNetwork
+               ) -> tuple[InternalView, RegularityReport]:
+    """internal_views of tree_net, a network of one tree, sliced from views."""
+    k = tree_net.trees[0].tree_id
+    return _aggregate({k: views.per_tree_n1[k]}, {k: views.per_tree_n0[k]},
+                      {k: views.probes[k]}, tree_net)
+
+
+def _aggregate(per_tree_n1: dict[int, dict[int, int]],
+               per_tree_n0: dict[int, dict[int, int]], probes: dict[int, int],
+               net: GeneralNetwork) -> tuple[InternalView, RegularityReport]:
     agg1 = {i: 0 for i in net.links}
     agg0 = {i: 0 for i in net.links}
-    for k in patterns.counts:
+    for k in per_tree_n1:
         for i, v in per_tree_n1[k].items():
             agg1[i] += v
         for i, v in per_tree_n0[k].items():
@@ -181,7 +194,7 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
         tot = agg1[i] + agg0[i]
         r[i] = agg1[i] / tot if tot > 0 else None
 
-    view = InternalView(per_tree_n1, per_tree_n0, agg1, agg0, r, dict(patterns.probes))
+    view = InternalView(per_tree_n1, per_tree_n0, agg1, agg0, r, probes)
     return view, regularity_report(view, net)
 
 
@@ -268,11 +281,17 @@ def parse_data(text: str, net: GeneralNetwork) -> PatternTable:
             elif tok[0] == "probes":
                 if len(tok) != 3:
                     raise DataError("'probes' takes <tree_id> <count>")
-                probes[int(tok[1])] = int(tok[2])
+                k = int(tok[1])
+                if k in probes:
+                    raise DataError(f"duplicate probes line for tree {k}")
+                probes[k] = int(tok[2])
             elif tok[0] == "receivers":
                 if len(tok) < 4 or tok[2] != ":":
                     raise DataError("'receivers' takes <tree_id> : <leaf links>")
-                receivers[int(tok[1])] = tuple(int(x) for x in tok[3:])
+                k = int(tok[1])
+                if k in receivers:
+                    raise DataError(f"duplicate receivers line for tree {k}")
+                receivers[k] = tuple(int(x) for x in tok[3:])
             elif tok[0] == "pattern":
                 if len(tok) != 4:
                     raise DataError("'pattern' takes <tree_id> <bits> <count>")

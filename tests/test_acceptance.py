@@ -273,7 +273,7 @@ def bench_runs():
                 views, report = internal_views(patterns, LAYERED)
                 r_le = le_xi(views, LAYERED, report=report)
                 r_pc = pcem(views, LAYERED, report=report)
-                r_mv = mvwa(patterns, LAYERED)
+                r_mv = mvwa(views, LAYERED)
                 m = {"le-xi": mse(r_le.theta_hat, truth),
                      "pcem": mse(r_pc.theta_hat, truth),
                      "mvwa": mse(r_mv.theta_hat, truth)}

@@ -192,3 +192,45 @@ class TestCli:
         rows = {l.split(",")[0]: l.split(",") for l in out.read_text().splitlines()[1:]}
         assert rows["2"][1] == "" and rows["2"][4] == "no"
         assert rows["2"][3] == "non_estimable"
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("estimate", "--threads", "0"),
+    ("estimate", "--threads", "-3"),
+    ("bench", "--workers", "0"),
+    ("estimate", "--init", "0"),
+    ("estimate", "--init", "1"),
+    ("estimate", "--init", "2"),
+    ("estimate", "--init", "nan"),
+    ("estimate", "--max-iter", "0"),
+    ("estimate", "--tol", "0"),
+    ("estimate", "--tol", "-1e-6"),
+    ("estimate", "--tol", "nan"),
+    ("estimate", "--tol", "inf"),
+    ("simulate", "--probes", "0"),
+    ("simulate", "--probes", "-5"),
+])
+def test_out_of_range_flags_exit_2(star_files, tmp_path, capsys, command, flag, value):
+    topo, data = star_files
+    grid = tmp_path / "grid.txt"
+    grid.write_text("cell 1 20 60 1 le-xi\n")
+    rest = {"estimate": ["--data", str(data), "--method", "pcem"],
+            "bench": ["--grid", str(grid)],
+            "simulate": ["--beta", "1,9", "--seed", "1"]}[command]
+    out = tmp_path / "out"
+    code = main([command, "--topology", str(topo), *rest, flag, value, "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_exits_3_when_em_stops_at_max_iter(star_files, tmp_path, capsys):
+    topo, data = star_files
+    capped, default = tmp_path / "capped.csv", tmp_path / "default.csv"
+    args = ["estimate", "--topology", str(topo), "--data", str(data), "--method", "pcem"]
+    assert main(args + ["--max-iter", "1", "--out", str(capped)]) == 3
+    err = capsys.readouterr().err
+    assert "warning: pcem stopped after 1 sweeps without meeting --tol" in err
+    assert capped.read_text().startswith("link_id,theta_hat,")
+    assert main(args + ["--out", str(default)]) == 0
+    assert capsys.readouterr().err == ""

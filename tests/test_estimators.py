@@ -295,7 +295,7 @@ class TestMvwa:
              2: {"11": 3, "10": 1, "01": 1}})
         views, report = internal_views(table, net)
         joint = le_xi(views, net, report=report)
-        avg = mvwa(table, net)
+        avg = mvwa(views, net)
         for i in net.links:
             if joint.theta_hat[i] is None:
                 assert avg.theta_hat[i] is None
@@ -307,7 +307,7 @@ class TestMvwa:
         counts = {"11": 6, "10": 2, "01": 2, "00": 2}
         table = PatternTable("t", {1: 12, 2: 12}, {1: (2, 3), 2: (2, 3)},
                              {1: dict(counts), 2: dict(counts)})
-        avg = mvwa(table, net)
+        avg = mvwa(internal_views(table, net)[0], net)
         sub = PatternTable("t", {1: 12}, {1: (2, 3)}, {1: dict(counts)})
         sub_net = GeneralNetwork(
             "one", [net.links[i] for i in (1, 2, 3)], [net.trees[0]])
@@ -321,7 +321,7 @@ class TestMvwa:
     def test_single_tree_links_pass_through(self):
         theta = {i: 0.1 for i in TWOTREE.links}
         patterns = simulate(SimConfig(TWOTREE, 400, seed=21), theta)
-        avg = mvwa(patterns, TWOTREE)
+        avg = mvwa(internal_views(patterns, TWOTREE)[0], TWOTREE)
         k1 = TWOTREE.trees[0].tree_id
         sub_net = GeneralNetwork(
             "t1", [TWOTREE.links[i] for i in sorted(TWOTREE.trees[0].links)],
@@ -349,7 +349,7 @@ class TestMvwa:
                                     truth)
                 views, report = internal_views(patterns, TWOTREE)
                 m_joint = mse(le_xi(views, TWOTREE, report=report).theta_hat, truth)
-                m_avg = mse(mvwa(patterns, TWOTREE).theta_hat, truth)
+                m_avg = mse(mvwa(views, TWOTREE).theta_hat, truth)
                 ge += m_avg >= m_joint
                 total += 1
         assert ge / total >= 0.80
@@ -360,3 +360,18 @@ def test_project_to_theta_star():
     projected, clamped = project_to_theta_star(raw)
     assert projected == {1: 0.0, 2: 0.4, 3: 1.0, 4: None, 5: 0.0}
     assert clamped == {1, 3, 5}
+
+
+def test_em_reports_whether_tol_stopped_the_loop():
+    table, views, report = star_data({"11": 2, "10": 1, "01": 1, "00": 1})
+    assert pcem(views, STAR, report=report).converged is True
+    assert pcem(views, STAR, max_iter=1, report=report).converged is False
+    assert pcem(views, STAR, tol=0.0, max_iter=5, report=report).converged is False
+    assert nem(table, STAR).converged is True
+    assert nem(table, STAR, max_iter=1).converged is False
+
+
+def test_closed_form_estimators_report_converged():
+    _, views, report = star_data({"11": 2, "10": 1, "01": 1, "00": 1})
+    assert le_xi(views, STAR, report=report).converged is True
+    assert mvwa(views, STAR, report=report).converged is True

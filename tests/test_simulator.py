@@ -93,3 +93,15 @@ def test_estimates_approach_truth_with_sample_size():
         errs[n] = max(abs(res.theta_hat[i] - 0.1) for i in net.links)
     assert errs[20000] < errs[200]
     assert errs[20000] < 0.02
+
+
+@pytest.mark.parametrize("theta,probes,msg", [
+    ({1: math.nan, 2: 0.1, 3: 0.1}, 10, r"links \[1\] lack"),
+    ({1: 0.1, 2: 1.5, 3: 0.1}, 10, r"links \[2\] lack"),
+    ({1: 0.1, 2: -0.1, 3: 0.1}, 10, r"links \[2\] lack"),
+    ({1: 0.1, 2: 0.1, 3: 0.1}, -1, "probe count"),
+    ({1: 0.1, 2: 0.1}, 10, r"links \[3\] lack"),
+], ids=["nan-rate", "rate-above-one", "negative-rate", "negative-probes", "missing-link"])
+def test_simulate_rejects_bad_input(theta, probes, msg):
+    with pytest.raises(ValueError, match=msg):
+        simulate(SimConfig(STAR, probes, seed=1), theta)

@@ -1,12 +1,16 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures
+from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import (DataError, PatternTable, collapse_patterns,
                                  internal_states, internal_views, parse_data,
-                                 serialize_data, sufficiency_check)
+                                 serialize_data, sufficiency_check, tree_views)
+from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
 
 STAR = fixtures.star3()
 TOY = fixtures.toy7()
@@ -168,3 +172,66 @@ def test_data_file_roundtrip():
 def test_data_file_errors(text, msg):
     with pytest.raises(DataError, match=msg):
         parse_data(text, STAR)
+
+
+def test_duplicate_probes_line_rejected():
+    text = "data x\nprobes 1 1\nprobes 1 1\nreceivers 1 : 2 3\npattern 1 11 1\n"
+    with pytest.raises(DataError, match="duplicate probes"):
+        parse_data(text, STAR)
+
+
+def test_duplicate_receivers_line_rejected():
+    text = ("data x\nprobes 1 1\nreceivers 1 : 2 3\nreceivers 1 : 2 3\n"
+            "pattern 1 11 1\n")
+    with pytest.raises(DataError, match="duplicate receivers"):
+        parse_data(text, STAR)
+
+
+def _two_disjoint_stars() -> GeneralNetwork:
+    records = [LinkRecord(1, 0, 1), LinkRecord(2, 1, 2), LinkRecord(3, 1, 3),
+               LinkRecord(4, 10, 11), LinkRecord(5, 11, 12), LinkRecord(6, 11, 13)]
+    rec_map = {r.link_id: r for r in records}
+    trees = [MulticastTree(1, 1, [1, 2, 3], rec_map),
+             MulticastTree(2, 4, [4, 5, 6], rec_map)]
+    return GeneralNetwork("disjoint", records, trees)
+
+
+def _simulated(net, a, b, probes, seed):
+    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+    return simulate(SimConfig(net, probes, seed=seed), sample_theta(a, b, net, rng))
+
+
+def _tree_view_cases():
+    layered = fixtures.layered49()
+    cases = [(layered, _simulated(layered, 1, 100, 200, seed)) for seed in range(6)]
+    twotree = fixtures.twotree12()
+    cases += [(twotree, _simulated(twotree, 2, 30, 300, seed)) for seed in range(3)]
+    counts = {"11": 6, "10": 2, "01": 2, "00": 2}
+    cases.append((fixtures.shared_pair(), PatternTable(
+        "t", {1: 12, 2: 4}, {1: (2, 3), 2: (2, 3)},
+        {1: counts, 2: {"11": 1, "10": 3}})))
+    cases.append((_two_disjoint_stars(), PatternTable(
+        "t", {1: 5, 2: 5}, {1: (2, 3), 2: (5, 6)},
+        {1: {"11": 2, "10": 1, "01": 1, "00": 1}, 2: {"11": 3, "10": 1, "01": 1}})))
+    return cases
+
+
+def test_tree_views_equal_views_of_the_tree_alone():
+    # reference: count the tree's own pattern table on the tree alone
+    irregular = 0
+    for net, patterns in _tree_view_cases():
+        views, _ = internal_views(patterns, net)
+        for k in patterns.counts:
+            tree = net.tree_by_id[k]
+            tree_net = GeneralNetwork(
+                f"{net.name}.tree{k}", [net.links[i] for i in sorted(tree.links)], [tree])
+            alone = PatternTable(patterns.name, {k: patterns.probes[k]},
+                                 {k: patterns.receivers[k]}, {k: patterns.counts[k]})
+            want_view, want_report = internal_views(alone, tree_net)
+            got_view, got_report = tree_views(views, tree_net)
+            for f in dataclasses.fields(want_view):
+                assert getattr(got_view, f.name) == getattr(want_view, f.name), f.name
+            for f in dataclasses.fields(want_report):
+                assert getattr(got_report, f.name) == getattr(want_report, f.name), f.name
+            irregular += not want_report.all_ok
+    assert irregular > 0   # boundary cases were exercised
