@@ -6,9 +6,8 @@ from .estimators import (BrotherSetProblem, EstimateResult, UniqueRootUnavailabl
                          solve_brother_fixed_point)
 from .likelihood import (LogLikValue, grad_fd, loglik_psi, loglik_theta, loglik_xi,
                          observed_information, per_probe_loglik)
-from .params import (LossRates, NaturalParams, SubtreeLossRates, parse_rates,
-                     psi_to_xi, serialize_rates, theta_to_xi, xi_membership,
-                     xi_to_psi, xi_to_theta)
+from .params import (LossRates, parse_rates, psi_to_xi, serialize_rates, theta_to_xi,
+                     xi_membership, xi_to_psi, xi_to_theta)
 from .simulator import SimConfig, sample_theta, simulate
 from .statistics import (DataError, InternalView, PatternTable, RegularityReport,
                          collapse_patterns, internal_states, internal_views,

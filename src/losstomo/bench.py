@@ -8,6 +8,7 @@ byte-identical apart from the runtime column.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import METHODS, estimator, nem
+from .params import rates_dict
 from .simulator import SimConfig, sample_theta, simulate
 from .statistics import internal_views
 from .topology import GeneralNetwork
@@ -36,6 +38,16 @@ class GridCell:
     replicates: int
     methods: tuple[str, ...]
 
+    def check(self) -> None:
+        """Raise GridError unless the cell can be run."""
+        if not all(math.isfinite(v) and v > 0 for v in (self.beta_a, self.beta_b)):
+            raise GridError(f"Beta parameters must be finite and > 0, got "
+                            f"({self.beta_a:g}, {self.beta_b:g})")
+        if self.probes < 1:
+            raise GridError(f"probe count must be >= 1, got {self.probes}")
+        if self.replicates < 1:
+            raise GridError(f"replicates must be >= 1, got {self.replicates}")
+
     @property
     def setting(self) -> str:
         return f"Beta({self.beta_a:g},{self.beta_b:g})"
@@ -51,11 +63,10 @@ class ExperimentGrid:
     explicit_cells: list[GridCell] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.explicit_cells:
-            if not self.beta_settings or not self.probe_counts:
-                raise GridError("grid needs at least one setting and one probe count")
-            if self.replicates < 1:
-                raise GridError("replicates must be >= 1")
+        if not self.explicit_cells and not (self.beta_settings and self.probe_counts):
+            raise GridError("grid needs at least one setting and one probe count")
+        for cell in self.cells():
+            cell.check()
 
     def cells(self) -> list[GridCell]:
         if self.explicit_cells:
@@ -84,7 +95,12 @@ def parse_grid(text: str, master_seed: int = 0) -> ExperimentGrid:
         bad = [m for m in methods if m not in METHODS]
         if bad:
             raise GridError(f"line {lineno}: unknown methods {bad}")
-        cells.append(GridCell(a, b, n, reps, methods))
+        cell = GridCell(a, b, n, reps, methods)
+        try:
+            cell.check()
+        except GridError as exc:
+            raise GridError(f"line {lineno}: {exc}") from None
+        cells.append(cell)
     if not cells:
         raise GridError("grid file declares no cells")
     return ExperimentGrid([], [], methods=(), master_seed=master_seed,
@@ -124,7 +140,7 @@ class ExperimentReport:
 
 def mse(theta_hat: dict[int, float | None], theta_true) -> float:
     """Mean squared error over the links estimated on both sides."""
-    truth = getattr(theta_true, "theta", theta_true)
+    truth = rates_dict(theta_true)
     common = [i for i, v in theta_hat.items() if v is not None and i in truth]
     if not common:
         raise ValueError("no estimable links in common")

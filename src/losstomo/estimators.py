@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .likelihood import loglik_theta, observed_information
-from .params import XI_BOUNDARY_TOL
+from .params import XI_BOUNDARY_TOL, theta_to_xi, xi_to_theta
 from .statistics import (InternalView, PatternTable, RegularityReport,
                          internal_views, regularity_report, tree_views)
 from .topology import GeneralNetwork
@@ -206,69 +206,6 @@ def _solve_node(brothers: tuple[int, ...], r: dict[int, float | None],
     return xi, 0
 
 
-def _theta_from_xi_hat(xi_hat: dict[int, float | None], net: GeneralNetwork
-                       ) -> dict[int, float | None]:
-    theta: dict[int, float | None] = {}
-    for i in sorted(net.links):
-        v = xi_hat[i]
-        if v is None:
-            theta[i] = None
-            continue
-        if v >= 1.0:
-            theta[i] = 1.0
-            continue
-        if net.is_leaf(i):
-            out = v
-        else:
-            prod = 1.0
-            dead = False
-            for c in net.child_links[i]:
-                cv = xi_hat[c]
-                if cv is None:
-                    dead = True
-                    break
-                prod *= cv
-            if dead:
-                # children carry no information, so xi here was pinned at 1
-                out = 1.0
-            elif prod >= 1.0:
-                out = -math.inf
-            else:
-                out = (v - prod) / (1.0 - prod)
-        # an estimate this close to the edge is the edge up to rounding in
-        # the solved rates; snap so boundary cases are flagged as such
-        if abs(out) <= XI_BOUNDARY_TOL:
-            out = 0.0
-        elif abs(out - 1.0) <= XI_BOUNDARY_TOL:
-            out = 1.0
-        theta[i] = out
-    return theta
-
-
-def _xi_from_theta_hat(theta_hat: dict[int, float | None], net: GeneralNetwork
-                       ) -> dict[int, float | None]:
-    xi: dict[int, float | None] = {}
-    for i in reversed(net.order):
-        th = theta_hat[i]
-        if th is None:
-            xi[i] = None
-            continue
-        prod = 1.0
-        dead = False
-        for c in net.child_links[i]:
-            if xi[c] is None:
-                dead = True
-                break
-            prod *= xi[c]
-        if net.is_leaf(i):
-            xi[i] = th
-        elif dead:
-            xi[i] = None
-        else:
-            xi[i] = th + (1.0 - th) * prod
-    return {i: xi[i] for i in sorted(xi)}
-
-
 def _loglik_at(views: InternalView, theta_hat: dict[int, float | None],
                net: GeneralNetwork) -> float:
     # links with None carry zero-coefficient terms only; any filler works
@@ -325,7 +262,14 @@ def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
         xi_hat.update(partial)
         solver_iters = max(solver_iters, iters)
 
-    theta_raw = _theta_from_xi_hat(xi_hat, net)
+    theta_raw = xi_to_theta(xi_hat, net)
+    for i, v in theta_raw.items():
+        # an estimate this close to the edge is the edge up to rounding in
+        # the solved rates; snap so boundary cases are flagged as such
+        if v is not None and abs(v) <= XI_BOUNDARY_TOL:
+            theta_raw[i] = 0.0
+        elif v is not None and abs(v - 1.0) <= XI_BOUNDARY_TOL:
+            theta_raw[i] = 1.0
     theta_hat, clamped = project_to_theta_star(theta_raw)
     flags = _assemble_flags(net, report, theta_raw, clamped)
     ll = _loglik_at(views, theta_hat, net)
@@ -389,7 +333,7 @@ def _finish_em(method: str, net: GeneralNetwork, views: InternalView,
     for i in net.links:
         theta_hat[i] = None if i in report.no_information else theta_map[i]
     flags = _assemble_flags(net, report, theta_hat, frozenset())
-    xi_hat = _xi_from_theta_hat(theta_hat, net)
+    xi_hat = theta_to_xi(theta_hat, net)
     ll = _loglik_at(views, theta_hat, net)
     return EstimateResult(method, theta_hat, xi_hat, flags, iterations, ll,
                           report, time.perf_counter() - t0,
@@ -613,7 +557,7 @@ def mvwa(views: InternalView, net: GeneralNetwork,
         theta_hat[i] = min(1.0, max(0.0, est))
         flags[i] = max((f for _, _, _, f in usable), key=_FLAG_RANK.__getitem__)
 
-    xi_hat = _xi_from_theta_hat(theta_hat, net)
+    xi_hat = theta_to_xi(theta_hat, net)
     ll = _loglik_at(views, theta_hat, net)
     return EstimateResult("mvwa", theta_hat, xi_hat, flags, iterations, ll,
                           report, time.perf_counter() - t0)

@@ -1,5 +1,7 @@
 """Observed-data log-likelihood in the three parametrizations.
 
+Parameters come as plain {link_id: value} dicts, as the params maps return.
+
 All three forms are algebraically identical on interior parameters; the
 tests lean on that.  Boundary evaluations return -inf rather than raising,
 so optimizers can still compare candidates.  A term with a zero coefficient
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import child_product, psi_to_xi, theta_to_xi, _unwrap
+from .params import child_product, psi_to_xi, theta_to_xi
 from .statistics import InternalView, internal_states
 from .topology import GeneralNetwork
 
@@ -35,38 +37,35 @@ def _xlogy(coef: float, arg: float) -> float:
 
 def loglik_theta(views: InternalView, theta, net: GeneralNetwork) -> LogLikValue:
     """Sum over links of n1*log(1-theta) + n0*log(subtree loss)."""
-    th = _unwrap(theta, "theta")
-    xi = theta_to_xi(th, net).xi
+    xi = theta_to_xi(theta, net)
     total = 0.0
     for i in net.links:
-        total += _xlogy(views.n1[i], 1.0 - th[i]) + _xlogy(views.n0[i], xi[i])
+        total += _xlogy(views.n1[i], 1.0 - theta[i]) + _xlogy(views.n0[i], xi[i])
     return LogLikValue(total, "theta")
 
 
 def loglik_xi(views: InternalView, xi, net: GeneralNetwork) -> LogLikValue:
     """Same likelihood with subtree loss rates as the free parameters."""
-    x = _unwrap(xi, "xi")
     total = 0.0
     for i in net.links:
-        denom = 1.0 - child_product(x, net, i)
+        denom = 1.0 - child_product(xi, net, i)
         if denom <= 0.0:
             if views.n1[i] != 0.0:
                 return LogLikValue(-math.inf, "xi")
         else:
-            total += _xlogy(views.n1[i], (1.0 - x[i]) / denom)
-        total += _xlogy(views.n0[i], x[i])
+            total += _xlogy(views.n1[i], (1.0 - xi[i]) / denom)
+        total += _xlogy(views.n0[i], xi[i])
     return LogLikValue(total, "xi")
 
 
 def loglik_psi(views: InternalView, psi, net: GeneralNetwork) -> LogLikValue:
     """Exponential-family form: affine in the confirmed pass counts."""
-    p = _unwrap(psi, "psi")
-    xi = psi_to_xi(p, net).xi
+    xi = psi_to_xi(psi, net)
     total = 0.0
     for k, n_k in views.probes.items():
         total += _xlogy(n_k, xi[net.tree_by_id[k].root_link])
     for i in net.links:
-        total += views.n1[i] * p[i]
+        total += views.n1[i] * psi[i]
     return LogLikValue(total, "psi")
 
 
@@ -77,13 +76,12 @@ def per_probe_loglik(bits: str, tree_id: int, theta, net: GeneralNetwork) -> flo
     contributes the log of its subtree loss rate; links below a dark top
     contribute nothing.
     """
-    th = _unwrap(theta, "theta")
     tree = net.tree_by_id[tree_id]
     states = internal_states(bits, tree)
-    xi = theta_to_xi(th, net).xi
+    xi = theta_to_xi(theta, net)
     total = 0.0
     for i in states.confirmed:
-        total += _xlogy(1.0, 1.0 - th[i])
+        total += _xlogy(1.0, 1.0 - theta[i])
     for i in states.dark_tops:
         total += _xlogy(1.0, xi[i])
     return total
@@ -123,7 +121,7 @@ def observed_information(theta, views: InternalView, net: GeneralNetwork,
     Links where the curvature is not finite and positive (boundary points,
     flat ridges) come back as nan; callers fall back to probe-count weights.
     """
-    th = dict(_unwrap(theta, "theta"))
+    th = dict(theta)
 
     def at(pt):
         return loglik_theta(views, pt, net).value

@@ -8,9 +8,14 @@ psi:    natural parameters of the exponential-family form of the
         likelihood; for an internal link this is the log probability that
         the probe passed the link given the whole subtree went dark.
 
-All maps are evaluated leaf-to-root in one pass, no iteration.  theta_to_xi
-and xi_to_theta are mutually inverse on the interior domain; xi_to_psi and
-psi_to_xi likewise.
+Every map takes and returns a plain {link_id: value} dict and is evaluated
+in one pass over the links, no iteration.  theta_to_xi and xi_to_theta are
+mutually inverse on the interior domain; xi_to_psi and psi_to_xi likewise.
+
+None marks a link the data say nothing about.  theta_to_xi and xi_to_theta
+pass it through: a link whose theta is None, or one of whose children has a
+None xi, gets a None xi; a None xi gives a None theta, and a link with a
+None child gets theta 1.0, because an estimator pins that link's xi at 1.
 """
 
 from __future__ import annotations
@@ -36,55 +41,43 @@ class LossRates:
         return all(0.0 < v < 1.0 for v in self.theta.values())
 
 
-@dataclass
-class SubtreeLossRates:
-    """Per-link subtree loss rates."""
-
-    xi: dict[int, float]
-
-    def __getitem__(self, link_id: int) -> float:
-        return self.xi[link_id]
+def rates_dict(theta: dict[int, float] | LossRates) -> dict[int, float]:
+    """The {link_id: rate} dict of either a plain dict or a LossRates."""
+    return theta.theta if isinstance(theta, LossRates) else theta
 
 
-@dataclass
-class NaturalParams:
-    """Natural parameters; negative on internal links, any real on leaves."""
-
-    psi: dict[int, float]
-
-    def __getitem__(self, link_id: int) -> float:
-        return self.psi[link_id]
-
-
-def _unwrap(values, attr: str) -> dict[int, float]:
-    return getattr(values, attr, values)
-
-
-def child_product(xi: dict[int, float], net: GeneralNetwork, link_id: int) -> float:
+def child_product(xi: dict[int, float | None], net: GeneralNetwork,
+                  link_id: int) -> float | None:
     """Product of xi over the link's child links; 0.0 for a leaf.
 
     The leaf convention matches the model: a probe that reaches a receiver
-    node is observed there with certainty.
+    node is observed there with certainty.  None when some child's xi is None.
     """
     kids = net.child_links[link_id]
     if not kids:
         return 0.0
     prod = 1.0
     for c in kids:
-        prod *= xi[c]
+        v = xi[c]
+        if v is None:
+            return None
+        prod *= v
     return prod
 
 
-def theta_to_xi(theta, net: GeneralNetwork) -> SubtreeLossRates:
+def theta_to_xi(theta: dict[int, float | None], net: GeneralNetwork
+                ) -> dict[int, float | None]:
     """Subtree loss rates from link loss rates (leaf-to-root recursion)."""
-    th = _unwrap(theta, "theta")
-    xi: dict[int, float] = {}
+    xi: dict[int, float | None] = {}
     for i in reversed(net.order):
-        xi[i] = th[i] + (1.0 - th[i]) * child_product(xi, net, i)
-    return SubtreeLossRates({i: xi[i] for i in sorted(xi)})
+        th = theta[i]
+        prod = child_product(xi, net, i)
+        xi[i] = None if th is None or prod is None else th + (1.0 - th) * prod
+    return {i: xi[i] for i in sorted(xi)}
 
 
-def xi_to_theta(xi, net: GeneralNetwork) -> LossRates:
+def xi_to_theta(xi: dict[int, float | None], net: GeneralNetwork
+                ) -> dict[int, float | None]:
     """Link loss rates from subtree loss rates.
 
     Exact inverse of theta_to_xi on the interior domain.  Values outside it
@@ -92,22 +85,23 @@ def xi_to_theta(xi, net: GeneralNetwork) -> LossRates:
     comes back <= 0 (or -inf when the product reaches 1), so callers can
     detect and project.  Use xi_membership to classify.
     """
-    x = _unwrap(xi, "xi")
-    theta: dict[int, float] = {}
+    theta: dict[int, float | None] = {}
     for i in sorted(net.links):
-        if net.is_leaf(i):
-            theta[i] = x[i]
-            continue
-        prod = child_product(x, net, i)
-        denom = 1.0 - prod
-        if denom <= 0.0:
-            theta[i] = 1.0 if x[i] >= 1.0 else -math.inf
+        v = xi[i]
+        prod = child_product(xi, net, i)
+        if v is None:
+            theta[i] = None
+        elif prod is None:
+            # children carry no information, so xi here was pinned at 1
+            theta[i] = 1.0
+        elif prod >= 1.0:
+            theta[i] = 1.0 if v >= 1.0 else -math.inf
         else:
-            theta[i] = (x[i] - prod) / denom
-    return LossRates(theta)
+            theta[i] = (v - prod) / (1.0 - prod)
+    return theta
 
 
-def xi_to_psi(xi, net: GeneralNetwork) -> NaturalParams:
+def xi_to_psi(xi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:
     """Natural parameters from subtree loss rates.
 
     Leaf links: log((1 - xi) / xi).  Internal links: log of the conditional
@@ -115,52 +109,50 @@ def xi_to_psi(xi, net: GeneralNetwork) -> NaturalParams:
     equivalent form pi*(1 - xi) / (xi*(1 - pi)) with pi the child product,
     which avoids cancellation for small rates.
     """
-    x = _unwrap(xi, "xi")
     psi: dict[int, float] = {}
     for i in sorted(net.links):
-        v = x[i]
+        v = xi[i]
         if not 0.0 < v < 1.0:
             raise ValueError(f"xi[{i}]={v} outside (0,1); psi undefined")
         if net.is_leaf(i):
             psi[i] = math.log((1.0 - v) / v)
         else:
-            prod = child_product(x, net, i)
+            prod = child_product(xi, net, i)
             arg = prod * (1.0 - v) / (v * (1.0 - prod))
             if not 0.0 < arg < 1.0:
                 # xi at or below the child product: the conditional pass
                 # probability is not a probability and psi leaves its domain
                 raise ValueError(f"xi[{i}]={v} at or below child product {prod}; psi undefined")
             psi[i] = math.log(arg)
-    return NaturalParams(psi)
+    return psi
 
 
-def psi_to_xi(psi, net: GeneralNetwork) -> SubtreeLossRates:
+def psi_to_xi(psi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:
     """Subtree loss rates from natural parameters (leaf-to-root)."""
-    p = _unwrap(psi, "psi")
     xi: dict[int, float] = {}
     for i in reversed(net.order):
         if net.is_leaf(i):
-            xi[i] = 1.0 / (1.0 + math.exp(p[i]))
+            xi[i] = 1.0 / (1.0 + math.exp(psi[i]))
         else:
             prod = child_product(xi, net, i)
-            xi[i] = prod / (prod + math.exp(p[i]) * (1.0 - prod))
-    return SubtreeLossRates({i: xi[i] for i in sorted(xi)})
+            xi[i] = prod / (prod + math.exp(psi[i]) * (1.0 - prod))
+    return {i: xi[i] for i in sorted(xi)}
 
 
-def xi_membership(xi, net: GeneralNetwork, tol: float = XI_BOUNDARY_TOL) -> dict[int, str]:
+def xi_membership(xi: dict[int, float], net: GeneralNetwork,
+                  tol: float = XI_BOUNDARY_TOL) -> dict[int, str]:
     """Classify each link's xi as 'interior', 'boundary' or 'outside'.
 
     Internal links are judged by the sign of xi_i minus the product of the
     children's xi; leaves by distance from 0 and 1.
     """
-    x = _unwrap(xi, "xi")
     out: dict[int, str] = {}
     for i in sorted(net.links):
-        v = x[i]
+        v = xi[i]
         if net.is_leaf(i):
             gap = min(v, 1.0 - v)
         else:
-            gap = min(v - child_product(x, net, i), 1.0 - v)
+            gap = min(v - child_product(xi, net, i), 1.0 - v)
         if gap > tol:
             out[i] = "interior"
         elif gap >= -tol:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LossRates, _unwrap
+from .params import LossRates, rates_dict
 from .statistics import PatternTable
 from .topology import GeneralNetwork
 
@@ -74,7 +74,7 @@ def _block_patterns(cfg: SimConfig, theta: dict[int, float], tree_id: int,
 
 def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
     """Run the experiment and return collapsed receiver observations."""
-    th = _unwrap(theta, "theta")
+    th = rates_dict(theta)
     if cfg.probes < 0:
         raise ValueError(f"probe count must be >= 0, got {cfg.probes}")
     bad = sorted(i for i in cfg.net.links if not 0.0 <= th.get(i, math.nan) <= 1.0)

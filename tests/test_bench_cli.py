@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -61,10 +62,21 @@ class TestGrid:
     @pytest.mark.parametrize("text", [
         "", "cell 1 100 50 3\n", "cell one 100 50 3 pcem\n",
         "cell 1 100 50 3 bogus\n", "row 1 100 50 3 pcem\n",
+        "cell 1 100 50 0 le-xi\n", "cell 1 100 50 -3 le-xi\n", "cell 1 100 0 2 le-xi\n",
+        "cell 0 100 50 2 le-xi\n", "cell nan 100 50 2 le-xi\n", "cell 1 inf 50 2 le-xi\n",
+        "cell 1 -5 50 2 le-xi\n", "cell 1 100 50 2 le-xi\ncell 1 100 50 0 le-xi\n",
     ])
     def test_parse_grid_errors(self, text):
         with pytest.raises(GridError):
             parse_grid(text)
+
+    def test_bad_cell_names_its_line(self):
+        with pytest.raises(GridError, match="line 3: probe count"):
+            parse_grid("cell 1 100 50 2 le-xi\n\ncell 1 100 0 2 le-xi\n")
+        with pytest.raises(GridError, match="replicates"):
+            ExperimentGrid([(1, 100)], [50], replicates=0)
+        with pytest.raises(GridError, match="Beta"):
+            ExperimentGrid([(math.nan, 100)], [50])
 
     def test_product_grid_expands(self):
         grid = ExperimentGrid([(1, 100), (1, 1000)], [50, 100], replicates=7,

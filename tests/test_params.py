@@ -179,3 +179,40 @@ def test_rates_file_errors(text):
 def test_loss_rates_interior_check():
     assert LossRates({1: 0.5}).is_interior()
     assert not LossRates({1: 0.0}).is_interior()
+
+
+def test_none_child_xi_gives_none_parent_xi():
+    xi = theta_to_xi({1: 0.2, 2: None, 3: None}, STAR)
+    assert xi == {1: None, 2: None, 3: None}
+
+
+def test_none_child_pins_parent_theta_at_one():
+    assert xi_to_theta({1: 1.0, 2: None, 3: None}, STAR) == {1: 1.0, 2: None, 3: None}
+
+
+def test_none_xi_gives_none_theta():
+    theta = xi_to_theta({1: None, 2: 0.3, 3: 0.4}, STAR)
+    assert theta[1] is None
+    assert theta[2] == 0.3 and theta[3] == 0.4
+
+
+def test_maps_return_plain_dicts():
+    theta = {1: 0.1, 2: 0.2, 3: 0.3}
+    xi = theta_to_xi(theta, STAR)
+    psi = xi_to_psi(xi, STAR)
+    for out in (xi, psi, xi_to_theta(xi, STAR), psi_to_xi(psi, STAR),
+                xi_membership(xi, STAR)):
+        assert type(out) is dict
+        assert sorted(out) == [1, 2, 3]
+
+
+def test_em_xi_hat_is_theta_to_xi_on_dark_star():
+    from losstomo.estimators import mvwa, pcem
+    from losstomo.statistics import PatternTable, internal_views
+
+    table = PatternTable("dark", {1: 4}, {1: (2, 3)}, {1: {"00": 4}})
+    views, _ = internal_views(table, STAR)
+    for res in (pcem(views, STAR), mvwa(views, STAR)):
+        assert res.theta_hat[2] is None and res.theta_hat[3] is None
+        assert res.xi_hat == theta_to_xi(res.theta_hat, STAR)
+        assert res.xi_hat[1] is None
