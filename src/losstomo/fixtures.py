@@ -41,6 +41,18 @@ def chain(m: int) -> GeneralNetwork:
     return _net(f"chain{m}", records, [(1, 1, list(range(1, m + 1)))])
 
 
+def kary_tree(k: int, depth: int) -> GeneralNetwork:
+    """A complete k-ary tree: a root link, then depth levels of k-way fan-out.
+
+    Links are numbered level by level from 1; link i ends at node i, and
+    the children of link i are links k*(i-1)+2 .. k*i+1.  kary_tree(2, 8)
+    has 511 links and 256 receivers.
+    """
+    m = sum(k ** d for d in range(depth + 1))
+    records = [(1, 0, 1)] + [(i, (i - 2) // k + 1, i) for i in range(2, m + 1)]
+    return _net(f"kary{k}_depth{depth}", records, [(1, 1, list(range(1, m + 1)))])
+
+
 def shared_pair() -> GeneralNetwork:
     """Two single-link-root trees converging on one node with two leaf links.
 

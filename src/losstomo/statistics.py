@@ -10,11 +10,19 @@ internal states over probes gives the internal view {n_i(1), n_i(0)}: the
 count of confirmed passes, and the count of probes confirmed at the parent
 but unseen below the link.  Internal views add across trees for links
 shared by several trees.
+
+Views are counted on arrays, one tree at a time: the tree's distinct
+patterns become a (patterns x receivers) bit matrix, a link's column is the
+OR of its children's columns, bottom-up, and n_i(1) is the count-weighted
+sum of link i's column.  Column j is the j-th ascending leaf link id, which
+internal_views checks against the network before it counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .topology import GeneralNetwork, MulticastTree
 
@@ -37,18 +45,46 @@ class PatternTable:
     counts: dict[int, dict[str, int]]           # tree_id -> bit pattern -> count
 
     def validate(self):
-        for k, n in self.probes.items():
-            pats = self.counts.get(k, {})
-            width = len(self.receivers[k])
-            total = 0
-            for bits, c in pats.items():
-                if len(bits) != width or set(bits) - {"0", "1"}:
-                    raise DataError(f"tree {k}: bad pattern {bits!r}")
-                if c < 1:
-                    raise DataError(f"tree {k}: pattern {bits} has count {c}")
-                total += c
-            if total != n:
-                raise DataError(f"tree {k}: pattern counts sum to {total}, expected {n}")
+        for k in self.probes:
+            self.bit_matrix(k)
+
+    def bit_matrix(self, k: int) -> np.ndarray:
+        """Tree k's patterns as a (patterns x receivers) bool matrix.
+
+        Rows follow counts[k] order; column j is receivers[k][j].  Tree k's
+        entries are checked on the same bytes first: every key is a width-long
+        ASCII string of 0 and 1, every count is >= 1 and the counts sum to
+        probes[k].  When a check fails, the per-pattern loop raises the
+        DataError that names the first bad pattern.
+        """
+        pats = self.counts.get(k, {})
+        width = len(self.receivers[k])
+        try:
+            raw = "".join(pats).encode("ascii")
+        except (TypeError, UnicodeEncodeError):
+            raw = None
+        if raw is not None and set(map(len, pats)) <= {width}:
+            codes = np.frombuffer(raw, np.uint8).reshape(len(pats), width)
+            zero, one = ord("0"), ord("1")
+            if (codes.min(initial=zero) >= zero and codes.max(initial=one) <= one
+                    and min(pats.values(), default=1) >= 1
+                    and sum(pats.values()) == self.probes[k]):
+                return codes == one
+        self._check_patterns(k)
+        # only keys that are not str get past the loop
+        raise DataError(f"tree {k}: patterns are not {width}-character strings of 0 and 1")
+
+    def _check_patterns(self, k: int):
+        width = len(self.receivers[k])
+        total = 0
+        for bits, c in self.counts.get(k, {}).items():
+            if len(bits) != width or set(bits) - {"0", "1"}:
+                raise DataError(f"tree {k}: bad pattern {bits!r}")
+            if c < 1:
+                raise DataError(f"tree {k}: pattern {bits} has count {c}")
+            total += c
+        if total != self.probes[k]:
+            raise DataError(f"tree {k}: pattern counts sum to {total}, expected {self.probes[k]}")
 
 
 @dataclass(frozen=True)
@@ -149,19 +185,37 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
                    ) -> tuple[InternalView, RegularityReport]:
     """Internal views from a pattern table, plus the regularity report.
 
-    Cost is proportional to (distinct patterns) x (links); probes never get
-    replayed individually.
+    Each tree's distinct patterns are counted as one bit matrix (see
+    PatternTable.bit_matrix): walking the tree bottom-up, a link's column
+    is the OR of its children's columns and n_i(1) is the counts vector
+    dotted with it, so probes are never replayed one by one.  Bits are read
+    by position, so the table's receivers must be the tree's leaf links in
+    ascending order; a table that names an unknown tree, gives patterns
+    without a probe count, or lists other receivers raises DataError.
     """
+    for k in patterns.probes.keys() | patterns.counts.keys():
+        if k not in net.tree_by_id:
+            raise DataError(f"unknown tree {k}")
+        if k not in patterns.probes:
+            raise DataError(f"tree {k}: patterns without a probe count")
+        expected = net.tree_by_id[k].leaves
+        if patterns.receivers.get(k) != expected:
+            raise DataError(f"tree {k}: receivers {patterns.receivers.get(k)} "
+                            f"do not match leaf links {expected}")
     patterns.validate()
     per_tree_n1: dict[int, dict[int, int]] = {}
     per_tree_n0: dict[int, dict[int, int]] = {}
     for k, table in patterns.counts.items():
         tree = net.tree_by_id[k]
-        n1 = {i: 0 for i in tree.links}
-        for bits, c in table.items():
-            states = internal_states(bits, tree)
-            for i in states.confirmed:
-                n1[i] += c
+        counts = np.fromiter(table.values(), np.int64, len(table))
+        cols = dict(zip(tree.leaves, patterns.bit_matrix(k).T))
+        sums = {}
+        for i in reversed(tree.order):
+            kids = tree.children[i]
+            if kids:
+                cols[i] = np.logical_or.reduce([cols.pop(c) for c in kids])
+            sums[i] = int(counts @ cols[i])
+        n1 = {i: sums[i] for i in tree.links}
         n0 = {}
         for i in tree.links:
             up = patterns.probes[k] if i == tree.root_link else n1[tree.parent[i]]

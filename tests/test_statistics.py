@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import (DataError, PatternTable, collapse_patterns,
-                                 internal_states, internal_views, parse_data,
-                                 serialize_data, sufficiency_check, tree_views)
+from losstomo.statistics import (DataError, InternalView, PatternTable,
+                                 collapse_patterns, internal_states, internal_views,
+                                 parse_data, regularity_report, serialize_data,
+                                 sufficiency_check, tree_views)
 from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
 
 STAR = fixtures.star3()
@@ -235,3 +236,179 @@ def test_tree_views_equal_views_of_the_tree_alone():
                 assert getattr(got_report, f.name) == getattr(want_report, f.name), f.name
             irregular += not want_report.all_ok
     assert irregular > 0   # boundary cases were exercised
+
+
+def _reference_views(patterns, net):
+    """Views counted pattern by pattern through internal_states."""
+    per1, per0 = {}, {}
+    for k, table in patterns.counts.items():
+        tree = net.tree_by_id[k]
+        n1 = {i: 0 for i in tree.links}
+        for bits, c in table.items():
+            for i in internal_states(bits, tree).confirmed:
+                n1[i] += c
+        per1[k] = n1
+        per0[k] = {i: (patterns.probes[k] if i == tree.root_link else n1[tree.parent[i]])
+                   - n1[i] for i in tree.links}
+    n1 = {i: sum(per1[k].get(i, 0) for k in per1) for i in net.links}
+    n0 = {i: sum(per0[k].get(i, 0) for k in per0) for i in net.links}
+    r = {i: n1[i] / (n1[i] + n0[i]) if n1[i] + n0[i] else None for i in net.links}
+    view = InternalView(per1, per0, n1, n0, r, dict(patterns.probes))
+    return view, regularity_report(view, net)
+
+
+def _assert_identical(got, want):
+    """Every field equal, dicts in the same key order, counts plain ints."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b, f.name
+        if isinstance(b, dict):
+            assert list(a) == list(b), f.name
+            for x, y in zip(a.values(), b.values()):
+                assert type(x) is type(y), f.name
+                if isinstance(y, dict):
+                    assert list(x) == list(y), f.name
+                    assert all(type(v) is int for v in x.values()), f.name
+
+
+def _assert_views_match_reference(patterns, net):
+    got = internal_views(patterns, net)
+    want = _reference_views(patterns, net)
+    _assert_identical(got[0], want[0])
+    _assert_identical(got[1], want[1])
+
+
+@st.composite
+def _networks(draw):
+    """Up to 20 links: 1-3 trees with private parts, some entering one shared subtree.
+
+    Links are (parent node, child node) pairs named by position; the first
+    tree always enters the shared subtree, so every link is covered.  Link
+    ids are a random permutation, so receiver order differs from tree order.
+    """
+    links = []
+    nodes = iter(range(1, 100))
+
+    def grow(frontier, size):
+        made = []
+        for _ in range(size):
+            links.append((draw(st.sampled_from(frontier)), next(nodes)))
+            frontier.append(links[-1][1])
+            made.append(len(links) - 1)
+        return made
+
+    hub = next(nodes)
+    shared = grow([hub], draw(st.integers(0, 5)))
+    specs = []
+    for k in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True)):
+        links.append((next(nodes), next(nodes)))
+        root = len(links) - 1
+        frontier = [links[root][1]]
+        members = [root] + grow(frontier, draw(st.integers(0, 3)))
+        if shared and (not specs or draw(st.booleans())):
+            links.append((draw(st.sampled_from(frontier)), hub))
+            members += [len(links) - 1] + shared
+        specs.append((k, root, members))
+    ids = draw(st.permutations(range(1, len(links) + 1)))
+    recs = {ids[q]: LinkRecord(ids[q], up, down) for q, (up, down) in enumerate(links)}
+    trees = [MulticastTree(k, ids[root], [ids[q] for q in members], recs)
+             for k, root, members in specs]
+    return GeneralNetwork("random", list(recs.values()), trees)
+
+
+@st.composite
+def _nets_and_tables(draw):
+    net = draw(_networks())
+    probes, receivers, counts = {}, {}, {}
+    for tree in draw(st.permutations(net.trees)):
+        k, width = tree.tree_id, len(tree.leaves)
+        table = draw(st.dictionaries(st.text("01", min_size=width, max_size=width),
+                                     st.integers(1, 6), max_size=10))
+        probes[k] = sum(table.values())
+        receivers[k] = tree.leaves
+        if table or draw(st.booleans()):
+            counts[k] = table
+    return net, PatternTable("random", probes, receivers, counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nets_and_tables())
+def test_views_equal_per_pattern_reference(case):
+    net, patterns = case
+    _assert_views_match_reference(patterns, net)
+
+
+def _views_edge_cases():
+    twotree = fixtures.twotree12()
+    yield STAR, star_table({"00": 4})
+    yield STAR, star_table({"11": 6})
+    yield fixtures.single_link(), PatternTable("t", {1: 5}, {1: (1,)}, {1: {"1": 3, "0": 2}})
+    yield fixtures.single_link(), PatternTable("t", {1: 0}, {1: (1,)}, {1: {}})
+    # a tree with no probes, with and without an (empty) counts entry
+    tree2 = {"1111": 2, "1011": 1, "0000": 2}
+    receivers = {1: twotree.tree_by_id[1].leaves, 2: twotree.tree_by_id[2].leaves}
+    yield twotree, PatternTable("t", {1: 0, 2: 5}, receivers, {1: {}, 2: tree2})
+    yield twotree, PatternTable("t", {1: 0, 2: 5}, receivers, {2: tree2})
+    yield twotree, _simulated(twotree, 1, 10, 300, 4)
+
+
+@pytest.mark.parametrize("net,patterns", list(_views_edge_cases()))
+def test_views_edge_cases_equal_reference(net, patterns):
+    _assert_views_match_reference(patterns, net)
+
+
+def test_kary_tree_views_equal_reference():
+    net = fixtures.kary_tree(2, 8)
+    assert len(net.links) == 511 and len(net.trees[0].leaves) == 256
+    patterns = _simulated(net, 1, 100, 1000, 3)
+    assert len(patterns.counts[1]) > 100
+    _assert_views_match_reference(patterns, net)
+
+
+@pytest.mark.parametrize("counts,msg", [
+    ({"1x": 4}, "tree 1: bad pattern '1x'"),
+    ({"٠1": 4}, "tree 1: bad pattern '٠1'"),
+    ({"111": 4}, "tree 1: bad pattern '111'"),
+    ({"11": 2, "1": 1, "101": 1}, "tree 1: bad pattern '1'"),
+    ({"11": 1, "10": 1, "0x": 1, "x0": 1}, "tree 1: bad pattern '0x'"),
+    ({"11": 4, "00": 0}, "tree 1: pattern 00 has count 0"),
+    ({"11": 5, "00": -1}, "tree 1: pattern 00 has count -1"),
+    ({"11": 2, "00": 1}, "tree 1: pattern counts sum to 3, expected 4"),
+    ({}, "tree 1: pattern counts sum to 0, expected 4"),
+])
+def test_malformed_table_names_first_bad_pattern(counts, msg):
+    table = PatternTable("t", {1: 4}, {1: (2, 3)}, {1: counts})
+    for check in (table.validate, lambda: internal_views(table, STAR)):
+        with pytest.raises(DataError) as exc:
+            check()
+        assert str(exc.value) == msg
+
+
+def test_malformed_second_tree_is_named():
+    table = PatternTable("t", {1: 2, 2: 2}, {1: (2, 3), 2: (2, 3)},
+                         {1: {"11": 2}, 2: {"11": 1, "1-": 1}})
+    with pytest.raises(DataError, match=r"^tree 2: bad pattern '1-'$"):
+        internal_views(table, fixtures.shared_pair())
+
+
+@pytest.mark.parametrize("table,msg", [
+    # receivers out of order would credit the wrong leaf
+    (PatternTable("x", {1: 4}, {1: (3, 2)}, {1: {"10": 4}}),
+     r"tree 1: receivers \(3, 2\) do not match leaf links \(2, 3\)"),
+    (PatternTable("x", {1: 4}, {}, {1: {"10": 4}}), "tree 1: receivers None"),
+    (PatternTable("x", {1: 4, 99: 1}, {1: (2, 3), 99: (2, 3)},
+                  {1: {"10": 4}, 99: {"11": 1}}), "unknown tree 99"),
+    (PatternTable("x", {1: 4}, {1: (2, 3)}, {1: {"10": 4}, 99: {"11": 1}}),
+     "unknown tree 99"),
+    (PatternTable("x", {1: 4, 7: 0}, {1: (2, 3)}, {1: {"10": 4}}), "unknown tree 7"),
+])
+def test_views_reject_tables_that_do_not_fit_the_net(table, msg):
+    with pytest.raises(DataError, match=msg):
+        internal_views(table, STAR)
+
+
+def test_views_reject_patterns_without_probe_count():
+    table = PatternTable("x", {1: 1}, {1: (2, 3), 2: (2, 3)},
+                         {1: {"11": 1}, 2: {"11": 1}})
+    with pytest.raises(DataError, match="tree 2: patterns without a probe count"):
+        internal_views(table, fixtures.shared_pair())
