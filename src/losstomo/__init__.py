@@ -4,7 +4,7 @@ from .bench import ExperimentGrid, ExperimentReport, GridCell, mse, parse_grid, 
 from .estimators import (BrotherSetProblem, EstimateResult, UniqueRootUnavailable,
                          le_xi, mvwa, nem, pcem, project_to_theta_star,
                          solve_brother_fixed_point)
-from .likelihood import (LogLikValue, grad_fd, loglik_psi, loglik_theta, loglik_xi,
+from .likelihood import (LogLikValue, loglik_psi, loglik_theta, loglik_xi,
                          observed_information, per_probe_loglik)
 from .params import (LossRates, parse_rates, psi_to_xi, serialize_rates, theta_to_xi,
                      xi_membership, xi_to_psi, xi_to_theta)

@@ -13,8 +13,11 @@ Four procedures over the same internal-view statistics:
   every feasible assignment of link states.  Exponential cost; kept as an
   oracle for small networks and refused above 20 links.
 * mvwa: solves each tree separately with le_xi, on that tree's slice of
-  the shared views, and combines shared links by inverse-variance weights;
-  contributions without a usable variance are dropped from the average.
+  the shared views and on its single-tree network (built once per network,
+  GeneralNetwork.tree_networks), and combines shared links by
+  inverse-variance weights.  The variances are the exact diagonal observed
+  information of each tree's likelihood; contributions without a usable
+  variance are dropped from the average.
 
 Estimates for links whose data fail the regularity conditions are still
 produced (projected onto [0, 1]) but flagged; links with no information at
@@ -493,22 +496,17 @@ def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1
                       converged, ll_path, th_path, t0)
 
 
-def _single_tree_network(net: GeneralNetwork, tree_id: int) -> GeneralNetwork:
-    tree = net.tree_by_id[tree_id]
-    records = [net.links[i] for i in sorted(tree.links)]
-    return GeneralNetwork(f"{net.name}.tree{tree_id}", records, [tree])
-
-
 def mvwa(views: InternalView, net: GeneralNetwork,
          report: RegularityReport | None = None) -> EstimateResult:
     """Per-tree estimates combined by minimum-variance weighted averaging.
 
     Each tree is estimated on its own with le_xi.  Links seen by several
-    trees are averaged with weights 1/variance from the diagonal observed
-    information.  A per-tree estimate with no usable variance (boundary
-    point, flat curvature) gets zero weight, matching the minimum-variance
-    reading; only when no tree has a usable variance does the link fall
-    back to probe-count weights.  Links seen by one tree pass through.
+    trees are averaged with weights 1/variance from the exact diagonal
+    observed information of the tree's own likelihood.  A per-tree
+    estimate with no usable variance (boundary point, flat curvature) gets
+    zero weight, matching the minimum-variance reading; only when no tree
+    has a usable variance does the link fall back to probe-count weights.
+    Links seen by one tree pass through.
     """
     t0 = time.perf_counter()
     if report is None:
@@ -516,7 +514,7 @@ def mvwa(views: InternalView, net: GeneralNetwork,
     per_tree: dict[int, tuple[EstimateResult, dict[int, float]]] = {}
     iterations = 0
     for k in sorted(views.per_tree_n1):
-        sub = _single_tree_network(net, k)
+        sub = net.tree_networks[k]
         sub_views, sub_report = tree_views(views, sub)
         res = le_xi(sub_views, sub, report=sub_report)
         filled = {i: (math.nan if v is None else v) for i, v in res.theta_hat.items()}

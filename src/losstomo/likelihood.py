@@ -6,6 +6,10 @@ All three forms are algebraically identical on interior parameters; the
 tests lean on that.  Boundary evaluations return -inf rather than raising,
 so optimizers can still compare candidates.  A term with a zero coefficient
 contributes nothing even when its log argument is zero.
+
+observed_information gives mvwa its per-link variances from the exact
+diagonal curvature of loglik_theta, one pass over the links with no
+finite differences.
 """
 
 from __future__ import annotations
@@ -87,63 +91,57 @@ def per_probe_loglik(bits: str, tree_id: int, theta, net: GeneralNetwork) -> flo
     return total
 
 
-def grad_fd(fn, point: dict[int, float], step: float = 1e-6,
-            lo: float = 0.0, hi: float = 1.0) -> dict[int, float]:
-    """Central-difference gradient of fn over a link-keyed point.
-
-    The step shrinks per coordinate so that both probe points stay inside
-    (lo, hi); coordinates pinned at the boundary get a nan gradient.
-    """
-    grad: dict[int, float] = {}
-    for i in sorted(point):
-        v = point[i]
-        h = step
-        while h > 0 and not (lo < v - h and v + h < hi):
-            h /= 2.0
-            if h < 1e-300:
-                h = 0.0
-        if h == 0.0:
-            grad[i] = math.nan
-            continue
-        up = dict(point)
-        dn = dict(point)
-        up[i] = v + h
-        dn[i] = v - h
-        grad[i] = (float(fn(up)) - float(fn(dn))) / (2.0 * h)
-    return grad
-
-
-def observed_information(theta, views: InternalView, net: GeneralNetwork,
-                         step: float = 1e-5) -> dict[int, float]:
+def observed_information(theta, views: InternalView, net: GeneralNetwork
+                         ) -> dict[int, float]:
     """Per-link variance estimates from the diagonal observed information.
 
-    Returns 1 / (-d2L/dtheta_i^2) per link, by central second differences.
-    Links where the curvature is not finite and positive (boundary points,
-    flat ridges) come back as nan; callers fall back to probe-count weights.
+    Returns 1 / (-d2L/dtheta_j^2) per link, in closed form.  On a network
+    where every link has at most one parent link (a single tree, say), each
+    xi_i is affine in theta_j, so
+
+        -d2L/dtheta_j^2 = n1_j/(1-theta_j)^2
+                          + sum over i in {j} and j's ancestors of
+                            n0_i (dxi_i/dtheta_j)^2 / xi_i^2,
+
+    with dxi_j/dtheta_j = 1 - prod(xi over j's children) and each step up
+    to a parent a multiplying by (1-theta_a) times the product of xi over
+    the brothers left behind.  The sum over ancestors is carried down from
+    the parent, so one parents-first pass covers every link.  A term with
+    n0_i = 0 contributes nothing, as in the likelihood.
+
+    Links where theta is outside (0, 1) or the curvature is not finite and
+    positive come back as nan, and every link does when the likelihood at
+    theta is not finite; callers fall back to probe-count weights.  A link
+    with several parent links makes xi non-affine, so such a network raises
+    ValueError.
     """
-    th = dict(theta)
-
-    def at(pt):
-        return loglik_theta(views, pt, net).value
-
-    base = at(th)
+    multi = sorted(i for i, ups in net.parent_links.items() if len(ups) > 1)
+    if multi:
+        raise ValueError(f"observed_information needs at most one parent link per link; "
+                         f"links {multi} have several")
+    if not math.isfinite(loglik_theta(views, theta, net).value):
+        return {i: math.nan for i in sorted(net.links)}
+    xi = theta_to_xi(theta, net)
+    # carried[i]: sum over i and its ancestors a of n0_a (dxi_a/dxi_i)^2 / xi_a^2
+    carried: dict[int, float] = {}
+    for i in net.order:
+        n0 = views.n0[i]
+        s = 0.0 if n0 == 0.0 else n0 / (xi[i] * xi[i])
+        if net.parent_links[i]:
+            a = net.parent_links[i][0]
+            up = 1.0 - theta[a]
+            for b in net.child_links[a]:
+                if b != i:
+                    up *= xi[b]
+            s += up * up * carried[a]
+        carried[i] = s
     variances: dict[int, float] = {}
     for i in sorted(net.links):
-        v = th[i]
-        h = step
-        while h > 0 and not (0.0 < v - h and v + h < 1.0):
-            h /= 2.0
-            if h < 1e-12:
-                h = 0.0
-                break
-        if h == 0.0 or not math.isfinite(base):
-            variances[i] = math.nan
-            continue
-        up = dict(th)
-        dn = dict(th)
-        up[i] = v + h
-        dn[i] = v - h
-        curvature = -(at(up) - 2.0 * base + at(dn)) / (h * h)
+        th = theta[i]
+        curvature = math.nan
+        if 0.0 < th < 1.0:
+            d = 1.0 - child_product(xi, net, i)
+            curvature = views.n1[i] / ((1.0 - th) * (1.0 - th)) + d * d * carried[i]
         if math.isfinite(curvature) and curvature > 0.0:
             variances[i] = 1.0 / curvature
         else:

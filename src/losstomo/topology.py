@@ -7,13 +7,15 @@ leaf links, whose child nodes are the receivers.  All structural sets the
 estimators need (parent links, brother sets, child sets, per-subtree
 receiver sets, topological orders) are derived once at construction and
 never mutated afterwards, so a network can be shared freely across
-threads.
+threads.  The one exception is GeneralNetwork.tree_networks, built on first
+use; two threads racing to build it build equal values.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -225,6 +227,13 @@ class GeneralNetwork:
 
     def is_leaf(self, link_id: int) -> bool:
         return not self.child_links[link_id]
+
+    @cached_property
+    def tree_networks(self) -> dict[int, GeneralNetwork]:
+        """Tree id -> a network of that tree alone, over its links; built on first use."""
+        return {t.tree_id: GeneralNetwork(f"{self.name}.tree{t.tree_id}",
+                                          [self.links[i] for i in sorted(t.links)], [t])
+                for t in self.trees}
 
 
 def _merged_order(links: dict[int, LinkRecord], parents: dict[int, tuple[int, ...]]) -> tuple[int, ...]:

@@ -14,11 +14,12 @@ import pytest
 from losstomo import fixtures
 from losstomo.bench import GridCell, _data_seed, _theta_seed, mse
 from losstomo.estimators import le_xi, mvwa, nem, pcem
-from losstomo.likelihood import (grad_fd, loglik_psi, loglik_theta, loglik_xi,
-                                 per_probe_loglik)
+from losstomo.likelihood import loglik_psi, loglik_theta, loglik_xi, per_probe_loglik
 from losstomo.params import psi_to_xi, theta_to_xi, xi_membership, xi_to_psi, xi_to_theta
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import PatternTable, internal_views
+
+from fd_reference import grad_fd
 
 TOY = fixtures.toy7()
 STAR = fixtures.star3()

@@ -9,10 +9,12 @@ from losstomo.estimators import (FLAG_BOUNDARY, FLAG_NON_ESTIMABLE, FLAG_OK,
                                  FLAG_REGULARITY, BrotherSetProblem,
                                  UniqueRootUnavailable, le_xi, mvwa, nem, pcem,
                                  project_to_theta_star, solve_brother_fixed_point)
-from losstomo.likelihood import grad_fd, loglik_xi
+from losstomo.likelihood import loglik_xi
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import PatternTable, internal_views
 from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
+
+from fd_reference import grad_fd
 
 STAR = fixtures.star3()
 TOY = fixtures.toy7()
@@ -317,6 +319,23 @@ class TestMvwa:
         # equal estimates is that estimate
         for i in (2, 3):
             assert avg.theta_hat[i] == pytest.approx(solo.theta_hat[i], abs=1e-12)
+
+    def test_sub_networks_built_once_per_network(self, monkeypatch):
+        net = fixtures.twotree12()
+        views, _ = internal_views(simulate(SimConfig(net, 200, seed=5),
+                                           {i: 0.1 for i in net.links}), net)
+        built = []
+        init = GeneralNetwork.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneralNetwork, "__init__", counted)
+        first = mvwa(views, net)
+        second = mvwa(views, net)
+        assert len(built) == len(net.trees)
+        assert first.theta_hat == second.theta_hat
 
     def test_single_tree_links_pass_through(self):
         theta = {i: 0.1 for i in TWOTREE.links}

@@ -3,13 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from losstomo import fixtures
-from losstomo.likelihood import (grad_fd, loglik_psi, loglik_theta, loglik_xi,
-                                 observed_information, per_probe_loglik)
+from losstomo import fixtures, likelihood
+from losstomo.estimators import le_xi
+from losstomo.likelihood import (loglik_psi, loglik_theta, loglik_xi, observed_information,
+                                 per_probe_loglik)
 from losstomo.params import theta_to_xi, xi_to_psi
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import PatternTable, internal_views
+from losstomo.statistics import InternalView, PatternTable, internal_views
+from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
+
+from fd_reference import grad_fd, observed_information_fd
 
 STAR = fixtures.star3()
 TOY = fixtures.toy7()
@@ -155,3 +160,111 @@ def test_observed_information_boundary_is_nan():
     _, views = star_views({"11": 2, "10": 1, "01": 1, "00": 1})
     variances = observed_information({1: 0.0, 2: 0.3, 3: 0.3}, views, STAR)
     assert math.isnan(variances[1])
+
+
+def test_observed_information_star_exact():
+    # at the star's MLE by hand: link 1 gets 4/0.9^2 + (8/9)^2 * 1/0.2^2 = 2000/81;
+    # link 2 gets 3/(2/3)^2 + 1/(1/3)^2 + (0.9 * 1/3)^2 * 1/0.2^2 = 18, link 3 alike
+    _, views = star_views({"11": 2, "10": 1, "01": 1, "00": 1})
+    variances = observed_information({1: 0.1, 2: 1 / 3, 3: 1 / 3}, views, STAR)
+    assert variances[1] == pytest.approx(81 / 2000, rel=1e-14)
+    assert variances[2] == pytest.approx(1 / 18, rel=1e-14)
+    assert variances[3] == pytest.approx(1 / 18, rel=1e-14)
+
+
+@st.composite
+def _trees_with_views(draw):
+    m = draw(st.integers(min_value=1, max_value=20))
+    records = [LinkRecord(1, 0, 1)] + [
+        LinkRecord(k, draw(st.integers(min_value=1, max_value=k - 1)), k)
+        for k in range(2, m + 1)]
+    rec_map = {r.link_id: r for r in records}
+    net = GeneralNetwork("random", records, [MulticastTree(1, 1, range(1, m + 1), rec_map)])
+    counts = st.integers(min_value=0, max_value=50)
+    n1 = {i: draw(counts) for i in net.links}
+    n0 = {i: draw(counts) for i in net.links}
+    r = {i: n1[i] / (n1[i] + n0[i]) if n1[i] + n0[i] else None for i in net.links}
+    views = InternalView({1: n1}, {1: n0}, n1, n0, r, {1: n1[1] + n0[1]})
+    theta = {i: draw(st.floats(min_value=0.01, max_value=0.99)) for i in net.links}
+    return net, views, theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees_with_views())
+def test_observed_information_matches_finite_differences(case):
+    net, views, theta = case
+    h = 1e-5   # the reference's step
+    exact = observed_information(theta, views, net)
+    approx = observed_information_fd(theta, views, net, step=h)
+    loglik = abs(loglik_theta(views, theta, net).value)
+    # Truncation: every term is c*log(affine in theta_j) with the affine part at
+    # least 0.01 and slope at most 1, so it is at most h^2/(2*0.01^2) = 5e-7 of
+    # the curvature.  Rounding: each of the three likelihood sums of 2m terms
+    # is off by up to about 2m*eps*|L|, and the second difference adds the
+    # three errors with weights 1, 2, 1 before dividing by h^2.
+    rounding = 4 * 2 * len(net.links) * 2.2e-16 * (1 + loglik) / (h * h)
+    assert [i for i in exact if math.isnan(exact[i])] == \
+        [i for i in approx if math.isnan(approx[i])]
+    for i in net.links:
+        if math.isnan(exact[i]):
+            continue
+        curvature = 1 / exact[i]
+        assert abs(curvature - 1 / approx[i]) <= 1e-6 * curvature + rounding
+
+
+def _same_nan_pattern(theta, views, net):
+    exact = observed_information(theta, views, net)
+    approx = observed_information_fd(theta, views, net)
+    assert {i: math.isnan(v) for i, v in exact.items()} == \
+        {i: math.isnan(v) for i, v in approx.items()}
+    return exact
+
+
+def test_observed_information_nan_pattern_matches_reference():
+    _, mixed = star_views({"11": 2, "10": 1, "01": 1, "00": 1})
+    # boundary rates: only the pinned link is nan
+    got = _same_nan_pattern({1: 0.0, 2: 0.3, 3: 0.3}, mixed, STAR)
+    assert math.isnan(got[1]) and not math.isnan(got[2]) and not math.isnan(got[3])
+    # a leaf at rate 1 with confirmed passes: the likelihood is -inf, all nan
+    got = _same_nan_pattern({1: 0.2, 2: 1.0, 3: 0.3}, mixed, STAR)
+    assert all(math.isnan(v) for v in got.values())
+    # all-dark data: no link below the root has a confirmed visit
+    _, dark = star_views({"00": 4})
+    filled = {i: (math.nan if v is None else v)
+              for i, v in le_xi(dark, STAR).theta_hat.items()}
+    got = _same_nan_pattern(filled, dark, STAR)
+    assert all(math.isnan(v) for v in got.values())
+    got = _same_nan_pattern({1: 0.2, 2: 0.3, 3: 0.4}, dark, STAR)
+    assert not any(math.isnan(v) for v in got.values())
+
+
+def test_observed_information_zero_coefficient_at_zero_xi():
+    # n0 is zero on links 1 and 2, whose xi is 0 here; only link 3 is interior
+    _, views = star_views({"11": 3, "10": 1})
+    got = _same_nan_pattern({1: 0.0, 2: 0.0, 3: 0.3}, views, STAR)
+    assert got[3] == pytest.approx(1 / (3 / 0.7 ** 2 + 1 / 0.3 ** 2), rel=1e-14)
+
+
+def test_observed_information_rejects_multi_parent_links():
+    net = fixtures.layered49()
+    views, _ = internal_views(simulate(SimConfig(net, 50, seed=2), {i: 0.05 for i in net.links}),
+                              net)
+    with pytest.raises(ValueError, match="parent"):
+        observed_information({i: 0.05 for i in net.links}, views, net)
+
+
+def test_observed_information_one_likelihood_pass(monkeypatch):
+    net = fixtures.kary_tree(4, 5)
+    gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(29)))
+    theta = sample_theta(1, 100, net, gen).theta
+    views, _ = internal_views(simulate(SimConfig(net, 300, seed=3), theta), net)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return loglik_theta(*args)
+
+    monkeypatch.setattr(likelihood, "loglik_theta", counted)
+    variances = observed_information(theta, views, net)
+    assert len(calls) <= 1
+    assert sum(math.isfinite(v) for v in variances.values()) == len(net.links)

@@ -101,6 +101,18 @@ def test_roundtrip_all_fixtures():
         assert parse_topology(serialize_topology(net)) == net
 
 
+def test_tree_networks_built_once_on_first_use():
+    net = parse_topology(serialize_topology(fixtures.twotree12()))
+    assert "tree_networks" not in vars(net)
+    subs = net.tree_networks
+    assert net.tree_networks is subs
+    assert sorted(subs) == [t.tree_id for t in net.trees]
+    for k, sub in subs.items():
+        assert sub.trees == (net.tree_by_id[k],)
+        assert set(sub.links) == net.tree_by_id[k].links
+        assert sub.name == f"{net.name}.tree{k}"
+
+
 def test_layered49_shape():
     net = fixtures.layered49()
     assert len(net.links) == 48
