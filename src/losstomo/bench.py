@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,18 +184,11 @@ def _run_methods(net: GeneralNetwork, cell: GridCell, replicate: int,
 
 def run_grid(grid: ExperimentGrid, net: GeneralNetwork,
              workers: int = 1) -> ExperimentReport:
-    """Run every (cell, replicate, method) and return ordered rows."""
-    tasks = [(cell, rep) for cell in grid.cells() for rep in range(cell.replicates)]
+    """Run every (cell, replicate, method) and return ordered rows.
 
-    def run(task):
-        cell, rep = task
-        return _run_methods(net, cell, rep, grid.master_seed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, tasks))
-    else:
-        chunks = [run(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    workers is accepted and ignored: the replicates run on the calling thread.
+    """
+    rows = [row for cell in grid.cells() for rep in range(cell.replicates)
+            for row in _run_methods(net, cell, rep, grid.master_seed)]
     rows.sort(key=lambda r: (r["setting"], r["n"], r["replicate"], r["method"]))
     return ExperimentReport(rows)

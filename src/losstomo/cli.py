@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--tol", type=_TOL, default=1e-6)
     est.add_argument("--max-iter", type=_COUNT, default=10000)
     est.add_argument("--init", type=_RATE, default=0.03)
-    est.add_argument("--threads", type=_COUNT, default=1)
+    est.add_argument("--threads", type=_COUNT, default=1,
+                     help="accepted for compatibility; estimation is single-threaded")
     est.add_argument("--out", required=True)
     est.set_defaults(fn=_cmd_estimate)
 
@@ -142,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--grid", required=True)
     ben.add_argument("--out", required=True)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--workers", type=_COUNT, default=1)
+    ben.add_argument("--workers", type=_COUNT, default=1,
+                     help="accepted for compatibility; the grid runs single-threaded")
     ben.set_defaults(fn=_cmd_bench)
     return parser
 

@@ -4,9 +4,9 @@ Four procedures over the same internal-view statistics:
 
 * le_xi: solves the likelihood equations in the subtree-loss
   parametrization.  Root links have a closed form; every other link is
-  covered by one polynomial fixed-point solve per brother set, and the
-  solves are independent of each other, so any execution order (or thread
-  pool) gives bit-identical output.
+  covered by one polynomial fixed-point solve per brother set.  The solves
+  are independent of each other and run one after another on the calling
+  thread: they are pure Python, so a thread pool only adds overhead.
 * pcem: expectation-maximization driven entirely by the collapsed
   statistics; cost per sweep is linear in the number of links.
 * nem: the brute-force EM that enumerates, per distinct receiver pattern,
@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .likelihood import loglik_theta, observed_information
@@ -68,17 +67,15 @@ class BrotherSetProblem:
 def solve_brother_fixed_point(problem: BrotherSetProblem, tol: float = 1e-12) -> float:
     """Root in (0, 1) of  x = prod_j[(1 - r_j) + r_j x].
 
-    x = 1 always solves the equation and is never returned.  Two brothers
-    admit a closed form; larger sets use Newton iterations safeguarded by
-    bisection on the bracket [prod_j(1 - r_j), 1 - 1e-9].
+    x = 1 always solves the equation and is never returned.  This is the
+    checked entry to the solve le_xi runs per brother set, for any number of
+    brothers: Newton iterations safeguarded by bisection on the bracket
+    [prod_j(1 - r_j), 1 - 1e-9], stopped once the residual is <= tol.
     """
     if not problem.solvable_uniquely:
         raise UniqueRootUnavailable(
             f"pass fractions {sorted(problem.r.values())} admit no unique root")
-    rs = [problem.r[j] for j in sorted(problem.r)]
-    if len(rs) == 2:
-        return ((1.0 - rs[0]) * (1.0 - rs[1])) / (rs[0] * rs[1])
-    pi, _ = _solve_interior(rs, tol)
+    pi, _ = _solve_interior([problem.r[j] for j in sorted(problem.r)], tol)
     return pi
 
 
@@ -139,7 +136,6 @@ class EstimateResult:
     xi_hat: dict[int, float | None]
     flags: dict[int, str]
     iterations: int
-    loglik: float
     regularity: RegularityReport
     wall_time: float
     loglik_path: list[float] = field(default_factory=list)
@@ -209,13 +205,6 @@ def _solve_node(brothers: tuple[int, ...], r: dict[int, float | None],
     return xi, 0
 
 
-def _loglik_at(views: InternalView, theta_hat: dict[int, float | None],
-               net: GeneralNetwork) -> float:
-    # links with None carry zero-coefficient terms only; any filler works
-    filled = {i: (0.5 if v is None else v) for i, v in theta_hat.items()}
-    return loglik_theta(views, filled, net).value
-
-
 def _assemble_flags(net: GeneralNetwork, report: RegularityReport,
                     theta_raw: dict[int, float | None],
                     clamped: frozenset[int]) -> dict[int, str]:
@@ -238,30 +227,21 @@ def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
           report: RegularityReport | None = None, tol: float = 1e-12) -> EstimateResult:
     """Likelihood-equation estimator.
 
-    Each source node and each brother set is an independent task over the
-    shared read-only statistics; results merge by link id, so the output
-    does not depend on the schedule.
+    Root links take their closed form; each brother set is one fixed-point
+    solve over the shared statistics, merged by link id.  iterations is the
+    largest solver iteration count.  workers is accepted and ignored: the
+    solves run on the calling thread.
     """
     t0 = time.perf_counter()
     if report is None:
         report = regularity_report(views, net)
-
-    def root_task(s: int):
-        r = views.r[s]
-        return ({s: None if r is None else 1.0 - r}, 0)
-
-    tasks = [lambda s=s: root_task(s) for s in net.source_links]
-    tasks += [lambda b=b: _solve_node(b, views.r, tol) for b in net.brother_sets]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda f: f(), tasks))
-    else:
-        outcomes = [f() for f in tasks]
-
     xi_hat: dict[int, float | None] = {}
+    for s in net.source_links:
+        r = views.r[s]
+        xi_hat[s] = None if r is None else 1.0 - r
     solver_iters = 0
-    for partial, iters in outcomes:
+    for brothers in net.brother_sets:
+        partial, iters = _solve_node(brothers, views.r, tol)
         xi_hat.update(partial)
         solver_iters = max(solver_iters, iters)
 
@@ -275,8 +255,7 @@ def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
             theta_raw[i] = 1.0
     theta_hat, clamped = project_to_theta_star(theta_raw)
     flags = _assemble_flags(net, report, theta_raw, clamped)
-    ll = _loglik_at(views, theta_hat, net)
-    return EstimateResult("le-xi", theta_hat, xi_hat, flags, solver_iters, ll,
+    return EstimateResult("le-xi", theta_hat, xi_hat, flags, solver_iters,
                           report, time.perf_counter() - t0)
 
 
@@ -328,17 +307,15 @@ def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float
     return theta_map, iterations, converged, loglik_path, theta_path
 
 
-def _finish_em(method: str, net: GeneralNetwork, views: InternalView,
-               report: RegularityReport, theta_map: dict[int, float],
-               iterations: int, converged: bool, loglik_path, theta_path,
-               t0: float) -> EstimateResult:
+def _finish_em(method: str, net: GeneralNetwork, report: RegularityReport,
+               theta_map: dict[int, float], iterations: int, converged: bool,
+               loglik_path, theta_path, t0: float) -> EstimateResult:
     theta_hat: dict[int, float | None] = {}
     for i in net.links:
         theta_hat[i] = None if i in report.no_information else theta_map[i]
     flags = _assemble_flags(net, report, theta_hat, frozenset())
     xi_hat = theta_to_xi(theta_hat, net)
-    ll = _loglik_at(views, theta_hat, net)
-    return EstimateResult(method, theta_hat, xi_hat, flags, iterations, ll,
+    return EstimateResult(method, theta_hat, xi_hat, flags, iterations,
                           report, time.perf_counter() - t0,
                           loglik_path=loglik_path, theta_path=theta_path,
                           converged=converged)
@@ -396,7 +373,7 @@ def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-
 
     theta_map, iterations, converged, ll_path, th_path = _em_loop(
         net, views, estep, theta0, tol, max_iter, track_loglik, keep_history)
-    return _finish_em("pcem", net, views, report, theta_map, iterations,
+    return _finish_em("pcem", net, report, theta_map, iterations,
                       converged, ll_path, th_path, t0)
 
 
@@ -492,7 +469,7 @@ def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1
 
     theta_map, iterations, converged, ll_path, th_path = _em_loop(
         net, views, estep, theta0, tol, max_iter, track_loglik, keep_history)
-    return _finish_em("nem", net, views, report, theta_map, iterations,
+    return _finish_em("nem", net, report, theta_map, iterations,
                       converged, ll_path, th_path, t0)
 
 
@@ -556,8 +533,7 @@ def mvwa(views: InternalView, net: GeneralNetwork,
         flags[i] = max((f for _, _, _, f in usable), key=_FLAG_RANK.__getitem__)
 
     xi_hat = theta_to_xi(theta_hat, net)
-    ll = _loglik_at(views, theta_hat, net)
-    return EstimateResult("mvwa", theta_hat, xi_hat, flags, iterations, ll,
+    return EstimateResult("mvwa", theta_hat, xi_hat, flags, iterations,
                           report, time.perf_counter() - t0)
 
 

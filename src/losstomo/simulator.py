@@ -4,14 +4,14 @@ Probes propagate root-to-leaf through each tree with independent Bernoulli
 losses per link; only receiver bits are recorded, already collapsed into a
 pattern table.  Randomness is addressed by (seed, replicate, tree, block):
 probes are generated in fixed-size blocks with an independent counter-based
-stream per block, so the output is bit-identical however the blocks are
-distributed across workers.
+stream per block.  Blocks run in order (trees ascending, then blocks
+ascending) on the calling thread, which fixes the key order of the merged
+counts.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +73,10 @@ def _block_patterns(cfg: SimConfig, theta: dict[int, float], tree_id: int,
 
 
 def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
-    """Run the experiment and return collapsed receiver observations."""
+    """Run the experiment and return collapsed receiver observations.
+
+    workers is accepted and ignored: the blocks run on the calling thread.
+    """
     th = rates_dict(theta)
     if cfg.probes < 0:
         raise ValueError(f"probe count must be >= 0, got {cfg.probes}")
@@ -81,28 +84,14 @@ def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
     if bad:
         raise ValueError(f"links {bad} lack a loss rate in [0, 1]")
     split = cfg.tree_probes()
-    jobs = []
+    counts: dict[int, dict[str, int]] = {k: {} for k in split}
     for k in sorted(split):
         n_k = split[k]
         for block in range(0, max(1, (n_k + BLOCK_PROBES - 1) // BLOCK_PROBES)):
             rows = min(BLOCK_PROBES, n_k - block * BLOCK_PROBES)
             if rows > 0:
-                jobs.append((k, rows, block))
-
-    def run(job):
-        k, rows, block = job
-        return k, _block_patterns(cfg, th, k, rows, block)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(run, jobs))
-    else:
-        pieces = [run(job) for job in jobs]
-
-    counts: dict[int, dict[str, int]] = {k: {} for k in split}
-    for k, table in pieces:
-        for bits, c in table.items():
-            counts[k][bits] = counts[k].get(bits, 0) + c
+                for bits, c in _block_patterns(cfg, th, k, rows, block).items():
+                    counts[k][bits] = counts[k].get(bits, 0) + c
     receivers = {k: cfg.net.tree_by_id[k].leaves for k in split}
     name = f"sim-seed{cfg.seed}-rep{cfg.replicate}"
     return PatternTable(name, split, receivers, counts)

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from losstomo import fixtures
 from losstomo.bench import (ExperimentGrid, GridCell, GridError, mse, parse_grid,
                             run_grid)
 from losstomo.cli import main
+from losstomo.estimators import le_xi
+from losstomo.simulator import SimConfig, simulate
+from losstomo.statistics import internal_views
 from losstomo.topology import serialize_topology
 
 STAR_DATA = """\
@@ -107,6 +111,18 @@ class TestGrid:
         strip = lambda rows: [{k: v for k, v in r.items() if k != "runtime_ms"}
                               for r in rows]
         assert strip(run_grid(grid, net).rows) == strip(run_grid(grid, net, workers=4).rows)
+
+    def test_workers_start_no_threads(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        net = fixtures.layered49()
+        patterns = simulate(SimConfig(net, 9000, seed=3),
+                            {i: 0.05 for i in net.links}, workers=8)
+        views, report = internal_views(patterns, net)
+        assert le_xi(views, net, workers=8, report=report).estimable_links()
+        grid = parse_grid("cell 1 30 40 2 le-xi,pcem,mvwa\n", master_seed=9)
+        assert len(run_grid(grid, fixtures.star3(), workers=8).rows) == 6
 
     def test_nem_refused_above_guard_is_recorded(self):
         net = fixtures.layered49()

@@ -35,6 +35,11 @@ def residual(rs, pi):
     return prod - pi
 
 
+def two_brother_root(r1, r2):
+    # closed form for two brothers: the fixed-point quadratic's other root is 1
+    return (1.0 - r1) * (1.0 - r2) / (r1 * r2)
+
+
 def bisect_root(rs, lo=0.0, hi=1.0 - 1e-9, steps=200):
     # independent oracle for the fixed point, no derivatives involved
     for _ in range(steps):
@@ -74,6 +79,26 @@ class TestBrotherSolver:
         pi = solve_brother_fixed_point(BrotherSetProblem(dict(enumerate(rs, 1))))
         assert 0.0 < pi < 1.0 - 1e-10
         assert abs(residual(rs, pi)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.01, max_value=0.99),
+           st.floats(min_value=0.01, max_value=0.99))
+    def test_two_brothers_match_closed_form(self, r1, r2):
+        assume(r1 + r2 > 1.02)
+        x = solve_brother_fixed_point(BrotherSetProblem({1: r1, 2: r2}))
+        pi = two_brother_root(r1, r2)
+        # g(x) = (1 - r1 + r1 x)(1 - r2 + r2 x) - x has g(pi) = 0, a slope
+        # g'(x) = r1 (1 - r2 + r2 x) + r2 (1 - r1 + r1 x) - 1 linear in x, and
+        # g'(pi) = 1 - r1 - r2 < 0.  While g' keeps its sign between x and pi,
+        # the mean value theorem gives |x - pi| <= |g(x)| / min|g'| over that
+        # interval, the smaller of |g'(x)| and |g'(pi)|.  The solver stops at
+        # a computed |g(x)| <= 1e-12, which the exact g exceeds by a few ulps,
+        # and the closed form itself is within a few ulps of pi.
+        slope_x = r1 * (1.0 - r2 + r2 * x) + r2 * (1.0 - r1 + r1 * x) - 1.0
+        assert slope_x < 0.0
+        min_slope = min(-slope_x, r1 + r2 - 1.0)
+        eps = np.finfo(float).eps
+        assert abs(x - pi) <= (1e-12 + 8 * eps) / min_slope + 4 * eps * pi
 
 
 class TestLeXi:
