@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Write the outputs of a fixed matrix of losstomo commands into OUTDIR.
+
+Usage: python3 scripts/output_matrix.py OUTDIR
+
+Run it on two checkouts and compare them with `diff -r`: an empty diff
+shows that a change kept every output byte for byte.  The commands go
+through losstomo.cli.main in-process, with OUTDIR as the working
+directory, on the fixtures/*.topo networks plus shared_pair and
+kary_tree(4, 5):
+
+* simulate at seeds 0-3 and Beta(1,100), Beta(5,1000) and Beta(1,10);
+* estimate on each data file with le-xi, pcem and mvwa, and with nem on
+  networks of at most NEM_MAX_LINKS links;
+* one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
+  star3 data, and bench on fixtures/table_grid.txt over layered49.
+
+Every file the commands write stays in OUTDIR; commands.log holds each
+command with its exit code and stderr.  Nothing is timed: the bench CSV
+loses its runtime_ms column, and stdout (bench's summary, with its mean
+times) is dropped.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from losstomo import cli, fixtures  # noqa: E402
+from losstomo.estimators import NEM_MAX_LINKS  # noqa: E402
+from losstomo.topology import parse_topology, serialize_topology  # noqa: E402
+
+SEEDS = range(4)
+BETAS = ("1,100", "5,1000", "1,10")
+PROBES = "500"
+ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
+
+
+def _run(log: list[str], *argv: str) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    log.append(f"$ losstomo {' '.join(argv)}\nexit {code}\n{err.getvalue()}")
+
+
+def _drop_runtime(csv: str) -> str:
+    # runtime_ms is the third field from the right; the setting field holds a comma
+    rows = []
+    for line in csv.splitlines():
+        head, _, iterations, violations = line.rsplit(",", 3)
+        rows.append(f"{head},{iterations},{violations}\n")
+    return "".join(rows)
+
+
+def run_matrix(log: list[str]) -> None:
+    nets = {p.stem: p.read_text(encoding="utf-8")
+            for p in sorted((ROOT / "fixtures").glob("*.topo"))}
+    nets["shared_pair"] = serialize_topology(fixtures.shared_pair())
+    nets["kary_4_5"] = serialize_topology(fixtures.kary_tree(4, 5))
+    for name, text in nets.items():
+        topo = f"{name}.topo"
+        Path(topo).write_text(text, encoding="utf-8")
+        methods = ["le-xi", "pcem", "mvwa"]
+        if len(parse_topology(text).links) <= NEM_MAX_LINKS:
+            methods.append("nem")
+        for beta in BETAS:
+            for seed in SEEDS:
+                stem = f"{name}.beta{beta.replace(',', '_')}.seed{seed}"
+                _run(log, "simulate", "--topology", topo, "--beta", beta, "--probes", PROBES,
+                     "--seed", str(seed), "--out", f"{stem}.data",
+                     "--theta-out", f"{stem}.rates")
+                for method in methods:
+                    _run(log, "estimate", "--topology", topo, "--data", f"{stem}.data",
+                         "--method", method, "--out", f"{stem}.{method}.csv")
+
+    _run(log, "estimate", "--topology", "layered49.topo",
+         "--data", "layered49.beta1_100.seed0.data", "--method", "pcem",
+         "--max-iter", "2", "--out", "layered49.pcem-max-iter-2.csv")
+
+    Path("all-dark.data").write_text(ALL_DARK, encoding="utf-8")
+    for method in ("le-xi", "pcem", "mvwa", "nem"):
+        _run(log, "estimate", "--topology", "star3.topo", "--data", "all-dark.data",
+             "--method", method, "--out", f"all-dark.{method}.csv")
+
+    grid = Path("table_grid.txt")
+    grid.write_text((ROOT / "fixtures" / "table_grid.txt").read_text(encoding="utf-8"),
+                    encoding="utf-8")
+    _run(log, "bench", "--topology", "layered49.topo", "--grid", str(grid),
+         "--out", "bench.csv", "--seed", "0")
+    bench = Path("bench.csv")
+    if bench.exists():
+        bench.write_text(_drop_runtime(bench.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: output_matrix.py OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    log: list[str] = []
+    try:
+        run_matrix(log)
+    finally:
+        Path("commands.log").write_text("".join(log), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,31 +52,40 @@ class GridCell:
         return f"Beta({self.beta_a:g},{self.beta_b:g})"
 
 
-@dataclass
 class ExperimentGrid:
-    beta_settings: list[tuple[float, float]]
-    probe_counts: list[int]
-    replicates: int = 100
-    methods: tuple[str, ...] = DEFAULT_METHODS
-    master_seed: int = 0
-    explicit_cells: list[GridCell] = field(default_factory=list)
+    """The cells a benchmark runs, in order, and the master seed.
 
-    def __post_init__(self):
-        if not self.explicit_cells and not (self.beta_settings and self.probe_counts):
+    The constructor crosses Beta settings with probe counts, settings
+    outermost; parse_grid lists its cells through from_cells.
+    """
+
+    def __init__(self, beta_settings: list[tuple[float, float]], probe_counts: list[int],
+                 replicates: int = 100, methods: tuple[str, ...] = DEFAULT_METHODS,
+                 master_seed: int = 0):
+        cells = [GridCell(a, b, n, replicates, tuple(methods))
+                 for a, b in beta_settings for n in probe_counts]
+        if not cells:
             raise GridError("grid needs at least one setting and one probe count")
-        for cell in self.cells():
+        for cell in cells:
             cell.check()
+        self._cells = cells
+        self.master_seed = master_seed
+
+    @classmethod
+    def from_cells(cls, cells: list[GridCell], master_seed: int = 0) -> ExperimentGrid:
+        """A grid of the given cells, in order; the caller has checked each one."""
+        grid = cls.__new__(cls)
+        grid._cells, grid.master_seed = list(cells), master_seed
+        return grid
 
     def cells(self) -> list[GridCell]:
-        if self.explicit_cells:
-            return list(self.explicit_cells)
-        return [GridCell(a, b, n, self.replicates, tuple(self.methods))
-                for a, b in self.beta_settings for n in self.probe_counts]
+        return list(self._cells)
 
 
 def parse_grid(text: str, master_seed: int = 0) -> ExperimentGrid:
     """Parse grid files: one 'cell <a> <b> <n> <replicates> <methods>' per line."""
     cells = []
+    first_line: dict[tuple[float, float, int, str], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,11 +108,15 @@ def parse_grid(text: str, master_seed: int = 0) -> ExperimentGrid:
             cell.check()
         except GridError as exc:
             raise GridError(f"line {lineno}: {exc}") from None
+        for m in methods:
+            if (a, b, n, m) in first_line:
+                raise GridError(f"line {lineno}: {m} at {cell.setting}, n={n} "
+                                f"already runs on line {first_line[a, b, n, m]}")
+            first_line[a, b, n, m] = lineno
         cells.append(cell)
     if not cells:
         raise GridError("grid file declares no cells")
-    return ExperimentGrid([], [], methods=(), master_seed=master_seed,
-                          explicit_cells=cells)
+    return ExperimentGrid.from_cells(cells, master_seed)
 
 
 @dataclass
@@ -162,7 +175,7 @@ def _run_methods(net: GeneralNetwork, cell: GridCell, replicate: int,
     rng = np.random.Generator(np.random.Philox(seed=_theta_seed(master_seed, cell, replicate)))
     theta_true = sample_theta(cell.beta_a, cell.beta_b, net, rng)
     cfg = SimConfig(net, cell.probes, _data_seed(master_seed, cell, replicate),
-                    replicate=replicate, beta=(cell.beta_a, cell.beta_b))
+                    replicate=replicate)
     patterns = simulate(cfg, theta_true)
     views, report = internal_views(patterns, net)
     out = []

@@ -53,7 +53,6 @@ def _cmd_simulate(args) -> int:
         rng = np.random.Generator(np.random.Philox(
             seed=np.random.SeedSequence((args.seed, args.replicate, 0xA11CE))))
         theta = sample_theta(a, b, net, rng).theta
-        cfg.beta = (a, b)
     else:
         kind, theta = parse_rates(Path(args.theta).read_text(encoding="utf-8"))
         if kind != "theta":

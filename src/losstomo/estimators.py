@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 from .likelihood import loglik_theta, observed_information
-from .params import XI_BOUNDARY_TOL, theta_to_xi, xi_to_theta
+from .params import XI_BOUNDARY_TOL, theta_to_xi, xi_by_position, xi_to_theta
 from .statistics import (InternalView, PatternTable, RegularityReport,
                          internal_views, regularity_report, tree_views)
 from .topology import GeneralNetwork
@@ -259,14 +259,6 @@ def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
                           report, time.perf_counter() - t0)
 
 
-def _dense_structure(net: GeneralNetwork):
-    order = net.order
-    pos = {i: p for p, i in enumerate(order)}
-    parents = [tuple(pos[q] for q in net.parent_links[i]) for i in order]
-    children = [tuple(pos[q] for q in net.child_links[i]) for i in order]
-    return order, pos, parents, children
-
-
 def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float,
              max_iter: int, track_loglik: bool, keep_history: bool):
     """Shared EM driver: estep fills expected pass/fail counts per link.
@@ -296,14 +288,13 @@ def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float
                 delta = d
             theta[p] = new
         if track_loglik:
-            loglik_path.append(
-                loglik_theta(views, {order[p]: theta[p] for p in range(m)}, net).value)
+            loglik_path.append(loglik_theta(views, dict(zip(order, theta)), net).value)
         if keep_history:
-            theta_path.append({order[p]: theta[p] for p in range(m)})
+            theta_path.append(dict(zip(order, theta)))
         if tol > 0.0 and delta <= tol:
             converged = True
             break
-    theta_map = {order[p]: theta[p] for p in range(m)}
+    theta_map = dict(zip(order, theta))
     return theta_map, iterations, converged, loglik_path, theta_path
 
 
@@ -327,8 +318,10 @@ def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-
          report: RegularityReport | None = None) -> EstimateResult:
     """Pattern-collapsed EM: expectations from internal views alone.
 
-    Per sweep and per link, in parent-first order: u is the expected number
-    of probes that reached the link's parent node without being seen below
+    A sweep works on lists over net.order, the network's positional form.
+    xi comes from params.xi_by_position, the recursion theta_to_xi runs.
+    Then per link, in parent-first order: u is the expected number of
+    probes that reached the link's parent node without being seen below
     the link; a fraction p = (xi - theta)/xi of those passed invisibly.
     Expected pass/fail counts follow, and the maximization step is the
     fail fraction.  One sweep costs O(links).
@@ -336,66 +329,37 @@ def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-
     t0 = time.perf_counter()
     if report is None:
         report = regularity_report(views, net)
-    order, pos, parents, children = _dense_structure(net)
-    m = len(order)
-    n1 = [float(views.n1[i]) for i in order]
-    n0 = [float(views.n0[i]) for i in order]
-    internal = [q for q in range(m - 1, -1, -1) if children[q]]
-    rng_fwd = range(m)
-    xi = [0.0] * m
-    p_pass = [0.0] * m
+    parents, children = net.parent_pos, net.child_pos
+    m = len(parents)
+    n1 = [float(views.n1[i]) for i in net.order]
+    n0 = [float(views.n0[i]) for i in net.order]
     om1 = [0.0] * m
     om0 = [0.0] * m
 
     def estep(theta: list[float]):
-        xi[:] = theta
-        for q in internal:
-            prod = 1.0
-            for c in children[q]:
-                prod *= xi[c]
-            v = theta[q] + (1.0 - theta[q]) * prod
-            xi[q] = v
-            p_pass[q] = (v - theta[q]) / v if v > 0.0 else 0.0
-        for q in rng_fwd:
-            ups = parents[q]
+        xi = xi_by_position(theta, children)
+        for q, ups, th, v, c1, c0 in zip(range(m), parents, theta, xi, n1, n0):
             if ups:
-                u = -n1[q]
+                u = -c1
                 for a in ups:
                     u += om1[a]
                 if u < 0.0:
                     u = 0.0
             else:
-                u = n0[q]
-            p = p_pass[q]
-            om1[q] = n1[q] + u * p
-            om0[q] = u * (1.0 - p)
+                u = c0
+            if v > th:   # v >= th for theta in [0, 1]; v == th (p = 0) at every leaf
+                p = (v - th) / v
+                om1[q] = c1 + u * p
+                om0[q] = u * (1.0 - p)
+            else:
+                om1[q] = c1
+                om0[q] = u
         return om1, om0
 
     theta_map, iterations, converged, ll_path, th_path = _em_loop(
         net, views, estep, theta0, tol, max_iter, track_loglik, keep_history)
     return _finish_em("pcem", net, report, theta_map, iterations,
                       converged, ll_path, th_path, t0)
-
-
-class _TreeSpace:
-    """Static description of one tree's full link-state space.
-
-    configs holds every assignment of {0,1} to the tree's links; the E-step
-    walks all of them for every distinct pattern, every sweep.  parent_of
-    maps a local link index to its parent's local index (-1 for the root)
-    and net_pos maps local indices to dense network positions.
-    """
-
-    def __init__(self, net: GeneralNetwork, tree_id: int, pos: dict[int, int]):
-        tree = net.tree_by_id[tree_id]
-        ids = list(tree.order)
-        local = {i: q for q, i in enumerate(ids)}
-        self.m = len(ids)
-        self.parent_of = [-1 if i == tree.root_link else local[tree.parent[i]]
-                          for i in ids]
-        self.net_pos = [pos[i] for i in ids]
-        self.leaf_pos = [local[leaf] for leaf in tree.leaves]
-        self.configs = list(itertools.product((1, 0), repeat=self.m))
 
 
 def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1e-6,
@@ -414,27 +378,28 @@ def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1
             f"the {NEM_MAX_LINKS}-link guard")
     t0 = time.perf_counter()
     views, report = internal_views(patterns, net)
-    order, pos, _, _ = _dense_structure(net)
-    m = len(order)
+    m = len(net.order)
     per_tree = []
     for k in sorted(patterns.counts):
-        space = _TreeSpace(net, k, pos)
+        tree = net.tree_by_id[k]
         rows = [(tuple(int(ch) for ch in bits), float(c))
                 for bits, c in sorted(patterns.counts[k].items())]
-        per_tree.append((rows, space))
+        # every assignment of {0,1} to the tree's links, walked for every
+        # distinct pattern, every sweep
+        configs = list(itertools.product((1, 0), repeat=len(tree.order)))
+        per_tree.append((rows, tree, [net.pos[i] for i in tree.order], configs))
 
     def estep(theta: list[float]):
         om1 = [0.0] * m
         om0 = [0.0] * m
-        for rows, space in per_tree:
-            parent_of = space.parent_of
-            net_pos = space.net_pos
-            leaf_pos = space.leaf_pos
-            rng_m = range(space.m)
+        for rows, tree, net_pos, configs in per_tree:
+            parent_of = tree.parent_pos
+            leaf_pos = tree.leaf_pos
+            rng_m = range(len(net_pos))
             for target, count in rows:
                 hits: list[tuple[float, tuple[int, ...]]] = []
                 total = 0.0
-                for states in space.configs:
+                for states in configs:
                     ok = True
                     for t_bit, lp in zip(target, leaf_pos):
                         if states[lp] != t_bit:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .topology import GeneralNetwork
 
@@ -65,15 +66,31 @@ def child_product(xi: dict[int, float | None], net: GeneralNetwork,
     return prod
 
 
+def xi_by_position(theta: list[float | None], child_pos: tuple[tuple[int, ...], ...]
+                   ) -> list[float | None]:
+    """theta_to_xi on lists over net.order, given child_pos = net.child_pos.
+
+    Leaf-to-root: a leaf's xi is its theta, any other link's is theta +
+    (1 - theta) * (the product of its children's xi), or None if any is None.
+    """
+    xi = list(theta)
+    for q in compress(range(len(xi) - 1, -1, -1), reversed(child_pos)):
+        th = theta[q]
+        try:
+            prod = 1.0
+            for c in child_pos[q]:
+                prod *= xi[c]
+            xi[q] = th + (1.0 - th) * prod
+        except TypeError:   # a None theta or child xi
+            xi[q] = None
+    return xi
+
+
 def theta_to_xi(theta: dict[int, float | None], net: GeneralNetwork
                 ) -> dict[int, float | None]:
     """Subtree loss rates from link loss rates (leaf-to-root recursion)."""
-    xi: dict[int, float | None] = {}
-    for i in reversed(net.order):
-        th = theta[i]
-        prod = child_product(xi, net, i)
-        xi[i] = None if th is None or prod is None else th + (1.0 - th) * prod
-    return {i: xi[i] for i in sorted(xi)}
+    xi = xi_by_position([theta[i] for i in net.order], net.child_pos)
+    return dict(sorted(zip(net.order, xi)))
 
 
 def xi_to_theta(xi: dict[int, float | None], net: GeneralNetwork

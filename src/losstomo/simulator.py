@@ -33,7 +33,6 @@ class SimConfig:
     probes: int
     seed: int
     replicate: int = 0
-    beta: tuple[float, float] | None = None   # provenance of the rates, if drawn
 
     def tree_probes(self) -> dict[int, int]:
         ids = [t.tree_id for t in self.net.trees]
@@ -55,18 +54,14 @@ def sample_theta(a: float, b: float, net: GeneralNetwork,
 def _block_patterns(cfg: SimConfig, theta: dict[int, float], tree_id: int,
                     rows: int, block: int) -> dict[str, int]:
     tree = cfg.net.tree_by_id[tree_id]
-    order = tree.order
-    col = {i: q for q, i in enumerate(order)}
+    m = len(tree.order)
     ss = np.random.SeedSequence((cfg.seed, cfg.replicate, tree_id, block))
-    u = np.random.Generator(np.random.Philox(seed=ss)).random((rows, len(order)))
-    passed = np.empty((rows, len(order)), dtype=bool)
-    for q, i in enumerate(order):
+    u = np.random.Generator(np.random.Philox(seed=ss)).random((rows, m))
+    passed = np.empty((rows, m), dtype=bool)
+    for q, (i, up) in enumerate(zip(tree.order, tree.parent_pos)):
         ok = u[:, q] >= theta[i]
-        if i == tree.root_link:
-            passed[:, q] = ok
-        else:
-            passed[:, q] = passed[:, col[tree.parent[i]]] & ok
-    bits = passed[:, [col[leaf] for leaf in tree.leaves]]
+        passed[:, q] = ok if up < 0 else passed[:, up] & ok
+    bits = passed[:, list(tree.leaf_pos)]
     uniq, counts = np.unique(bits, axis=0, return_counts=True)
     return {"".join("1" if b else "0" for b in row): int(c)
             for row, c in zip(uniq, counts)}

@@ -189,11 +189,32 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
     PatternTable.bit_matrix): walking the tree bottom-up, a link's column
     is the OR of its children's columns and n_i(1) is the counts vector
     dotted with it, so probes are never replayed one by one.  Bits are read
-    by position, so the table's receivers must be the tree's leaf links in
-    ascending order; a table that names an unknown tree, gives patterns
-    without a probe count, or lists other receivers raises DataError.
+    by position, so check_fits first rejects a table that does not fit net.
     """
-    for k in patterns.probes.keys() | patterns.counts.keys():
+    check_fits(patterns, net)
+    bits = {k: patterns.bit_matrix(k) for k in patterns.probes}
+    per_tree_n1: dict[int, dict[int, int]] = {}
+    per_tree_n0: dict[int, dict[int, int]] = {}
+    for k, table in patterns.counts.items():
+        tree = net.tree_by_id[k]
+        counts = np.fromiter(table.values(), np.int64, len(table))
+        cols = dict(zip(tree.leaves, bits[k].T))
+        sums = {}
+        for i in reversed(tree.order):
+            kids = tree.children[i]
+            if kids:
+                cols[i] = np.logical_or.reduce([cols.pop(c) for c in kids])
+            sums[i] = int(counts @ cols[i])
+        n1 = per_tree_n1[k] = {i: sums[i] for i in tree.links}
+        per_tree_n0[k] = {i: (n1[tree.parent[i]] if i in tree.parent else patterns.probes[k])
+                          - n1[i] for i in tree.links}
+    return _aggregate(per_tree_n1, per_tree_n0, dict(patterns.probes), net)
+
+
+def check_fits(patterns: PatternTable, net: GeneralNetwork):
+    """Raise DataError unless each tree the table names is one of net's, with
+    a probe count and the tree's leaf links, ascending, as receivers."""
+    for k in [*patterns.probes, *(k for k in patterns.counts if k not in patterns.probes)]:
         if k not in net.tree_by_id:
             raise DataError(f"unknown tree {k}")
         if k not in patterns.probes:
@@ -202,27 +223,6 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
         if patterns.receivers.get(k) != expected:
             raise DataError(f"tree {k}: receivers {patterns.receivers.get(k)} "
                             f"do not match leaf links {expected}")
-    patterns.validate()
-    per_tree_n1: dict[int, dict[int, int]] = {}
-    per_tree_n0: dict[int, dict[int, int]] = {}
-    for k, table in patterns.counts.items():
-        tree = net.tree_by_id[k]
-        counts = np.fromiter(table.values(), np.int64, len(table))
-        cols = dict(zip(tree.leaves, patterns.bit_matrix(k).T))
-        sums = {}
-        for i in reversed(tree.order):
-            kids = tree.children[i]
-            if kids:
-                cols[i] = np.logical_or.reduce([cols.pop(c) for c in kids])
-            sums[i] = int(counts @ cols[i])
-        n1 = {i: sums[i] for i in tree.links}
-        n0 = {}
-        for i in tree.links:
-            up = patterns.probes[k] if i == tree.root_link else n1[tree.parent[i]]
-            n0[i] = up - n1[i]
-        per_tree_n1[k] = n1
-        per_tree_n0[k] = n0
-    return _aggregate(per_tree_n1, per_tree_n0, dict(patterns.probes), net)
 
 
 def tree_views(views: InternalView, tree_net: GeneralNetwork
@@ -362,19 +362,14 @@ def parse_data(text: str, net: GeneralNetwork) -> PatternTable:
             raise DataError(f"line {lineno}: malformed integer in {line!r}") from None
     if name is None:
         raise DataError("missing 'data' line")
-    for k in probes:
-        if k not in net.tree_by_id:
-            raise DataError(f"unknown tree {k}")
-        expected = net.tree_by_id[k].leaves
-        if k not in receivers:
-            raise DataError(f"missing receivers line for tree {k}")
-        if receivers[k] != expected:
-            raise DataError(
-                f"tree {k}: receivers {receivers[k]} do not match leaf links {expected}")
-        counts.setdefault(k, {})
     if set(receivers) - set(probes) or set(counts) - set(probes):
         raise DataError("tree mentioned without a 'probes' line")
+    for k in probes:
+        if k not in receivers:
+            raise DataError(f"missing receivers line for tree {k}")
+        counts.setdefault(k, {})
     table = PatternTable(name, probes, receivers, counts)
+    check_fits(table, net)
     table.validate()
     return table
 

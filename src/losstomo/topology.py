@@ -9,6 +9,12 @@ receiver sets, topological orders) are derived once at construction and
 never mutated afterwards, so a network can be shared freely across
 threads.  The one exception is GeneralNetwork.tree_networks, built on first
 use; two threads racing to build it build equal values.
+
+The positional form indexes links by their place in a parents-first order:
+GeneralNetwork.pos (link id -> index in net.order), parent_pos and
+child_pos, read by params.xi_by_position and the pcem and nem E-steps; per
+tree, parent_pos (-1 at the root) and leaf_pos over tree.order, read by the
+simulator and nem.  No other module builds a link-to-index map.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ class MulticastTree:
         leaves:     ascending tuple of leaf link ids; defines receiver bit order
         subtree_leaves: link -> frozenset of leaf links below (and including) it
         order:      link ids, parents before children, ties by ascending id
+        parent_pos: per position in order, the parent's position (-1 at the root)
+        leaf_pos:   positions in order of the leaves, in receiver bit order
     """
 
     def __init__(self, tree_id: int, root_link: int, link_ids: Iterable[int],
@@ -105,6 +113,9 @@ class MulticastTree:
             missing = sorted(self.links - set(order))
             raise TopologyError(f"tree {tree_id}: links {missing} are not reachable from the root")
         self.order = tuple(order)
+        pos = {i: q for q, i in enumerate(order)}
+        self.parent_pos = tuple(pos[self.parent[i]] if i in self.parent else -1
+                                for i in order)
 
         self.brothers: dict[int, tuple[int, ...]] = {root_link: (root_link,)}
         for i, cs in self.children.items():
@@ -112,6 +123,7 @@ class MulticastTree:
                 self.brothers[c] = cs
 
         self.leaves = tuple(sorted(i for i in self.links if not self.children[i]))
+        self.leaf_pos = tuple(pos[i] for i in self.leaves)
         sub: dict[int, frozenset[int]] = {}
         for i in reversed(self.order):
             if not self.children[i]:
@@ -119,7 +131,6 @@ class MulticastTree:
             else:
                 sub[i] = frozenset().union(*(sub[c] for c in self.children[i]))
         self.subtree_leaves = sub
-        self.source_node = source
 
     def __eq__(self, other):
         return (isinstance(other, MulticastTree)
@@ -198,7 +209,6 @@ class GeneralNetwork:
             i: tuple(t.tree_id for t in self.trees if i in t.links) for i in self.links}
         self.shared_links = tuple(
             sorted(i for i, ks in self.trees_with_link.items() if len(ks) >= 2))
-        self.leaf_links = tuple(sorted(i for i in self.links if not self.child_links[i]))
 
         # child links grouped by the node they hang from; the unit of the
         # brother-set solves (source nodes excluded, their single child is a root)
@@ -211,6 +221,10 @@ class GeneralNetwork:
             tuple(sorted(g)) for _, g in sorted(groups.items()))
 
         self.order = _merged_order(self.links, self.parent_links)
+        self.pos = {i: p for p, i in enumerate(self.order)}
+        at = self.pos.__getitem__
+        self.parent_pos = tuple([tuple(map(at, self.parent_links[i])) for i in self.order])
+        self.child_pos = tuple([tuple(map(at, self.child_links[i])) for i in self.order])
 
     def __eq__(self, other):
         return (isinstance(other, GeneralNetwork)

@@ -69,6 +69,7 @@ class TestGrid:
         "cell 1 100 50 0 le-xi\n", "cell 1 100 50 -3 le-xi\n", "cell 1 100 0 2 le-xi\n",
         "cell 0 100 50 2 le-xi\n", "cell nan 100 50 2 le-xi\n", "cell 1 inf 50 2 le-xi\n",
         "cell 1 -5 50 2 le-xi\n", "cell 1 100 50 2 le-xi\ncell 1 100 50 0 le-xi\n",
+        "cell 1 100 50 2 le-xi,le-xi\n", "cell 1 100 50 2 le-xi\ncell 1 100 50 3 pcem,le-xi\n",
     ])
     def test_parse_grid_errors(self, text):
         with pytest.raises(GridError):
@@ -81,6 +82,16 @@ class TestGrid:
             ExperimentGrid([(1, 100)], [50], replicates=0)
         with pytest.raises(GridError, match="Beta"):
             ExperimentGrid([(math.nan, 100)], [50])
+
+    def test_duplicate_runs_name_their_line(self):
+        with pytest.raises(GridError, match="line 1: le-xi at Beta.1,100., n=50 "
+                                            "already runs on line 1"):
+            parse_grid("cell 1 100 50 2 le-xi,pcem,le-xi\n")
+        with pytest.raises(GridError, match="line 3: pcem .* already runs on line 1"):
+            parse_grid("cell 1 100 50 2 le-xi,pcem\ncell 1 100 100 2 pcem\n"
+                       "cell 1.0 100 50 5 mvwa,pcem\n")
+        grid = parse_grid("cell 1 100 50 2 le-xi\ncell 1 100 50 2 pcem\n")
+        assert [c.methods for c in grid.cells()] == [("le-xi",), ("pcem",)]
 
     def test_product_grid_expands(self):
         grid = ExperimentGrid([(1, 100), (1, 1000)], [50, 100], replicates=7,

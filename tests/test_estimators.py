@@ -15,6 +15,7 @@ from losstomo.statistics import PatternTable, internal_views
 from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
 
 from fd_reference import grad_fd
+from test_statistics import _networks
 
 STAR = fixtures.star3()
 TOY = fixtures.toy7()
@@ -419,3 +420,27 @@ def test_closed_form_estimators_report_converged():
     _, views, report = star_data({"11": 2, "10": 1, "01": 1, "00": 1})
     assert le_xi(views, STAR, report=report).converged is True
     assert mvwa(views, STAR, report=report).converged is True
+
+
+@st.composite
+def _simulated_small_nets(draw):
+    net = draw(_networks())
+    a, b = draw(st.sampled_from([(1, 100), (1, 10), (2, 18), (5, 1000)]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+    theta = sample_theta(a, b, net, rng)
+    probes = draw(st.integers(1, 300))
+    return net, simulate(SimConfig(net, probes, seed=seed), theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_simulated_small_nets())
+def test_pcem_equals_nem_sweep_by_sweep(case):
+    net, patterns = case
+    views, report = internal_views(patterns, net)
+    a = pcem(views, net, tol=0.0, max_iter=3, keep_history=True, report=report)
+    b = nem(patterns, net, tol=0.0, max_iter=3, keep_history=True)
+    assert len(a.theta_path) == len(b.theta_path) == 3
+    for step_a, step_b in zip(a.theta_path, b.theta_path):
+        assert list(step_a) == list(step_b)
+        assert max(abs(step_a[i] - step_b[i]) for i in net.links) <= 1e-9

@@ -7,6 +7,8 @@ from losstomo import fixtures
 from losstomo.params import (LossRates, parse_rates, psi_to_xi, serialize_rates,
                              theta_to_xi, xi_membership, xi_to_psi, xi_to_theta)
 
+from test_statistics import _networks
+
 TOY = fixtures.toy7()
 STAR = fixtures.star3()
 
@@ -216,3 +218,27 @@ def test_em_xi_hat_is_theta_to_xi_on_dark_star():
         assert res.theta_hat[2] is None and res.theta_hat[3] is None
         assert res.xi_hat == theta_to_xi(res.theta_hat, STAR)
         assert res.xi_hat[1] is None
+
+
+def _xi_reference(theta, net):
+    """theta_to_xi by walking the child-link dicts, recursively from each link."""
+    def xi(i):
+        th = theta[i]
+        kids = [xi(c) for c in net.child_links[i]]
+        if th is None or any(v is None for v in kids):
+            return None
+        prod = 1.0
+        for v in kids:
+            prod *= v
+        return th + (1.0 - th) * (prod if kids else 0.0)
+    return {i: xi(i) for i in sorted(net.links)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_theta_to_xi_with_nones_equals_dict_walk(data):
+    net = data.draw(_networks())
+    rate = st.floats(0.0, 1.0) | st.none()
+    theta = {i: data.draw(rate) for i in sorted(net.links)}
+    got = theta_to_xi(theta, net)
+    assert list(got.items()) == list(_xi_reference(theta, net).items())

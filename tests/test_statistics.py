@@ -412,3 +412,14 @@ def test_views_reject_patterns_without_probe_count():
                          {1: {"11": 1}, 2: {"11": 1}})
     with pytest.raises(DataError, match="tree 2: patterns without a probe count"):
         internal_views(table, fixtures.shared_pair())
+
+
+def test_views_check_each_tree_once(monkeypatch):
+    net = fixtures.twotree12()
+    patterns = _simulated(net, 1, 10, 300, 4)
+    seen = []
+    real = PatternTable.bit_matrix
+    monkeypatch.setattr(PatternTable, "bit_matrix",
+                        lambda table, k: seen.append(k) or real(table, k))
+    internal_views(patterns, net)
+    assert seen == [1, 2]

@@ -1,10 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures
 from losstomo.topology import (GeneralNetwork, LinkRecord, MulticastTree,
                                TopologyError, parse_topology, serialize_topology,
                                topological_order)
+
+from test_statistics import _networks
 
 TOY7_TEXT = """\
 network toy7
@@ -193,3 +195,32 @@ def test_random_tree_construction(parent_draws):
         seen.add(i)
     assert parse_topology(serialize_topology(net)) == net
     assert all(tree.subtree_leaves[i] == {i} for i in tree.leaves)
+
+
+def _assert_positional_form(net):
+    order = net.order
+    assert net.pos == {i: p for p, i in enumerate(order)}
+    for p, i in enumerate(order):
+        assert net.parent_pos[p] == tuple(net.pos[u] for u in net.parent_links[i])
+        assert net.child_pos[p] == tuple(net.pos[c] for c in net.child_links[i])
+        assert all(u < p < c for u in net.parent_pos[p] for c in net.child_pos[p])
+    for tree in net.trees:
+        for q, i in enumerate(tree.order):
+            up = tree.parent_pos[q]
+            if i == tree.root_link:
+                assert up == -1
+            else:
+                assert 0 <= up < q and tree.order[up] == tree.parent[i]
+        assert tuple(tree.order[q] for q in tree.leaf_pos) == tree.leaves
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_positional_form_matches_link_maps(data):
+    _assert_positional_form(data.draw(_networks()))
+
+
+def test_positional_form_on_kary_tree():
+    net = fixtures.kary_tree(4, 5)
+    _assert_positional_form(net)
+    assert net.parent_pos[0] == () and len(net.trees[0].leaf_pos) == 4 ** 5
