@@ -10,6 +10,9 @@ directory, on the fixtures/*.topo networks plus shared_pair and
 kary_tree(4, 5):
 
 * simulate at seeds 0-3 and Beta(1,100), Beta(5,1000) and Beta(1,10);
+* simulate twotree12 and kary_tree(4, 5) at MULTI_BLOCK_PROBES probes, so
+  each tree gets full simulator blocks and a short last one, and twotree12
+  at 1 probe, which leaves its tree 2 with none;
 * estimate on each data file with le-xi, pcem and mvwa, and with nem on
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
@@ -39,6 +42,7 @@ from losstomo.topology import parse_topology, serialize_topology  # noqa: E402
 SEEDS = range(4)
 BETAS = ("1,100", "5,1000", "1,10")
 PROBES = "500"
+MULTI_BLOCK_PROBES = "9000"
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
 
 
@@ -58,26 +62,35 @@ def _drop_runtime(csv: str) -> str:
     return "".join(rows)
 
 
+def _simulate_and_estimate(log: list[str], name: str, methods: list[str], beta: str,
+                           seed: int, probes: str, stem: str) -> None:
+    topo = f"{name}.topo"
+    _run(log, "simulate", "--topology", topo, "--beta", beta, "--probes", probes,
+         "--seed", str(seed), "--out", f"{stem}.data", "--theta-out", f"{stem}.rates")
+    for method in methods:
+        _run(log, "estimate", "--topology", topo, "--data", f"{stem}.data",
+             "--method", method, "--out", f"{stem}.{method}.csv")
+
+
 def run_matrix(log: list[str]) -> None:
     nets = {p.stem: p.read_text(encoding="utf-8")
             for p in sorted((ROOT / "fixtures").glob("*.topo"))}
     nets["shared_pair"] = serialize_topology(fixtures.shared_pair())
     nets["kary_4_5"] = serialize_topology(fixtures.kary_tree(4, 5))
+    methods = {}
     for name, text in nets.items():
-        topo = f"{name}.topo"
-        Path(topo).write_text(text, encoding="utf-8")
-        methods = ["le-xi", "pcem", "mvwa"]
+        Path(f"{name}.topo").write_text(text, encoding="utf-8")
+        methods[name] = ["le-xi", "pcem", "mvwa"]
         if len(parse_topology(text).links) <= NEM_MAX_LINKS:
-            methods.append("nem")
+            methods[name].append("nem")
         for beta in BETAS:
             for seed in SEEDS:
-                stem = f"{name}.beta{beta.replace(',', '_')}.seed{seed}"
-                _run(log, "simulate", "--topology", topo, "--beta", beta, "--probes", PROBES,
-                     "--seed", str(seed), "--out", f"{stem}.data",
-                     "--theta-out", f"{stem}.rates")
-                for method in methods:
-                    _run(log, "estimate", "--topology", topo, "--data", f"{stem}.data",
-                         "--method", method, "--out", f"{stem}.{method}.csv")
+                _simulate_and_estimate(log, name, methods[name], beta, seed, PROBES,
+                                       f"{name}.beta{beta.replace(',', '_')}.seed{seed}")
+    for name, probes in (("twotree12", MULTI_BLOCK_PROBES), ("kary_4_5", MULTI_BLOCK_PROBES),
+                         ("twotree12", "1")):
+        _simulate_and_estimate(log, name, methods[name], "1,100", 0, probes,
+                               f"{name}.beta1_100.seed0.probes{probes}")
 
     _run(log, "estimate", "--topology", "layered49.topo",
          "--data", "layered49.beta1_100.seed0.data", "--method", "pcem",

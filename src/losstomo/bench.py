@@ -52,6 +52,16 @@ class GridCell:
         return f"Beta({self.beta_a:g},{self.beta_b:g})"
 
 
+def _claim_runs(runs: dict[tuple[str, int, str], str], cell: GridCell, where: str) -> None:
+    """Note where cell's runs are declared; GridError if the CSV would print one twice."""
+    for m in cell.methods:
+        key = (cell.setting, cell.probes, m)
+        if key in runs:
+            raise GridError(f"{where}: {m} at {cell.setting}, n={cell.probes} "
+                            f"already runs on {runs[key]}")
+        runs[key] = where
+
+
 class ExperimentGrid:
     """The cells a benchmark runs, in order, and the master seed.
 
@@ -66,8 +76,10 @@ class ExperimentGrid:
                  for a, b in beta_settings for n in probe_counts]
         if not cells:
             raise GridError("grid needs at least one setting and one probe count")
-        for cell in cells:
+        runs: dict[tuple[str, int, str], str] = {}
+        for q, cell in enumerate(cells, start=1):
             cell.check()
+            _claim_runs(runs, cell, f"cell {q}")
         self._cells = cells
         self.master_seed = master_seed
 
@@ -85,7 +97,7 @@ class ExperimentGrid:
 def parse_grid(text: str, master_seed: int = 0) -> ExperimentGrid:
     """Parse grid files: one 'cell <a> <b> <n> <replicates> <methods>' per line."""
     cells = []
-    first_line: dict[tuple[float, float, int, str], int] = {}
+    runs: dict[tuple[str, int, str], str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,11 +120,7 @@ def parse_grid(text: str, master_seed: int = 0) -> ExperimentGrid:
             cell.check()
         except GridError as exc:
             raise GridError(f"line {lineno}: {exc}") from None
-        for m in methods:
-            if (a, b, n, m) in first_line:
-                raise GridError(f"line {lineno}: {m} at {cell.setting}, n={n} "
-                                f"already runs on line {first_line[a, b, n, m]}")
-            first_line[a, b, n, m] = lineno
+        _claim_runs(runs, cell, f"line {lineno}")
         cells.append(cell)
     if not cells:
         raise GridError("grid file declares no cells")

@@ -44,6 +44,7 @@ FLAG_NON_ESTIMABLE = "non_estimable"
 _FLAG_RANK = {FLAG_OK: 0, FLAG_BOUNDARY: 1, FLAG_REGULARITY: 2, FLAG_NON_ESTIMABLE: 3}
 
 NEM_MAX_LINKS = 20
+SOLVER_TOL = 1e-12
 
 METHODS = ("le-xi", "pcem", "nem", "mvwa")
 
@@ -64,23 +65,22 @@ class BrotherSetProblem:
         return all(0.0 < v < 1.0 for v in vals) and sum(vals) > 1.0
 
 
-def solve_brother_fixed_point(problem: BrotherSetProblem, tol: float = 1e-12) -> float:
+def solve_brother_fixed_point(problem: BrotherSetProblem) -> float:
     """Root in (0, 1) of  x = prod_j[(1 - r_j) + r_j x].
 
     x = 1 always solves the equation and is never returned.  This is the
     checked entry to the solve le_xi runs per brother set, for any number of
     brothers: Newton iterations safeguarded by bisection on the bracket
-    [prod_j(1 - r_j), 1 - 1e-9], stopped once the residual is <= tol.
+    [prod_j(1 - r_j), 1 - 1e-9], stopped once the residual is <= SOLVER_TOL.
     """
     if not problem.solvable_uniquely:
         raise UniqueRootUnavailable(
             f"pass fractions {sorted(problem.r.values())} admit no unique root")
-    pi, _ = _solve_interior([problem.r[j] for j in sorted(problem.r)], tol)
+    pi, _ = _solve_interior([problem.r[j] for j in sorted(problem.r)])
     return pi
 
 
-def _solve_interior(rs: list[float], tol: float = 1e-12,
-                    max_iter: int = 200) -> tuple[float, int]:
+def _solve_interior(rs: list[float], max_iter: int = 200) -> tuple[float, int]:
     delta = 1e-9
 
     def g_and_slope(x: float) -> tuple[float, float]:
@@ -105,7 +105,7 @@ def _solve_interior(rs: list[float], tol: float = 1e-12,
     x = 0.5 * (lo + hi)
     for it in range(1, max_iter + 1):
         g, slope = g_and_slope(x)
-        if abs(g) <= tol:
+        if abs(g) <= SOLVER_TOL:
             return x, it
         if g > 0.0:
             lo = x
@@ -152,24 +152,14 @@ class EstimateResult:
 def project_to_theta_star(theta_raw: dict[int, float | None]
                           ) -> tuple[dict[int, float | None], frozenset[int]]:
     """Clamp raw rates onto [0, 1] coordinate-wise; report which moved."""
-    projected: dict[int, float | None] = {}
-    clamped = set()
-    for i, v in theta_raw.items():
-        if v is None:
-            projected[i] = None
-        elif v < 0.0:
-            projected[i] = 0.0
-            clamped.add(i)
-        elif v > 1.0:
-            projected[i] = 1.0
-            clamped.add(i)
-        else:
-            projected[i] = v
-    return projected, frozenset(clamped)
+    clamped = frozenset(i for i, v in theta_raw.items()
+                        if v is not None and (v < 0.0 or v > 1.0))
+    return {i: (1.0 if v > 1.0 else 0.0) if i in clamped else v
+            for i, v in theta_raw.items()}, clamped
 
 
-def _solve_node(brothers: tuple[int, ...], r: dict[int, float | None],
-                tol: float) -> tuple[dict[int, float | None], int]:
+def _solve_node(brothers: tuple[int, ...], r: dict[int, float | None]
+                ) -> tuple[dict[int, float | None], int]:
     """Estimated subtree loss rates for one brother set.
 
     Pass fractions of 0 or 1 pin the corresponding rate to the boundary
@@ -194,7 +184,7 @@ def _solve_node(brothers: tuple[int, ...], r: dict[int, float | None],
             xi[j] = 1.0 - r[j]
         return xi, 0
     if sum(r[j] for j in mid) > 1.0:
-        pi, iters = _solve_interior([r[j] for j in mid], tol)
+        pi, iters = _solve_interior([r[j] for j in mid])
         for j in mid:
             xi[j] = (1.0 - r[j]) + r[j] * pi
         return xi, iters
@@ -224,7 +214,7 @@ def _assemble_flags(net: GeneralNetwork, report: RegularityReport,
 
 
 def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
-          report: RegularityReport | None = None, tol: float = 1e-12) -> EstimateResult:
+          report: RegularityReport | None = None) -> EstimateResult:
     """Likelihood-equation estimator.
 
     Root links take their closed form; each brother set is one fixed-point
@@ -241,7 +231,7 @@ def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
         xi_hat[s] = None if r is None else 1.0 - r
     solver_iters = 0
     for brothers in net.brother_sets:
-        partial, iters = _solve_node(brothers, views.r, tol)
+        partial, iters = _solve_node(brothers, views.r)
         xi_hat.update(partial)
         solver_iters = max(solver_iters, iters)
 

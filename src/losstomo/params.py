@@ -156,12 +156,12 @@ def psi_to_xi(psi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:
     return {i: xi[i] for i in sorted(xi)}
 
 
-def xi_membership(xi: dict[int, float], net: GeneralNetwork,
-                  tol: float = XI_BOUNDARY_TOL) -> dict[int, str]:
+def xi_membership(xi: dict[int, float], net: GeneralNetwork) -> dict[int, str]:
     """Classify each link's xi as 'interior', 'boundary' or 'outside'.
 
     Internal links are judged by the sign of xi_i minus the product of the
-    children's xi; leaves by distance from 0 and 1.
+    children's xi; leaves by distance from 0 and 1.  A gap within
+    XI_BOUNDARY_TOL of zero is 'boundary'.
     """
     out: dict[int, str] = {}
     for i in sorted(net.links):
@@ -170,9 +170,9 @@ def xi_membership(xi: dict[int, float], net: GeneralNetwork,
             gap = min(v, 1.0 - v)
         else:
             gap = min(v - child_product(xi, net, i), 1.0 - v)
-        if gap > tol:
+        if gap > XI_BOUNDARY_TOL:
             out[i] = "interior"
-        elif gap >= -tol:
+        elif gap >= -XI_BOUNDARY_TOL:
             out[i] = "boundary"
         else:
             out[i] = "outside"

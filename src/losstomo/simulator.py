@@ -1,23 +1,23 @@
 """Ideal-model probe simulator.
 
 Probes propagate root-to-leaf through each tree with independent Bernoulli
-losses per link; only receiver bits are recorded, already collapsed into a
-pattern table.  Randomness is addressed by (seed, replicate, tree, block):
-probes are generated in fixed-size blocks with an independent counter-based
-stream per block.  Blocks run in order (trees ascending, then blocks
-ascending) on the calling thread, which fixes the key order of the merged
-counts.
+losses per link; each probe's receiver bits become one '0'/'1' row, and
+statistics.collapse_patterns counts the rows into a pattern table.
+Randomness is addressed by (seed, replicate, tree, block): probes are
+generated in fixed-size blocks with an independent counter-based stream per
+block, and only one block's rows are held at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import LossRates, rates_dict
-from .statistics import PatternTable
+from .statistics import PatternTable, collapse_patterns
 from .topology import GeneralNetwork
 
 BLOCK_PROBES = 4096
@@ -51,20 +51,23 @@ def sample_theta(a: float, b: float, net: GeneralNetwork,
     return LossRates({i: float(v) for i, v in zip(ids, clipped)})
 
 
-def _block_patterns(cfg: SimConfig, theta: dict[int, float], tree_id: int,
-                    rows: int, block: int) -> dict[str, int]:
+def _probe_rows(cfg: SimConfig, theta: dict[int, float], tree_id: int,
+                probes: int) -> Iterator[str]:
+    """Tree tree_id's probes as receiver bit strings, one block in memory at a time."""
     tree = cfg.net.tree_by_id[tree_id]
-    m = len(tree.order)
-    ss = np.random.SeedSequence((cfg.seed, cfg.replicate, tree_id, block))
-    u = np.random.Generator(np.random.Philox(seed=ss)).random((rows, m))
-    passed = np.empty((rows, m), dtype=bool)
-    for q, (i, up) in enumerate(zip(tree.order, tree.parent_pos)):
-        ok = u[:, q] >= theta[i]
-        passed[:, q] = ok if up < 0 else passed[:, up] & ok
-    bits = passed[:, list(tree.leaf_pos)]
-    uniq, counts = np.unique(bits, axis=0, return_counts=True)
-    return {"".join("1" if b else "0" for b in row): int(c)
-            for row, c in zip(uniq, counts)}
+    m, w = len(tree.order), len(tree.leaves)
+    for block in range(-(-probes // BLOCK_PROBES)):
+        rows = min(BLOCK_PROBES, probes - block * BLOCK_PROBES)
+        ss = np.random.SeedSequence((cfg.seed, cfg.replicate, tree_id, block))
+        u = np.random.Generator(np.random.Philox(seed=ss)).random((rows, m))
+        passed = np.empty((rows, m), dtype=bool)
+        for q, (i, up) in enumerate(zip(tree.order, tree.parent_pos)):
+            ok = u[:, q] >= theta[i]
+            passed[:, q] = ok if up < 0 else passed[:, up] & ok
+        text = (passed[:, list(tree.leaf_pos)].view(np.uint8) + 48).tobytes().decode("ascii")
+        del u, passed   # free the block's arrays while its rows are read
+        for s in range(0, rows * w, w):
+            yield text[s:s + w]
 
 
 def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
@@ -78,15 +81,5 @@ def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
     bad = sorted(i for i in cfg.net.links if not 0.0 <= th.get(i, math.nan) <= 1.0)
     if bad:
         raise ValueError(f"links {bad} lack a loss rate in [0, 1]")
-    split = cfg.tree_probes()
-    counts: dict[int, dict[str, int]] = {k: {} for k in split}
-    for k in sorted(split):
-        n_k = split[k]
-        for block in range(0, max(1, (n_k + BLOCK_PROBES - 1) // BLOCK_PROBES)):
-            rows = min(BLOCK_PROBES, n_k - block * BLOCK_PROBES)
-            if rows > 0:
-                for bits, c in _block_patterns(cfg, th, k, rows, block).items():
-                    counts[k][bits] = counts[k].get(bits, 0) + c
-    receivers = {k: cfg.net.tree_by_id[k].leaves for k in split}
-    name = f"sim-seed{cfg.seed}-rep{cfg.replicate}"
-    return PatternTable(name, split, receivers, counts)
+    rows = {k: _probe_rows(cfg, th, k, n) for k, n in cfg.tree_probes().items()}
+    return collapse_patterns(rows, cfg.net, f"sim-seed{cfg.seed}-rep{cfg.replicate}")

@@ -20,11 +20,15 @@ internal_views checks against the network before it counts.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import GeneralNetwork, MulticastTree
+
+SUFFICIENCY_SEED = 20240
+SUFFICIENCY_TOL = 1e-9
 
 
 class DataError(ValueError):
@@ -128,9 +132,11 @@ def internal_states(bits: str, tree: MulticastTree) -> InternalStateVector:
     return InternalStateVector(y, tuple(confirmed), tuple(dark_tops), tuple(unknown))
 
 
-def collapse_patterns(records: dict[int, list[str]], net: GeneralNetwork,
+def collapse_patterns(records: dict[int, Iterable[str]], net: GeneralNetwork,
                       name: str = "data") -> PatternTable:
-    """Aggregate raw per-probe bit vectors into a pattern table."""
+    """Count per-probe bit strings, any iterable of them per tree, into a pattern
+    table.  The only code that turns rows into counts; each row is checked as
+    it is read, and patterns keep the order in which they were first seen."""
     probes, receivers, counts = {}, {}, {}
     for k, rows in sorted(records.items()):
         tree = net.tree_by_id[k]
@@ -140,7 +146,7 @@ def collapse_patterns(records: dict[int, list[str]], net: GeneralNetwork,
             if len(bits) != width or set(bits) - {"0", "1"}:
                 raise DataError(f"tree {k}: bad record {bits!r}")
             table[bits] = table.get(bits, 0) + 1
-        probes[k] = len(rows)
+        probes[k] = sum(table.values())
         receivers[k] = tree.leaves
         counts[k] = table
     return PatternTable(name, probes, receivers, counts)
@@ -274,8 +280,7 @@ def regularity_report(view: InternalView, net: GeneralNetwork) -> RegularityRepo
 
 
 def sufficiency_check(patterns_a: PatternTable, patterns_b: PatternTable,
-                      net: GeneralNetwork, points: int = 100, seed: int = 20240,
-                      tol: float = 1e-9) -> bool:
+                      net: GeneralNetwork, points: int = 100) -> bool:
     """True when the two tables carry the same information about the rates.
 
     The tables must produce identical internal views, and their full
@@ -298,14 +303,14 @@ def sufficiency_check(patterns_a: PatternTable, patterns_b: PatternTable,
                 total += c * per_probe_loglik(bits, k, theta, net)
         return total
 
-    rng = random.Random(seed)
+    rng = random.Random(SUFFICIENCY_SEED)
     diffs = []
     for _ in range(points):
         theta = {i: rng.uniform(0.05, 0.95) for i in net.links}
         diffs.append(full_loglik(patterns_a, theta) - full_loglik(patterns_b, theta))
     spread = max(diffs) - min(diffs)
     scale = 1.0 + max(abs(d) for d in diffs)
-    return spread <= tol * scale
+    return spread <= SUFFICIENCY_TOL * scale
 
 
 def parse_data(text: str, net: GeneralNetwork) -> PatternTable:

@@ -70,6 +70,7 @@ class TestGrid:
         "cell 0 100 50 2 le-xi\n", "cell nan 100 50 2 le-xi\n", "cell 1 inf 50 2 le-xi\n",
         "cell 1 -5 50 2 le-xi\n", "cell 1 100 50 2 le-xi\ncell 1 100 50 0 le-xi\n",
         "cell 1 100 50 2 le-xi,le-xi\n", "cell 1 100 50 2 le-xi\ncell 1 100 50 3 pcem,le-xi\n",
+        "cell 1 100 50 1 le-xi\ncell 1.0000001 100 50 1 le-xi\n",
     ])
     def test_parse_grid_errors(self, text):
         with pytest.raises(GridError):
@@ -92,6 +93,17 @@ class TestGrid:
                        "cell 1.0 100 50 5 mvwa,pcem\n")
         grid = parse_grid("cell 1 100 50 2 le-xi\ncell 1 100 50 2 pcem\n")
         assert [c.methods for c in grid.cells()] == [("le-xi",), ("pcem",)]
+
+    def test_product_grid_rejects_repeated_runs(self):
+        with pytest.raises(GridError, match="cell 2: le-xi at Beta.1,100., n=50 "
+                                            "already runs on cell 1"):
+            ExperimentGrid([(1, 100), (1, 100)], [50], replicates=1, methods=("le-xi",))
+        with pytest.raises(GridError, match="cell 3: pcem .* already runs on cell 1"):
+            ExperimentGrid([(1, 100), (1.0000001, 100)], [50, 100], methods=("pcem",))
+        with pytest.raises(GridError, match="cell 2: .* already runs on cell 1"):
+            ExperimentGrid([(1, 100)], [50, 50], methods=("mvwa",))
+        with pytest.raises(GridError, match="cell 1: le-xi .* already runs on cell 1"):
+            ExperimentGrid([(1, 100)], [50], methods=("le-xi", "le-xi"))
 
     def test_product_grid_expands(self):
         grid = ExperimentGrid([(1, 100), (1, 1000)], [50, 100], replicates=7,

@@ -11,7 +11,7 @@ from losstomo.estimators import (FLAG_BOUNDARY, FLAG_NON_ESTIMABLE, FLAG_OK,
                                  project_to_theta_star, solve_brother_fixed_point)
 from losstomo.likelihood import loglik_xi
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import PatternTable, internal_views
+from losstomo.statistics import InternalView, PatternTable, internal_views
 from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
 
 from fd_reference import grad_fd
@@ -258,6 +258,18 @@ class TestPcem:
         res = pcem(views, TOY, tol=0.0, max_iter=7)
         assert res.iterations == 7
         assert all(v is not None for v in res.theta_hat.values())
+
+
+    def test_unseen_count_clamped_on_inconsistent_views(self):
+        # link 2 claims 30 passes below parent links that confirm 10, so its
+        # unseen count 10 - 30 is negative until pcem clamps it to 0
+        n1 = {1: 5, 2: 30, 3: 2, 4: 5}
+        n0 = {1: 5, 2: 1, 3: 8, 4: 5}
+        r = {i: n1[i] / (n1[i] + n0[i]) for i in n1}
+        views = InternalView({}, {}, n1, n0, r, {1: 10, 2: 10})
+        res = pcem(views, fixtures.shared_pair())
+        assert res.theta_hat[2] == 0.0
+        assert all(0.0 <= v <= 1.0 for v in res.theta_hat.values())
 
 
 class TestNem:

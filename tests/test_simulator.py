@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures
 from losstomo.simulator import BLOCK_PROBES, SimConfig, sample_theta, simulate
-from losstomo.statistics import internal_views
+from losstomo.statistics import internal_views, serialize_data
+
+from sim_reference import simulate_reference
+from test_statistics import _networks
 
 STAR = fixtures.star3()
 
@@ -105,3 +109,39 @@ def test_estimates_approach_truth_with_sample_size():
 def test_simulate_rejects_bad_input(theta, probes, msg):
     with pytest.raises(ValueError, match=msg):
         simulate(SimConfig(STAR, probes, seed=1), theta)
+
+
+def _assert_equals_reference(cfg, theta):
+    got, want = simulate(cfg, theta), simulate_reference(cfg, theta)
+    assert got.name == want.name
+    assert got.probes == want.probes
+    assert got.receivers == want.receivers
+    assert got.counts == want.counts
+    assert serialize_data(got) == serialize_data(want)
+
+
+@st.composite
+def _sim_cases(draw):
+    net = draw(_networks())
+    theta = {i: draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]) | st.floats(0.0, 1.0))
+             for i in net.links}
+    cfg = SimConfig(net, draw(st.integers(0, 300)), draw(st.integers(0, 2**32 - 1)),
+                    replicate=draw(st.integers(0, 3)))
+    return cfg, theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sim_cases())
+def test_simulate_equals_block_reference(case):
+    _assert_equals_reference(*case)
+
+
+@pytest.mark.parametrize("probes", [0, 1, 2 * BLOCK_PROBES + 123])
+@pytest.mark.parametrize("net", [fixtures.toy7(), fixtures.twotree12(), fixtures.layered49()],
+                         ids=["toy7", "twotree12", "layered49"])
+def test_simulate_equals_block_reference_across_blocks(net, probes):
+    # 1 probe leaves a second tree empty; the largest count gives toy7's one
+    # tree two full blocks and a short third, and each of two trees one full
+    # block and a short second
+    theta = {i: 0.02 + 0.01 * (i % 7) for i in net.links}
+    _assert_equals_reference(SimConfig(net, probes, seed=5, replicate=1), theta)
