@@ -13,6 +13,10 @@ kary_tree(4, 5):
 * simulate twotree12 and kary_tree(4, 5) at MULTI_BLOCK_PROBES probes, so
   each tree gets full simulator blocks and a short last one, and twotree12
   at 1 probe, which leaves its tree 2 with none;
+* simulate at BLOCK_EDGE_RUNS, the probe counts at simulator block edges:
+  twotree12 with exactly one full block per tree and with one probe more,
+  and layered49 with one full block in one tree and one probe more in the
+  other;
 * estimate on each data file with le-xi, pcem and mvwa, and with nem on
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
@@ -43,6 +47,7 @@ SEEDS = range(4)
 BETAS = ("1,100", "5,1000", "1,10")
 PROBES = "500"
 MULTI_BLOCK_PROBES = "9000"
+BLOCK_EDGE_RUNS = (("twotree12", "8192"), ("twotree12", "8194"), ("layered49", "8193"))
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
 
 
@@ -88,7 +93,7 @@ def run_matrix(log: list[str]) -> None:
                 _simulate_and_estimate(log, name, methods[name], beta, seed, PROBES,
                                        f"{name}.beta{beta.replace(',', '_')}.seed{seed}")
     for name, probes in (("twotree12", MULTI_BLOCK_PROBES), ("kary_4_5", MULTI_BLOCK_PROBES),
-                         ("twotree12", "1")):
+                         ("twotree12", "1"), *BLOCK_EDGE_RUNS):
         _simulate_and_estimate(log, name, methods[name], "1,100", 0, probes,
                                f"{name}.beta1_100.seed0.probes{probes}")
 

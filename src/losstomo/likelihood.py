@@ -25,10 +25,6 @@ from .topology import GeneralNetwork
 @dataclass(frozen=True)
 class LogLikValue:
     value: float
-    parametrization: str
-
-    def __float__(self):
-        return self.value
 
 
 def _xlogy(coef: float, arg: float) -> float:
@@ -45,7 +41,7 @@ def loglik_theta(views: InternalView, theta, net: GeneralNetwork) -> LogLikValue
     total = 0.0
     for i in net.links:
         total += _xlogy(views.n1[i], 1.0 - theta[i]) + _xlogy(views.n0[i], xi[i])
-    return LogLikValue(total, "theta")
+    return LogLikValue(total)
 
 
 def loglik_xi(views: InternalView, xi, net: GeneralNetwork) -> LogLikValue:
@@ -55,11 +51,11 @@ def loglik_xi(views: InternalView, xi, net: GeneralNetwork) -> LogLikValue:
         denom = 1.0 - child_product(xi, net, i)
         if denom <= 0.0:
             if views.n1[i] != 0.0:
-                return LogLikValue(-math.inf, "xi")
+                return LogLikValue(-math.inf)
         else:
             total += _xlogy(views.n1[i], (1.0 - xi[i]) / denom)
         total += _xlogy(views.n0[i], xi[i])
-    return LogLikValue(total, "xi")
+    return LogLikValue(total)
 
 
 def loglik_psi(views: InternalView, psi, net: GeneralNetwork) -> LogLikValue:
@@ -70,7 +66,7 @@ def loglik_psi(views: InternalView, psi, net: GeneralNetwork) -> LogLikValue:
         total += _xlogy(n_k, xi[net.tree_by_id[k].root_link])
     for i in net.links:
         total += views.n1[i] * psi[i]
-    return LogLikValue(total, "psi")
+    return LogLikValue(total)
 
 
 def per_probe_loglik(bits: str, tree_id: int, theta, net: GeneralNetwork) -> float:

@@ -6,6 +6,11 @@ statistics.collapse_patterns counts the rows into a pattern table.
 Randomness is addressed by (seed, replicate, tree, block): probes are
 generated in fixed-size blocks with an independent counter-based stream per
 block, and only one block's rows are held at a time.
+
+A block is drawn probe-major, one (probes x links) float array in C order,
+and processed link-major: one comparison against the tree's rates turns it
+into pass bits, which are transposed so that each link's bits are one
+contiguous row, and each link is then ANDed with its parent, parents first.
 """
 
 from __future__ import annotations
@@ -53,19 +58,25 @@ def sample_theta(a: float, b: float, net: GeneralNetwork,
 
 def _probe_rows(cfg: SimConfig, theta: dict[int, float], tree_id: int,
                 probes: int) -> Iterator[str]:
-    """Tree tree_id's probes as receiver bit strings, one block in memory at a time."""
+    """Tree tree_id's probes as receiver bit strings, one block in memory at a time.
+
+    passed is the block link-major, (links x probes): after the parents-first
+    walk, passed[q] holds link tree.order[q]'s pass bit for every probe of
+    the block, set when the probe passed the link and every link above it.
+    """
     tree = cfg.net.tree_by_id[tree_id]
-    m, w = len(tree.order), len(tree.leaves)
+    th = np.array([theta[i] for i in tree.order])
+    w = len(tree.leaves)
     for block in range(-(-probes // BLOCK_PROBES)):
         rows = min(BLOCK_PROBES, probes - block * BLOCK_PROBES)
         ss = np.random.SeedSequence((cfg.seed, cfg.replicate, tree_id, block))
-        u = np.random.Generator(np.random.Philox(seed=ss)).random((rows, m))
-        passed = np.empty((rows, m), dtype=bool)
-        for q, (i, up) in enumerate(zip(tree.order, tree.parent_pos)):
-            ok = u[:, q] >= theta[i]
-            passed[:, q] = ok if up < 0 else passed[:, up] & ok
-        text = (passed[:, list(tree.leaf_pos)].view(np.uint8) + 48).tobytes().decode("ascii")
-        del u, passed   # free the block's arrays while its rows are read
+        rng = np.random.Generator(np.random.Philox(seed=ss))
+        passed = np.ascontiguousarray((rng.random((rows, len(th))) >= th).T)
+        for q, up in enumerate(tree.parent_pos):
+            if up >= 0:
+                passed[q] &= passed[up]
+        text = (passed[list(tree.leaf_pos)].T.view(np.uint8) + 48).tobytes().decode("ascii")
+        del passed   # free the block's array while its rows are read
         for s in range(0, rows * w, w):
             yield text[s:s + w]
 

@@ -20,15 +20,13 @@ internal_views checks against the network before it counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import GeneralNetwork, MulticastTree
-
-SUFFICIENCY_SEED = 20240
-SUFFICIENCY_TOL = 1e-9
 
 
 class DataError(ValueError):
@@ -135,17 +133,18 @@ def internal_states(bits: str, tree: MulticastTree) -> InternalStateVector:
 def collapse_patterns(records: dict[int, Iterable[str]], net: GeneralNetwork,
                       name: str = "data") -> PatternTable:
     """Count per-probe bit strings, any iterable of them per tree, into a pattern
-    table.  The only code that turns rows into counts; each row is checked as
-    it is read, and patterns keep the order in which they were first seen."""
+    table.  The only code that turns rows into counts.  Each tree's rows are
+    counted first, and patterns keep the order in which they were first seen;
+    then each distinct pattern is checked once, in that order, so the error
+    names the first bad row read."""
     probes, receivers, counts = {}, {}, {}
     for k, rows in sorted(records.items()):
         tree = net.tree_by_id[k]
         width = len(tree.leaves)
-        table: dict[str, int] = {}
-        for bits in rows:
+        table = dict(Counter(rows))
+        for bits in table:
             if len(bits) != width or set(bits) - {"0", "1"}:
                 raise DataError(f"tree {k}: bad record {bits!r}")
-            table[bits] = table.get(bits, 0) + 1
         probes[k] = sum(table.values())
         receivers[k] = tree.leaves
         counts[k] = table
@@ -277,40 +276,6 @@ def regularity_report(view: InternalView, net: GeneralNetwork) -> RegularityRepo
     all_ok = not (n1_zero or n0_zero or no_info or brother_bad)
     return RegularityReport(frozenset(n1_zero), frozenset(n0_zero),
                             frozenset(no_info), frozenset(brother_bad), all_ok)
-
-
-def sufficiency_check(patterns_a: PatternTable, patterns_b: PatternTable,
-                      net: GeneralNetwork, points: int = 100) -> bool:
-    """True when the two tables carry the same information about the rates.
-
-    The tables must produce identical internal views, and their full
-    log-likelihoods (per-pattern sums, not the reduced form) may differ only
-    by an additive constant across random interior rate vectors.
-    """
-    import random
-
-    from .likelihood import per_probe_loglik
-
-    view_a, _ = internal_views(patterns_a, net)
-    view_b, _ = internal_views(patterns_b, net)
-    if view_a.n1 != view_b.n1 or view_a.n0 != view_b.n0:
-        return False
-
-    def full_loglik(patterns: PatternTable, theta: dict[int, float]) -> float:
-        total = 0.0
-        for k, table in patterns.counts.items():
-            for bits, c in table.items():
-                total += c * per_probe_loglik(bits, k, theta, net)
-        return total
-
-    rng = random.Random(SUFFICIENCY_SEED)
-    diffs = []
-    for _ in range(points):
-        theta = {i: rng.uniform(0.05, 0.95) for i in net.links}
-        diffs.append(full_loglik(patterns_a, theta) - full_loglik(patterns_b, theta))
-    spread = max(diffs) - min(diffs)
-    scale = 1.0 + max(abs(d) for d in diffs)
-    return spread <= SUFFICIENCY_TOL * scale
 
 
 def parse_data(text: str, net: GeneralNetwork) -> PatternTable:

@@ -273,11 +273,6 @@ def _merged_order(links: dict[int, LinkRecord], parents: dict[int, tuple[int, ..
     return tuple(out)
 
 
-def topological_order(net: GeneralNetwork) -> tuple[int, ...]:
-    """Merged link order: every link appears after all its parent links."""
-    return net.order
-
-
 def parse_topology(text: str) -> GeneralNetwork:
     """Parse the line-oriented topology format into a validated network.
 

@@ -2,9 +2,11 @@
 its rows to collapse_patterns.
 
 Each (seed, replicate, tree, block) stream is drawn exactly as simulate draws
-it; each block's receiver bit matrix is collapsed with np.unique over rows,
-and the block counts are merged by hand.  simulate must give the same
-table, up to the key order within each tree's counts.
+it and walked probe-major, one link column at a time; each block's receiver
+bit matrix is collapsed with np.unique over rows, its patterns are put in the
+order of their first row, and the block counts are merged by hand in block
+order.  simulate must give the same table, with the same key order within
+each tree's counts.
 """
 
 import numpy as np
@@ -25,9 +27,9 @@ def _block_patterns(cfg: SimConfig, theta: dict[int, float], tree_id: int,
         ok = u[:, q] >= theta[i]
         passed[:, q] = ok if up < 0 else passed[:, up] & ok
     bits = passed[:, list(tree.leaf_pos)]
-    uniq, counts = np.unique(bits, axis=0, return_counts=True)
-    return {"".join("1" if b else "0" for b in row): int(c)
-            for row, c in zip(uniq, counts)}
+    uniq, first, counts = np.unique(bits, axis=0, return_index=True, return_counts=True)
+    return {"".join("1" if b else "0" for b in uniq[j]): int(counts[j])
+            for j in np.argsort(first)}
 
 
 def simulate_reference(cfg: SimConfig, theta) -> PatternTable:

@@ -117,6 +117,8 @@ def _assert_equals_reference(cfg, theta):
     assert got.probes == want.probes
     assert got.receivers == want.receivers
     assert got.counts == want.counts
+    for k, table in want.counts.items():
+        assert list(got.counts[k]) == list(table)   # first-seen key order
     assert serialize_data(got) == serialize_data(want)
 
 
@@ -145,3 +147,14 @@ def test_simulate_equals_block_reference_across_blocks(net, probes):
     # block and a short second
     theta = {i: 0.02 + 0.01 * (i % 7) for i in net.links}
     _assert_equals_reference(SimConfig(net, probes, seed=5, replicate=1), theta)
+
+
+@pytest.mark.parametrize("per_tree", [BLOCK_PROBES, BLOCK_PROBES + 1, 2 * BLOCK_PROBES - 1])
+@pytest.mark.parametrize("net", [fixtures.layered49(), fixtures.kary_tree(2, 8)],
+                         ids=["layered49", "kary_2_8"])
+def test_simulate_equals_block_reference_at_block_edges(net, per_tree):
+    # exactly one full block per tree, one more probe, and one probe short of two
+    theta = {i: 0.02 + 0.01 * (i % 7) for i in net.links}
+    cfg = SimConfig(net, per_tree * len(net.trees), seed=7, replicate=2)
+    assert set(cfg.tree_probes().values()) == {per_tree}
+    _assert_equals_reference(cfg, theta)

@@ -1,16 +1,17 @@
 import dataclasses
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures
+from losstomo.likelihood import per_probe_loglik
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import (DataError, InternalView, PatternTable,
                                  collapse_patterns, internal_states, internal_views,
-                                 parse_data, regularity_report, serialize_data,
-                                 sufficiency_check, tree_views)
+                                 parse_data, regularity_report, serialize_data, tree_views)
 from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
 
 STAR = fixtures.star3()
@@ -39,6 +40,20 @@ def test_collapse_rejects_bad_records():
         collapse_patterns({1: ["111"]}, STAR)
     with pytest.raises(DataError):
         collapse_patterns({1: ["1x"]}, STAR)
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("rows,bad", [
+    (["11", "10"] * 500 + ["1x", "00", "x1"], "1x"),
+    (["11", "0x", "10", "x0", "0x"], "0x"),
+    (["11", "111", "00", "111", "1"], "111"),
+    (["01", "٠1", "01", "٠1", "0", "٠1"], "٠1"),
+], ids=["after-duplicates", "two-bad", "bad-repeats", "bad-repeats-unicode-digit"])
+def test_collapse_names_first_bad_row_read(rows, bad, as_generator):
+    records = (r for r in rows) if as_generator else rows
+    with pytest.raises(DataError) as exc:
+        collapse_patterns({1: records}, STAR)
+    assert str(exc.value) == f"tree 1: bad record {bad!r}"
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,6 +142,40 @@ def test_no_information_marks_subtree():
     assert views.r[2] is None and views.r[3] is None
     assert report.no_information == {2, 3}
     assert report.n1_zero == {1}
+
+
+SUFFICIENCY_SEED = 20240
+SUFFICIENCY_TOL = 1e-9
+
+
+def sufficiency_check(patterns_a: PatternTable, patterns_b: PatternTable,
+                      net: GeneralNetwork, points: int = 100) -> bool:
+    """True when the two tables carry the same information about the rates.
+
+    The tables must produce identical internal views, and their full
+    log-likelihoods (per-pattern sums, not the reduced form) may differ only
+    by an additive constant across random interior rate vectors.
+    """
+    view_a, _ = internal_views(patterns_a, net)
+    view_b, _ = internal_views(patterns_b, net)
+    if view_a.n1 != view_b.n1 or view_a.n0 != view_b.n0:
+        return False
+
+    def full_loglik(patterns: PatternTable, theta: dict[int, float]) -> float:
+        total = 0.0
+        for k, table in patterns.counts.items():
+            for bits, c in table.items():
+                total += c * per_probe_loglik(bits, k, theta, net)
+        return total
+
+    rng = random.Random(SUFFICIENCY_SEED)
+    diffs = []
+    for _ in range(points):
+        theta = {i: rng.uniform(0.05, 0.95) for i in net.links}
+        diffs.append(full_loglik(patterns_a, theta) - full_loglik(patterns_b, theta))
+    spread = max(diffs) - min(diffs)
+    scale = 1.0 + max(abs(d) for d in diffs)
+    return spread <= SUFFICIENCY_TOL * scale
 
 
 def test_sufficiency_equal_tables():
@@ -339,22 +388,27 @@ def test_views_equal_per_pattern_reference(case):
 
 
 def _views_edge_cases():
+    """(network, table builder) pairs: the tables are built inside the test, so
+    a simulate fault fails that test, not the module's collection."""
     twotree = fixtures.twotree12()
-    yield STAR, star_table({"00": 4})
-    yield STAR, star_table({"11": 6})
-    yield fixtures.single_link(), PatternTable("t", {1: 5}, {1: (1,)}, {1: {"1": 3, "0": 2}})
-    yield fixtures.single_link(), PatternTable("t", {1: 0}, {1: (1,)}, {1: {}})
     # a tree with no probes, with and without an (empty) counts entry
     tree2 = {"1111": 2, "1011": 1, "0000": 2}
     receivers = {1: twotree.tree_by_id[1].leaves, 2: twotree.tree_by_id[2].leaves}
-    yield twotree, PatternTable("t", {1: 0, 2: 5}, receivers, {1: {}, 2: tree2})
-    yield twotree, PatternTable("t", {1: 0, 2: 5}, receivers, {2: tree2})
-    yield twotree, _simulated(twotree, 1, 10, 300, 4)
+    return [
+        (STAR, partial(star_table, {"00": 4})),
+        (STAR, partial(star_table, {"11": 6})),
+        (fixtures.single_link(),
+         partial(PatternTable, "t", {1: 5}, {1: (1,)}, {1: {"1": 3, "0": 2}})),
+        (fixtures.single_link(), partial(PatternTable, "t", {1: 0}, {1: (1,)}, {1: {}})),
+        (twotree, partial(PatternTable, "t", {1: 0, 2: 5}, receivers, {1: {}, 2: tree2})),
+        (twotree, partial(PatternTable, "t", {1: 0, 2: 5}, receivers, {2: tree2})),
+        (twotree, partial(_simulated, twotree, 1, 10, 300, 4)),
+    ]
 
 
-@pytest.mark.parametrize("net,patterns", list(_views_edge_cases()))
+@pytest.mark.parametrize("net,patterns", _views_edge_cases())
 def test_views_edge_cases_equal_reference(net, patterns):
-    _assert_views_match_reference(patterns, net)
+    _assert_views_match_reference(patterns(), net)
 
 
 def test_kary_tree_views_equal_reference():

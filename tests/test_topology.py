@@ -3,8 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures
 from losstomo.topology import (GeneralNetwork, LinkRecord, MulticastTree,
-                               TopologyError, parse_topology, serialize_topology,
-                               topological_order)
+                               TopologyError, parse_topology, serialize_topology)
 
 from test_statistics import _networks
 
@@ -50,20 +49,20 @@ def test_shared_pair_parent_links():
 
 def test_topological_order_root_first():
     net = fixtures.toy7()
-    order = topological_order(net)
+    order = net.order
     assert order[0] == 1
     assert set(order[-4:]) == {4, 5, 6, 7}
 
 
 def test_topological_order_chain():
     net = fixtures.chain(3)
-    assert topological_order(net) == (1, 2, 3)
+    assert net.order == (1, 2, 3)
 
 
 def test_topological_order_parents_first():
     for net in (fixtures.shared_pair(), fixtures.twotree12(), fixtures.layered49()):
         seen = set()
-        for i in topological_order(net):
+        for i in net.order:
             assert all(p in seen for p in net.parent_links[i])
             seen.add(i)
         assert seen == set(net.links)
@@ -188,7 +187,7 @@ def test_random_tree_construction(parent_draws):
     rec_map = {r.link_id: r for r in records}
     tree = MulticastTree(1, 1, list(rec_map), rec_map)
     net = GeneralNetwork("rand", records, [tree])
-    order = topological_order(net)
+    order = net.order
     seen = set()
     for i in order:
         assert all(p in seen for p in net.parent_links[i])
