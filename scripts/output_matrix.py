@@ -7,7 +7,8 @@ Run it on two checkouts and compare them with `diff -r`: an empty diff
 shows that a change kept every output byte for byte.  The commands go
 through losstomo.cli.main in-process, with OUTDIR as the working
 directory, on the fixtures/*.topo networks plus shared_pair and
-kary_tree(4, 5):
+kary_tree(4, 5), and on the benchmark's hub network (perfbench.inputs.hub_network(1),
+764 links in four trees, with shared and multi-parent links):
 
 * simulate at seeds 0-3 and Beta(1,100), Beta(5,1000) and Beta(1,10);
 * simulate twotree12 and kary_tree(4, 5) at MULTI_BLOCK_PROBES probes, so
@@ -17,6 +18,9 @@ kary_tree(4, 5):
   twotree12 with exactly one full block per tree and with one probe more,
   and layered49 with one full block in one tree and one probe more in the
   other;
+* simulate the hub network at HUB_RUNS, Beta(1,100) with 8000 probes and
+  Beta(1,1000) with 80000 probes, where le_xi and mvwa solve more than
+  BATCH_MIN_SETS brother sets per call;
 * estimate on each data file with le-xi, pcem and mvwa, and with nem on
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
@@ -37,17 +41,19 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from losstomo import cli, fixtures  # noqa: E402
 from losstomo.estimators import NEM_MAX_LINKS  # noqa: E402
 from losstomo.topology import parse_topology, serialize_topology  # noqa: E402
+from perfbench.inputs import hub_network  # noqa: E402
 
 SEEDS = range(4)
 BETAS = ("1,100", "5,1000", "1,10")
 PROBES = "500"
 MULTI_BLOCK_PROBES = "9000"
 BLOCK_EDGE_RUNS = (("twotree12", "8192"), ("twotree12", "8194"), ("layered49", "8193"))
+HUB_RUNS = (("1,100", "8000"), ("1,1000", "80000"))
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
 
 
@@ -96,6 +102,10 @@ def run_matrix(log: list[str]) -> None:
                          ("twotree12", "1"), *BLOCK_EDGE_RUNS):
         _simulate_and_estimate(log, name, methods[name], "1,100", 0, probes,
                                f"{name}.beta1_100.seed0.probes{probes}")
+    Path("hub.topo").write_text(hub_network(1).topology_text(), encoding="utf-8")
+    for beta, probes in HUB_RUNS:
+        _simulate_and_estimate(log, "hub", ["le-xi", "pcem", "mvwa"], beta, 0, probes,
+                               f"hub.beta{beta.replace(',', '_')}.seed0.probes{probes}")
 
     _run(log, "estimate", "--topology", "layered49.topo",
          "--data", "layered49.beta1_100.seed0.data", "--method", "pcem",

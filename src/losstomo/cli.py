@@ -57,6 +57,10 @@ def _cmd_simulate(args) -> int:
         kind, theta = parse_rates(Path(args.theta).read_text(encoding="utf-8"))
         if kind != "theta":
             raise CliError(f"--theta file carries {kind!r} rates, expected theta")
+        unknown = sorted(set(theta) - set(net.links))
+        if unknown:
+            raise CliError(f"--theta file has rates for links not in the topology: "
+                           f"{', '.join(map(str, unknown))}")
     patterns = simulate(cfg, theta)
     Path(args.out).write_text(serialize_data(patterns), encoding="utf-8")
     if args.theta_out:

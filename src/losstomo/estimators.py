@@ -5,8 +5,11 @@ Four procedures over the same internal-view statistics:
 * le_xi: solves the likelihood equations in the subtree-loss
   parametrization.  Root links have a closed form; every other link is
   covered by one polynomial fixed-point solve per brother set.  The solves
-  are independent of each other and run one after another on the calling
-  thread: they are pure Python, so a thread pool only adds overhead.
+  are independent of each other and run on the calling thread by a size
+  rule: below BATCH_MIN_SETS sets that need an interior root, a pure-Python
+  Newton loop per set; from there on, one numpy Newton pass over all those
+  sets at once, masked per set once it meets SOLVER_TOL.  Both paths take
+  the same iterates, so the estimates do not depend on the path.
 * pcem: expectation-maximization driven entirely by the collapsed
   statistics; cost per sweep is linear in the number of links.
 * nem: the brute-force EM that enumerates, per distinct receiver pattern,
@@ -31,6 +34,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .likelihood import loglik_theta, observed_information
 from .params import XI_BOUNDARY_TOL, theta_to_xi, xi_by_position, xi_to_theta
 from .statistics import (InternalView, PatternTable, RegularityReport,
@@ -45,6 +50,8 @@ _FLAG_RANK = {FLAG_OK: 0, FLAG_BOUNDARY: 1, FLAG_REGULARITY: 2, FLAG_NON_ESTIMAB
 
 NEM_MAX_LINKS = 20
 SOLVER_TOL = 1e-12
+BATCH_MIN_SETS = 32
+_SOLVER_DELTA = 1e-9
 
 METHODS = ("le-xi", "pcem", "nem", "mvwa")
 
@@ -69,9 +76,10 @@ def solve_brother_fixed_point(problem: BrotherSetProblem) -> float:
     """Root in (0, 1) of  x = prod_j[(1 - r_j) + r_j x].
 
     x = 1 always solves the equation and is never returned.  This is the
-    checked entry to the solve le_xi runs per brother set, for any number of
-    brothers: Newton iterations safeguarded by bisection on the bracket
-    [prod_j(1 - r_j), 1 - 1e-9], stopped once the residual is <= SOLVER_TOL.
+    checked entry to the scalar solve le_xi runs per brother set below
+    BATCH_MIN_SETS sets, for any number of brothers: Newton iterations
+    safeguarded by bisection on the bracket [prod_j(1 - r_j), 1 - 1e-9],
+    stopped once the residual is <= SOLVER_TOL.
     """
     if not problem.solvable_uniquely:
         raise UniqueRootUnavailable(
@@ -80,31 +88,41 @@ def solve_brother_fixed_point(problem: BrotherSetProblem) -> float:
     return pi
 
 
+def _residual_and_slope(rs: list[float], x: float) -> tuple[float, float]:
+    """g(x) = prod_j[(1 - r_j) + r_j x] - x and g'(x), both summed left to right."""
+    prod = 1.0
+    factors = []
+    for r in rs:
+        f = (1.0 - r) + r * x
+        factors.append(f)
+        prod *= f
+    # an explicit loop, not sum(): from Python 3.12 sum() of floats is
+    # compensated, and the batched solve must add in this same order
+    slope = 0.0
+    for r, f in zip(rs, factors):
+        slope += r * prod / f
+    return prod - x, slope - 1.0
+
+
 def _solve_interior(rs: list[float], max_iter: int = 200) -> tuple[float, int]:
-    delta = 1e-9
+    """Root and iteration count of one brother set's fixed point.
 
-    def g_and_slope(x: float) -> tuple[float, float]:
-        prod = 1.0
-        factors = []
-        for r in rs:
-            f = (1.0 - r) + r * x
-            factors.append(f)
-            prod *= f
-        slope = sum(r * prod / f for r, f in zip(rs, factors)) - 1.0
-        return prod - x, slope
-
+    The scalar path: le_xi runs it per set below BATCH_MIN_SETS sets, and
+    solve_brother_fixed_point wraps it.  _solve_interior_rows takes the
+    same iterates on many sets at once.
+    """
     lo = 1.0
     for r in rs:
         lo *= 1.0 - r
-    hi = 1.0 - delta
-    g_hi, _ = g_and_slope(hi)
+    hi = 1.0 - _SOLVER_DELTA
+    g_hi, _ = _residual_and_slope(rs, hi)
     if g_hi >= 0.0:
-        # the interior root is within delta of the spurious root at 1;
+        # the interior root is within 1e-9 of the spurious root at 1;
         # callers see a near-boundary value and flag downstream
         return hi, 0
     x = 0.5 * (lo + hi)
     for it in range(1, max_iter + 1):
-        g, slope = g_and_slope(x)
+        g, slope = _residual_and_slope(rs, x)
         if abs(g) <= SOLVER_TOL:
             return x, it
         if g > 0.0:
@@ -119,6 +137,85 @@ def _solve_interior(rs: list[float], max_iter: int = 200) -> tuple[float, int]:
             x_new = 0.5 * (lo + hi)
         x = x_new
     return x, max_iter
+
+
+def _residuals_and_slopes(r: np.ndarray, keep: np.ndarray, x: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """_residual_and_slope per column of r (brothers x sets), keep = 1 - r.
+
+    The loops over brothers keep the scalar order of every product and sum.
+    A padded brother (r = 0) has the factor 1.0 and the slope term 0.0 at
+    every x where the column's own product is finite.
+    """
+    factors = keep + r * x
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = prod * f
+    terms = r * prod / factors
+    slope = terms[0]
+    for t in terms[1:]:
+        slope = slope + t
+    return prod - x, slope - 1.0
+
+
+def _brother_columns(rows: list[list[float]]) -> np.ndarray:
+    """Rows of pass fractions as the columns of one (brothers x sets) array.
+
+    Short rows are padded with r = 0 after their own brothers, which
+    _residuals_and_slopes turns into the factor 1.0 and the slope term 0.0.
+    """
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    padded = np.zeros((len(rows), int(widths.max())))
+    padded[np.arange(padded.shape[1]) < widths[:, None]] = list(
+        itertools.chain.from_iterable(rows))
+    return np.ascontiguousarray(padded.T)
+
+
+def _solve_interior_rows(rows: list[list[float]], max_iter: int = 200
+                         ) -> tuple[list[float], list[int]]:
+    """_solve_interior on every row at once; each row takes the same iterates.
+
+    A row is live until its residual meets SOLVER_TOL; from then on its
+    root and its count are frozen, exactly where the scalar loop returns
+    them.
+    """
+    r = _brother_columns(rows)
+    keep = 1.0 - r
+    lo = keep[0]
+    for k in keep[1:]:
+        lo = lo * k
+    hi = np.full(len(rows), 1.0 - _SOLVER_DELTA)
+    g_hi, _ = _residuals_and_slopes(r, keep, hi)
+    live = g_hi < 0.0   # the other rows return hi after 0 steps
+    x = np.where(live, 0.5 * (lo + hi), hi)
+    iters = np.zeros(len(rows), dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if not np.count_nonzero(live):
+                break
+            iters += live
+            g, slope = _residuals_and_slopes(r, keep, x)
+            live &= ~(np.abs(g) <= SOLVER_TOL)
+            up = g > 0.0
+            lo = np.where(up, x, lo)
+            hi = np.where(up, hi, x)
+            # a zero slope makes the step infinite or nan, which fails the
+            # bracket test: the midpoint, as in the scalar loop
+            step = x - g / slope
+            x = np.where(live, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), x)
+    return x.tolist(), iters.tolist()
+
+
+def _solve_interiors(rows: list[list[float]]) -> tuple[list[float], list[int]]:
+    """Roots and iteration counts of many brother sets, by the size rule.
+
+    From BATCH_MIN_SETS sets on, one batched pass; below it, the scalar
+    loop, which costs less than numpy's per-call overhead on few sets.
+    """
+    if rows and len(rows) >= BATCH_MIN_SETS:
+        return _solve_interior_rows(rows)
+    solved = [_solve_interior(rs) for rs in rows]
+    return [x for x, _ in solved], [it for _, it in solved]
 
 
 @dataclass
@@ -159,15 +256,17 @@ def project_to_theta_star(theta_raw: dict[int, float | None]
 
 
 def _solve_node(brothers: tuple[int, ...], r: dict[int, float | None]
-                ) -> tuple[dict[int, float | None], int]:
-    """Estimated subtree loss rates for one brother set.
+                ) -> tuple[dict[int, float | None], list[int]]:
+    """Estimated subtree loss rates for one brother set, less its interior solve.
 
     Pass fractions of 0 or 1 pin the corresponding rate to the boundary
-    (1 and 0 respectively); the rest follow the fixed point of the reduced
-    equation or, when no interior root exists, the limiting value 1.
+    (1 and 0 respectively); the rest follow the fixed point pi of the
+    reduced equation or, when no interior root exists, the limiting value 1.
+    The brothers that wait on pi come back as a list, with None in their
+    place in the rates; their rate is (1 - r_j) + r_j pi.
     """
     if any(r[j] is None for j in brothers):
-        return {j: None for j in brothers}, 0
+        return {j: None for j in brothers}, []
     xi: dict[int, float | None] = {}
     ones = [j for j in brothers if r[j] >= 1.0]
     zeros = [j for j in brothers if r[j] <= 0.0]
@@ -177,22 +276,21 @@ def _solve_node(brothers: tuple[int, ...], r: dict[int, float | None]
     for j in ones:
         xi[j] = 0.0
     if not mid:
-        return xi, 0
+        return xi, []
     if ones:
         # a zero factor collapses the product; the others decouple
         for j in mid:
             xi[j] = 1.0 - r[j]
-        return xi, 0
+        return xi, []
     if sum(r[j] for j in mid) > 1.0:
-        pi, iters = _solve_interior([r[j] for j in mid])
         for j in mid:
-            xi[j] = (1.0 - r[j]) + r[j] * pi
-        return xi, iters
+            xi[j] = None
+        return xi, mid
     # pass counts below the brothers exactly exhaust the parent's: the fixed
     # point degenerates to 1 and the parent's rate collapses to 0 downstream
     for j in mid:
         xi[j] = 1.0
-    return xi, 0
+    return xi, []
 
 
 def _assemble_flags(net: GeneralNetwork, report: RegularityReport,
@@ -218,22 +316,30 @@ def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
     """Likelihood-equation estimator.
 
     Root links take their closed form; each brother set is one fixed-point
-    solve over the shared statistics, merged by link id.  iterations is the
-    largest solver iteration count.  workers is accepted and ignored: the
-    solves run on the calling thread.
+    solve over the shared statistics, merged by link id.  The sets that
+    need an interior root are solved together (_solve_interiors: batched
+    from BATCH_MIN_SETS sets on).  iterations is the largest solver
+    iteration count.  workers is accepted and ignored: the solves run on
+    the calling thread.
     """
     t0 = time.perf_counter()
     if report is None:
         report = regularity_report(views, net)
+    r = views.r
     xi_hat: dict[int, float | None] = {}
     for s in net.source_links:
-        r = views.r[s]
-        xi_hat[s] = None if r is None else 1.0 - r
-    solver_iters = 0
+        xi_hat[s] = None if r[s] is None else 1.0 - r[s]
+    pending = []
     for brothers in net.brother_sets:
-        partial, iters = _solve_node(brothers, views.r)
+        partial, mid = _solve_node(brothers, r)
         xi_hat.update(partial)
-        solver_iters = max(solver_iters, iters)
+        if mid:
+            pending.append(mid)
+    roots, iters = _solve_interiors([[r[j] for j in mid] for mid in pending])
+    for mid, pi in zip(pending, roots):
+        for j in mid:
+            xi_hat[j] = (1.0 - r[j]) + r[j] * pi
+    solver_iters = max(iters, default=0)
 
     theta_raw = xi_to_theta(xi_hat, net)
     for i, v in theta_raw.items():

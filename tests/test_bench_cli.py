@@ -207,6 +207,16 @@ class TestCli:
                      "--probes", "25", "--seed", "3", "--out", str(out)]) == 0
         assert "pattern 1 11 25" in out.read_text()
 
+    def test_simulate_rejects_theta_for_unknown_links(self, star_files, tmp_path, capsys):
+        topo, _ = star_files
+        rates = tmp_path / "theta.rates"
+        rates.write_text("theta 1 0.1\ntheta 2 0.1\ntheta 99 0.5\ntheta 3 0.1\ntheta 7 0.2\n")
+        out = tmp_path / "sim.data"
+        assert main(["simulate", "--topology", str(topo), "--theta", str(rates),
+                     "--probes", "25", "--seed", "3", "--out", str(out)]) == 2
+        assert "links not in the topology: 7, 99" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_one_cell(self, star_files, tmp_path, capsys):
         topo, _ = star_files
         grid = tmp_path / "grid.txt"
