@@ -24,7 +24,9 @@ kary_tree(4, 5), and on the benchmark's hub network (perfbench.inputs.hub_networ
 * estimate on each data file with le-xi, pcem and mvwa, and with nem on
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
-  star3 data, and bench on fixtures/table_grid.txt over layered49.
+  star3 data, and bench on fixtures/table_grid.txt over layered49;
+* one estimate per BAD_TOPOLOGIES file, each malformed in a different way
+  (exit 2), so the log pins every topology error message.
 
 Every file the commands write stays in OUTDIR; commands.log holds each
 command with its exit code and stderr.  Nothing is timed: the bench CSV
@@ -55,6 +57,25 @@ MULTI_BLOCK_PROBES = "9000"
 BLOCK_EDGE_RUNS = (("twotree12", "8192"), ("twotree12", "8194"), ("layered49", "8193"))
 HUB_RUNS = (("1,100", "8000"), ("1,1000", "80000"))
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
+BAD_TOPOLOGIES = (
+    "network x\nlink 1 0 1\nlink 1 0 2\ntree 1 1 : 1",
+    "network x\nlink 1 0 1\ntree 1 1 : 1 2",
+    "network x\nlink 1 0 1\ntree 1 2 : 1",
+    "network x\nlink 1 0 1\nlink 2 5 6\ntree 1 1 : 1 2",
+    "network x\nlink 1 0 1\nlink 2 1 2\ntree 1 1 : 1 2\ntree 2 2 : 2",
+    "network x\nlink 1 0 1\ntree 1 1 :",
+    "network x\nlink 1 1 1\ntree 1 1 : 1",
+    "link 1 0 1\ntree 1 1 : 1",
+    "network x\nlink 1 0 1",
+    "network x\nlink 1 0 1\nlink 2 0 2\ntree 1 1 : 1",
+    # link 2 is internal in tree 1 but a leaf in tree 2
+    "network x\nlink 1 0 1\nlink 2 1 2\nlink 3 2 3\nlink 4 5 1\n"
+    "tree 1 1 : 1 2 3\ntree 2 4 : 4 2",
+    "network x\nlink 1 0 1\nlink 2 1 0\ntree 1 1 : 1 2",
+    "network x\nlink 1 0 1\nlink 2 1 2\nlink 3 2 3\nlink 4 3 2\ntree 1 1 : 1 2 3 4",
+    # tree 1's root link reused below tree 2's root, which enters tree 1's source
+    "network x\nlink 1 0 1\nlink 2 1 2\nlink 4 7 0\ntree 1 1 : 1 2\ntree 2 4 : 4 1 2",
+)
 
 
 def _run(log: list[str], *argv: str) -> None:
@@ -124,6 +145,11 @@ def run_matrix(log: list[str]) -> None:
     bench = Path("bench.csv")
     if bench.exists():
         bench.write_text(_drop_runtime(bench.read_text(encoding="utf-8")), encoding="utf-8")
+
+    for n, text in enumerate(BAD_TOPOLOGIES):
+        Path(f"bad{n}.topo").write_text(text, encoding="utf-8")
+        _run(log, "estimate", "--topology", f"bad{n}.topo", "--data", "all-dark.data",
+             "--method", "le-xi", "--out", f"bad{n}.csv")
 
 
 def main(argv: list[str]) -> int:

@@ -549,7 +549,8 @@ def mvwa(views: InternalView, net: GeneralNetwork,
     t0 = time.perf_counter()
     if report is None:
         report = regularity_report(views, net)
-    per_tree: dict[int, tuple[EstimateResult, dict[int, float]]] = {}
+    # link -> (tree id, estimate, variance, flag) per estimating tree, by tree id
+    by_link: dict[int, list[tuple[int, float, float, str]]] = {i: [] for i in net.links}
     iterations = 0
     for k in sorted(views.per_tree_n1):
         sub = net.tree_networks[k]
@@ -557,21 +558,15 @@ def mvwa(views: InternalView, net: GeneralNetwork,
         res = le_xi(sub_views, sub, report=sub_report)
         filled = {i: (math.nan if v is None else v) for i, v in res.theta_hat.items()}
         variances = observed_information(filled, sub_views, sub)
-        per_tree[k] = (res, variances)
+        for i, est in res.theta_hat.items():
+            if est is not None:
+                by_link[i].append((k, est, variances.get(i, math.nan), res.flags[i]))
         iterations = max(iterations, res.iterations)
 
     theta_hat: dict[int, float | None] = {}
     flags: dict[int, str] = {}
     for i in sorted(net.links):
-        entries = []
-        for k in net.trees_with_link[i]:
-            if k not in per_tree:
-                continue
-            res, variances = per_tree[k]
-            if res.theta_hat.get(i) is None:
-                continue
-            entries.append((k, res.theta_hat[i], variances.get(i, math.nan),
-                            res.flags[i]))
+        entries = by_link[i]
         if not entries:
             theta_hat[i] = None
             flags[i] = FLAG_NON_ESTIMABLE

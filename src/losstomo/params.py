@@ -131,7 +131,7 @@ def xi_to_psi(xi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:
         v = xi[i]
         if not 0.0 < v < 1.0:
             raise ValueError(f"xi[{i}]={v} outside (0,1); psi undefined")
-        if net.is_leaf(i):
+        if not net.child_links[i]:
             psi[i] = math.log((1.0 - v) / v)
         else:
             prod = child_product(xi, net, i)
@@ -148,7 +148,7 @@ def psi_to_xi(psi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:
     """Subtree loss rates from natural parameters (leaf-to-root)."""
     xi: dict[int, float] = {}
     for i in reversed(net.order):
-        if net.is_leaf(i):
+        if not net.child_links[i]:
             xi[i] = 1.0 / (1.0 + math.exp(psi[i]))
         else:
             prod = child_product(xi, net, i)
@@ -166,7 +166,7 @@ def xi_membership(xi: dict[int, float], net: GeneralNetwork) -> dict[int, str]:
     out: dict[int, str] = {}
     for i in sorted(net.links):
         v = xi[i]
-        if net.is_leaf(i):
+        if not net.child_links[i]:
             gap = min(v, 1.0 - v)
         else:
             gap = min(v - child_product(xi, net, i), 1.0 - v)

@@ -11,11 +11,12 @@ count of confirmed passes, and the count of probes confirmed at the parent
 but unseen below the link.  Internal views add across trees for links
 shared by several trees.
 
-Views are counted on arrays, one tree at a time: the tree's distinct
-patterns become a (patterns x receivers) bit matrix, a link's column is the
-OR of its children's columns, bottom-up, and n_i(1) is the count-weighted
-sum of link i's column.  Column j is the j-th ascending leaf link id, which
-internal_views checks against the network before it counts.
+Views are counted on arrays, one tree at a time, on the tree's positional
+form: the bit matrix of the tree's distinct patterns fills the leaf rows of
+a (links x patterns) array in tree.order, each row is ORed into its
+parent's row, bottom-up, and n_i(1) is the count-weighted sum of link i's
+row.  Bit column j is the j-th ascending leaf link id, which internal_views
+checks against the network before it counts.
 """
 
 from __future__ import annotations
@@ -191,10 +192,14 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
     """Internal views from a pattern table, plus the regularity report.
 
     Each tree's distinct patterns are counted as one bit matrix (see
-    PatternTable.bit_matrix): walking the tree bottom-up, a link's column
-    is the OR of its children's columns and n_i(1) is the counts vector
-    dotted with it, so probes are never replayed one by one.  Bits are read
-    by position, so check_fits first rejects a table that does not fit net.
+    PatternTable.bit_matrix), transposed into the leaf rows of a
+    (len(tree.order) x patterns) array.  From the last position up to the
+    root's children, row q is ORed into row parent_pos[q], so a row holds
+    the link's internal state per pattern; n_i(1) is that row dotted with
+    the counts, so probes are never replayed one by one, and n_i(0) is the
+    parent's n(1), or the tree's probes at the root, less n_i(1).  Bits
+    are read by position, so check_fits first rejects a table that does
+    not fit net.
     """
     check_fits(patterns, net)
     bits = {k: patterns.bit_matrix(k) for k in patterns.probes}
@@ -202,17 +207,16 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
     per_tree_n0: dict[int, dict[int, int]] = {}
     for k, table in patterns.counts.items():
         tree = net.tree_by_id[k]
+        up, pos = tree.parent_pos, tree.pos
         counts = np.fromiter(table.values(), np.int64, len(table))
-        cols = dict(zip(tree.leaves, bits[k].T))
-        sums = {}
-        for i in reversed(tree.order):
-            kids = tree.children[i]
-            if kids:
-                cols[i] = np.logical_or.reduce([cols.pop(c) for c in kids])
-            sums[i] = int(counts @ cols[i])
-        n1 = per_tree_n1[k] = {i: sums[i] for i in tree.links}
-        per_tree_n0[k] = {i: (n1[tree.parent[i]] if i in tree.parent else patterns.probes[k])
-                          - n1[i] for i in tree.links}
+        seen = np.zeros((len(tree.order), len(table)), bool)
+        seen[list(tree.leaf_pos)] = bits[k].T
+        for q in range(len(up) - 1, 0, -1):
+            seen[up[q]] |= seen[q]
+        n1 = (seen @ counts).tolist()
+        n0 = [(n1[u] if u >= 0 else patterns.probes[k]) - v for u, v in zip(up, n1)]
+        per_tree_n1[k] = {i: n1[pos[i]] for i in tree.links}
+        per_tree_n0[k] = {i: n0[pos[i]] for i in tree.links}
     return _aggregate(per_tree_n1, per_tree_n0, dict(patterns.probes), net)
 
 

@@ -4,17 +4,18 @@ A network is described by directed links (parent node -> child node) and a
 set of multicast trees that cover those links.  Each tree has a root link
 fed by a dedicated source node; probes travel from the source toward the
 leaf links, whose child nodes are the receivers.  All structural sets the
-estimators need (parent links, brother sets, child sets, per-subtree
-receiver sets, topological orders) are derived once at construction and
-never mutated afterwards, so a network can be shared freely across
-threads.  The one exception is GeneralNetwork.tree_networks, built on first
-use; two threads racing to build it build equal values.
+estimators need (parent links, brother sets, child sets, topological
+orders) are derived once at construction and never mutated afterwards, so
+a network can be shared freely across threads.  The one exception is
+GeneralNetwork.tree_networks, built on first use; two threads racing to
+build it build equal values.
 
 The positional form indexes links by their place in a parents-first order:
 GeneralNetwork.pos (link id -> index in net.order), parent_pos and
 child_pos, read by params.xi_by_position and the pcem and nem E-steps; per
-tree, parent_pos (-1 at the root) and leaf_pos over tree.order, read by the
-simulator and nem.  No other module builds a link-to-index map.
+tree, pos (link id -> index in tree.order), parent_pos (-1 at the root) and
+leaf_pos, read by the simulator, internal_views and nem.  No other module
+builds a link-to-index map.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ class MulticastTree:
         links:      frozenset of link ids in the tree
         parent:     link -> parent link id within the tree (absent for root)
         children:   link -> tuple of child link ids (ascending)
-        brothers:   link -> tuple of links sharing its parent node, self included
         leaves:     ascending tuple of leaf link ids; defines receiver bit order
-        subtree_leaves: link -> frozenset of leaf links below (and including) it
         order:      link ids, parents before children, ties by ascending id
+        pos:        link id -> its position in order
         parent_pos: per position in order, the parent's position (-1 at the root)
         leaf_pos:   positions in order of the leaves, in receiver bit order
     """
@@ -113,24 +113,11 @@ class MulticastTree:
             missing = sorted(self.links - set(order))
             raise TopologyError(f"tree {tree_id}: links {missing} are not reachable from the root")
         self.order = tuple(order)
-        pos = {i: q for q, i in enumerate(order)}
+        self.pos = pos = {i: q for q, i in enumerate(order)}
         self.parent_pos = tuple(pos[self.parent[i]] if i in self.parent else -1
                                 for i in order)
-
-        self.brothers: dict[int, tuple[int, ...]] = {root_link: (root_link,)}
-        for i, cs in self.children.items():
-            for c in cs:
-                self.brothers[c] = cs
-
         self.leaves = tuple(sorted(i for i in self.links if not self.children[i]))
         self.leaf_pos = tuple(pos[i] for i in self.leaves)
-        sub: dict[int, frozenset[int]] = {}
-        for i in reversed(self.order):
-            if not self.children[i]:
-                sub[i] = frozenset((i,))
-            else:
-                sub[i] = frozenset().union(*(sub[c] for c in self.children[i]))
-        self.subtree_leaves = sub
 
     def __eq__(self, other):
         return (isinstance(other, MulticastTree)
@@ -184,8 +171,10 @@ class GeneralNetwork:
                 raise TopologyError(
                     f"link {rec.link_id} ends at source node {rec.child_node}")
 
-        # network-level child set per link: must agree across trees
+        # one walk over each tree's links: the network-level child set, which
+        # must agree across trees, and the parent links from every tree
         self.child_links: dict[int, tuple[int, ...]] = {}
+        ups: dict[int, set[int]] = {i: set() for i in self.links}
         for t in self.trees:
             for i in t.links:
                 cs = t.children[i]
@@ -196,22 +185,13 @@ class GeneralNetwork:
                             f"but {cs} in tree {t.tree_id}")
                 else:
                     self.child_links[i] = cs
-
-        root_set = set(self.source_links)
-        self.parent_links: dict[int, tuple[int, ...]] = {}
-        for i in sorted(self.links):
-            ups = sorted({t.parent[i] for t in self.trees if i in t.links and i != t.root_link})
-            if i in root_set and ups:
-                raise TopologyError(f"root link {i} also appears as a non-root link")
-            self.parent_links[i] = tuple(ups)
-
-        self.trees_with_link = {
-            i: tuple(t.tree_id for t in self.trees if i in t.links) for i in self.links}
-        self.shared_links = tuple(
-            sorted(i for i, ks in self.trees_with_link.items() if len(ks) >= 2))
+                if i in t.parent:
+                    ups[i].add(t.parent[i])
+        self.parent_links = {i: tuple(sorted(ups[i])) for i in sorted(self.links)}
 
         # child links grouped by the node they hang from; the unit of the
         # brother-set solves (source nodes excluded, their single child is a root)
+        root_set = set(self.source_links)
         groups: dict[int, set[int]] = {}
         for i, rec in self.links.items():
             if i in root_set:
@@ -238,9 +218,6 @@ class GeneralNetwork:
     def __repr__(self):
         return (f"GeneralNetwork({self.name!r}, m={len(self.links)}, "
                 f"trees={len(self.trees)})")
-
-    def is_leaf(self, link_id: int) -> bool:
-        return not self.child_links[link_id]
 
     @cached_property
     def tree_networks(self) -> dict[int, GeneralNetwork]:

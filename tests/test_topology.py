@@ -25,9 +25,7 @@ def test_toy7_derived_sets():
     tree = net.trees[0]
     assert net.child_links[1] == (2, 3)
     assert net.child_links[2] == (4, 5)
-    assert tree.brothers[2] == (2, 3)
     assert tree.leaves == (4, 5, 6, 7)
-    assert tree.subtree_leaves[2] == {4, 5}
     assert tree.parent[2] == 1
 
 
@@ -36,14 +34,13 @@ def test_single_link_tree():
     tree = net.trees[0]
     assert tree.leaves == (1,)
     assert net.child_links[1] == ()
-    assert tree.brothers[1] == (1,)
 
 
 def test_shared_pair_parent_links():
     net = fixtures.shared_pair()
     assert net.parent_links[2] == (1, 4)
     assert net.parent_links[3] == (1, 4)
-    assert net.shared_links == (2, 3)
+    assert net.trees[0].links & net.trees[1].links == {2, 3}
     assert net.source_links == (1, 4)
 
 
@@ -91,7 +88,8 @@ def test_brother_sets_partition_node_children():
 def test_link_count_vs_tree_sizes():
     net = fixtures.twotree12()
     total = sum(len(t.links) for t in net.trees)
-    assert total == len(net.links) + len(net.shared_links) * (len(net.trees) - 1)
+    shared = net.trees[0].links & net.trees[1].links
+    assert total == len(net.links) + len(shared) * (len(net.trees) - 1)
     disjoint = fixtures.toy7()
     assert sum(len(t.links) for t in disjoint.trees) == len(disjoint.links)
 
@@ -122,7 +120,7 @@ def test_layered49_shape():
     assert len(nodes) == 49
     assert net.links[net.trees[0].root_link].parent_node == 0
     assert net.links[net.trees[1].root_link].parent_node == 32
-    assert len(net.shared_links) == 8
+    assert len(net.trees[0].links & net.trees[1].links) == 8
     for t in net.trees:
         assert len(t.links) == 28
         assert len(t.leaves) == 18
@@ -139,6 +137,9 @@ def test_layered49_shape():
     ("link 1 0 1\ntree 1 1 : 1", "missing 'network'"),
     ("network x\nlink 1 0 1", "no trees"),
     ("network x\nlink 1 0 1\nlink 2 0 2\ntree 1 1 : 1", "not covered"),
+    # tree 1's root link reused below tree 2's root, which enters tree 1's source
+    ("network x\nlink 1 0 1\nlink 2 1 2\nlink 4 7 0\ntree 1 1 : 1 2\ntree 2 4 : 4 1 2",
+     "ends at source node"),
 ])
 def test_parse_errors(bad, msg):
     with pytest.raises(TopologyError, match=msg):
@@ -193,7 +194,6 @@ def test_random_tree_construction(parent_draws):
         assert all(p in seen for p in net.parent_links[i])
         seen.add(i)
     assert parse_topology(serialize_topology(net)) == net
-    assert all(tree.subtree_leaves[i] == {i} for i in tree.leaves)
 
 
 def _assert_positional_form(net):
@@ -223,3 +223,34 @@ def test_positional_form_on_kary_tree():
     net = fixtures.kary_tree(4, 5)
     _assert_positional_form(net)
     assert net.parent_pos[0] == () and len(net.trees[0].leaf_pos) == 4 ** 5
+
+
+def _ascending_ready_order(links, parents):
+    """Links with every parent placed first, the smallest id ready next."""
+    out = []
+    while len(out) < len(links):
+        out.append(min(i for i in links if i not in out
+                       and all(u in out for u in parents[i])))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_structure_matches_brute_force_derivation(data):
+    net = data.draw(_networks())
+    trees_with = {i: [t for t in net.trees if i in t.links] for i in net.links}
+    for i, ts in trees_with.items():
+        assert all(net.child_links[i] == t.children[i] for t in ts)
+    parents = {i: tuple(sorted({t.parent[i] for t in ts if i in t.parent}))
+               for i, ts in trees_with.items()}
+    assert net.parent_links == parents and list(net.parent_links) == sorted(net.links)
+    assert net.source_links == tuple(sorted(t.root_link for t in net.trees))
+    sources = set(net.source_links)
+    nodes = sorted({rec.parent_node for i, rec in net.links.items() if i not in sources})
+    assert net.brother_sets == tuple(
+        tuple(sorted(i for i, rec in net.links.items()
+                     if rec.parent_node == v and i not in sources)) for v in nodes)
+    assert net.order == _ascending_ready_order(net.links, parents)
+    for t in net.trees:
+        ups = {i: (t.parent[i],) if i in t.parent else () for i in t.links}
+        assert t.pos == {i: q for q, i in enumerate(_ascending_ready_order(t.links, ups))}
