@@ -21,6 +21,11 @@ kary_tree(4, 5), and on the benchmark's hub network (perfbench.inputs.hub_networ
 * simulate the hub network at HUB_RUNS, Beta(1,100) with 8000 probes and
   Beta(1,1000) with 80000 probes, where le_xi and mvwa solve more than
   BATCH_MIN_SETS brother sets per call;
+* simulate the smaller hub network hub_network(1, SMALL_HUB) (124 links) at
+  Beta(1,100) with 8000 probes, and estimate it with le-xi and mvwa: each
+  of its four trees has 16-21 brother sets that need an interior root,
+  fewer than BATCH_MIN_SETS, but 75 together, so mvwa's one solve over all
+  trees runs batched where each tree alone would take the scalar loop;
 * estimate on each data file with le-xi, pcem and mvwa, and with nem on
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
@@ -48,7 +53,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from losstomo import cli, fixtures  # noqa: E402
 from losstomo.estimators import NEM_MAX_LINKS  # noqa: E402
 from losstomo.topology import parse_topology, serialize_topology  # noqa: E402
-from perfbench.inputs import hub_network  # noqa: E402
+from perfbench.inputs import HubShape, hub_network  # noqa: E402
 
 SEEDS = range(4)
 BETAS = ("1,100", "5,1000", "1,10")
@@ -56,6 +61,7 @@ PROBES = "500"
 MULTI_BLOCK_PROBES = "9000"
 BLOCK_EDGE_RUNS = (("twotree12", "8192"), ("twotree12", "8194"), ("layered49", "8193"))
 HUB_RUNS = (("1,100", "8000"), ("1,1000", "80000"))
+SMALL_HUB = HubShape(private_depth=3, hub_depth=3)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
 BAD_TOPOLOGIES = (
     "network x\nlink 1 0 1\nlink 1 0 2\ntree 1 1 : 1",
@@ -127,6 +133,9 @@ def run_matrix(log: list[str]) -> None:
     for beta, probes in HUB_RUNS:
         _simulate_and_estimate(log, "hub", ["le-xi", "pcem", "mvwa"], beta, 0, probes,
                                f"hub.beta{beta.replace(',', '_')}.seed0.probes{probes}")
+    Path("hub_small.topo").write_text(hub_network(1, SMALL_HUB).topology_text(), encoding="utf-8")
+    _simulate_and_estimate(log, "hub_small", ["le-xi", "mvwa"], "1,100", 0, "8000",
+                           "hub_small.beta1_100.seed0.probes8000")
 
     _run(log, "estimate", "--topology", "layered49.topo",
          "--data", "layered49.beta1_100.seed0.data", "--method", "pcem",

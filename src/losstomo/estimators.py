@@ -3,22 +3,26 @@
 Four procedures over the same internal-view statistics:
 
 * le_xi: solves the likelihood equations in the subtree-loss
-  parametrization.  Root links have a closed form; every other link is
-  covered by one polynomial fixed-point solve per brother set.  The solves
-  are independent of each other and run on the calling thread by a size
-  rule: below BATCH_MIN_SETS sets that need an interior root, a pure-Python
-  Newton loop per set; from there on, one numpy Newton pass over all those
-  sets at once, masked per set once it meets SOLVER_TOL.  Both paths take
-  the same iterates, so the estimates do not depend on the path.
+  parametrization, in three steps over the network's positional form.
+  The case split gives root links their closed form and settles every
+  brother set that needs no root; one _solve_interiors call solves the
+  rest; the finish maps xi to theta and flags.  The solves are independent
+  of each other and run on the calling thread by a size rule: below
+  BATCH_MIN_SETS sets that need an interior root, a pure-Python Newton
+  loop per set; from there on, one numpy Newton pass over all those sets
+  at once, masked per set once it meets SOLVER_TOL.  Both paths take the
+  same iterates, so the estimates do not depend on the path.
 * pcem: expectation-maximization driven entirely by the collapsed
   statistics; cost per sweep is linear in the number of links.
 * nem: the brute-force EM that enumerates, per distinct receiver pattern,
   every feasible assignment of link states.  Exponential cost; kept as an
   oracle for small networks and refused above 20 links.
-* mvwa: solves each tree separately with le_xi, on that tree's slice of
-  the shared views and on its single-tree network (built once per network,
-  GeneralNetwork.tree_networks), and combines shared links by
-  inverse-variance weights.  The variances are the exact diagonal observed
+* mvwa: estimates each tree separately, on that tree's slice of the shared
+  views and on the tree's own positional form (no sub-network is built),
+  and combines shared links by inverse-variance weights.  It runs le_xi's
+  case split and finish per tree, but hands every tree's pending brother
+  sets to one joint _solve_interiors call, so the size rule sees all
+  trees' sets together.  The variances are the exact diagonal observed
   information of each tree's likelihood; contributions without a usable
   variance are dropped from the average.
 
@@ -36,11 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import loglik_theta, observed_information
-from .params import XI_BOUNDARY_TOL, theta_to_xi, xi_by_position, xi_to_theta
+from .likelihood import information_by_position, loglik_theta
+from .params import XI_BOUNDARY_TOL, theta_by_position, theta_to_xi, xi_by_position
 from .statistics import (InternalView, PatternTable, RegularityReport,
-                         internal_views, regularity_report, tree_views)
-from .topology import GeneralNetwork
+                         internal_views, regularity_report)
+from .topology import GeneralNetwork, MulticastTree
 
 FLAG_OK = "ok"
 FLAG_BOUNDARY = "boundary_projected"
@@ -255,54 +259,97 @@ def project_to_theta_star(theta_raw: dict[int, float | None]
             for i, v in theta_raw.items()}, clamped
 
 
-def _solve_node(brothers: tuple[int, ...], r: dict[int, float | None]
-                ) -> tuple[dict[int, float | None], list[int]]:
-    """Estimated subtree loss rates for one brother set, less its interior solve.
+def _solve_node(brothers: tuple[int, ...], r: list[float | None],
+                xi: list[float | None]) -> list[int]:
+    """Write one brother set's subtree loss rates into xi, less its interior solve.
 
     Pass fractions of 0 or 1 pin the corresponding rate to the boundary
     (1 and 0 respectively); the rest follow the fixed point pi of the
     reduced equation or, when no interior root exists, the limiting value 1.
-    The brothers that wait on pi come back as a list, with None in their
-    place in the rates; their rate is (1 - r_j) + r_j pi.
+    The brothers that wait on pi come back as a list and keep None in xi;
+    their rate is (1 - r_j) + r_j pi.  With any brother's r None, all stay None.
     """
     if any(r[j] is None for j in brothers):
-        return {j: None for j in brothers}, []
-    xi: dict[int, float | None] = {}
+        return []
     ones = [j for j in brothers if r[j] >= 1.0]
-    zeros = [j for j in brothers if r[j] <= 0.0]
     mid = [j for j in brothers if 0.0 < r[j] < 1.0]
-    for j in zeros:
-        xi[j] = 1.0
+    for j in brothers:
+        if r[j] <= 0.0:
+            xi[j] = 1.0
     for j in ones:
         xi[j] = 0.0
     if not mid:
-        return xi, []
+        return []
     if ones:
         # a zero factor collapses the product; the others decouple
         for j in mid:
             xi[j] = 1.0 - r[j]
-        return xi, []
+        return []
     if sum(r[j] for j in mid) > 1.0:
-        for j in mid:
-            xi[j] = None
-        return xi, mid
+        return mid
     # pass counts below the brothers exactly exhaust the parent's: the fixed
     # point degenerates to 1 and the parent's rate collapses to 0 downstream
     for j in mid:
         xi[j] = 1.0
-    return xi, []
+    return []
 
 
-def _assemble_flags(net: GeneralNetwork, report: RegularityReport,
-                    theta_raw: dict[int, float | None],
+def _solve_xi(problems) -> tuple[list[list[float | None]], int]:
+    """xi per position for each (brother sets, root positions, r) problem,
+    and the largest solver iteration count.
+
+    r holds the confirmed pass fraction per position, None without
+    information.  Root links take their closed form and each brother set
+    goes through _solve_node; then the sets of every problem that wait on an
+    interior root go to one _solve_interiors call.
+    """
+    xis, pending = [], []
+    for sets, roots, r in problems:
+        xi: list[float | None] = [None] * len(r)
+        for q in roots:
+            if r[q] is not None:
+                xi[q] = 1.0 - r[q]
+        pending += ((xi, r, mid) for mid in [_solve_node(b, r, xi) for b in sets] if mid)
+        xis.append(xi)
+    pis, iters = _solve_interiors([[r[j] for j in mid] for _, r, mid in pending])
+    for (xi, r, mid), pi in zip(pending, pis):
+        for j in mid:
+            xi[j] = (1.0 - r[j]) + r[j] * pi
+    return xis, max(iters, default=0)
+
+
+def _finish(xi: list[float | None], order: tuple[int, ...],
+            child_pos: tuple[tuple[int, ...], ...], slots, bad
+            ) -> tuple[dict[int, float | None], dict[int, str]]:
+    """theta_hat and flags from the solved xi, keyed by link id, for the
+    positions in slots, in that order; bad holds the link ids whose data
+    fail the regularity conditions."""
+    theta = theta_by_position(xi, child_pos)
+    raw = {}
+    for q in slots:
+        v = theta[q]
+        # an estimate this close to the edge is the edge up to rounding in
+        # the solved rates; snap so boundary cases are flagged as such
+        if v is not None and abs(v) <= XI_BOUNDARY_TOL:
+            v = 0.0
+        elif v is not None and abs(v - 1.0) <= XI_BOUNDARY_TOL:
+            v = 1.0
+        raw[order[q]] = v
+    theta_hat, clamped = project_to_theta_star(raw)
+    return theta_hat, _assemble_flags(raw, bad, clamped)
+
+
+def _regular_bad(report: RegularityReport) -> frozenset[int]:
+    return report.n1_zero | report.n0_zero | report.brother_sum_violation
+
+
+def _assemble_flags(theta_raw: dict[int, float | None], bad,
                     clamped: frozenset[int]) -> dict[int, str]:
     flags = {}
-    regular_bad = report.n1_zero | report.n0_zero | report.brother_sum_violation
-    for i in net.links:
-        v = theta_raw[i]
+    for i, v in theta_raw.items():
         if v is None:
             flags[i] = FLAG_NON_ESTIMABLE
-        elif i in regular_bad:
+        elif i in bad:
             flags[i] = FLAG_REGULARITY
         elif i in clamped or v <= 0.0 or v >= 1.0:
             flags[i] = FLAG_BOUNDARY
@@ -315,44 +362,24 @@ def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
           report: RegularityReport | None = None) -> EstimateResult:
     """Likelihood-equation estimator.
 
-    Root links take their closed form; each brother set is one fixed-point
-    solve over the shared statistics, merged by link id.  The sets that
-    need an interior root are solved together (_solve_interiors: batched
-    from BATCH_MIN_SETS sets on).  iterations is the largest solver
-    iteration count.  workers is accepted and ignored: the solves run on
-    the calling thread.
+    Three steps over net's positional form: the case split (root closed
+    forms and _solve_node per brother set), one _solve_interiors call for
+    every set that needs an interior root (batched from BATCH_MIN_SETS sets
+    on), and _finish (xi to theta, boundary snap, projection, flags).
+    iterations is the largest solver iteration count.  workers is accepted
+    and ignored: the solves run on the calling thread.
     """
     t0 = time.perf_counter()
     if report is None:
         report = regularity_report(views, net)
-    r = views.r
-    xi_hat: dict[int, float | None] = {}
-    for s in net.source_links:
-        xi_hat[s] = None if r[s] is None else 1.0 - r[s]
-    pending = []
-    for brothers in net.brother_sets:
-        partial, mid = _solve_node(brothers, r)
-        xi_hat.update(partial)
-        if mid:
-            pending.append(mid)
-    roots, iters = _solve_interiors([[r[j] for j in mid] for mid in pending])
-    for mid, pi in zip(pending, roots):
-        for j in mid:
-            xi_hat[j] = (1.0 - r[j]) + r[j] * pi
-    solver_iters = max(iters, default=0)
-
-    theta_raw = xi_to_theta(xi_hat, net)
-    for i, v in theta_raw.items():
-        # an estimate this close to the edge is the edge up to rounding in
-        # the solved rates; snap so boundary cases are flagged as such
-        if v is not None and abs(v) <= XI_BOUNDARY_TOL:
-            theta_raw[i] = 0.0
-        elif v is not None and abs(v - 1.0) <= XI_BOUNDARY_TOL:
-            theta_raw[i] = 1.0
-    theta_hat, clamped = project_to_theta_star(theta_raw)
-    flags = _assemble_flags(net, report, theta_raw, clamped)
-    return EstimateResult("le-xi", theta_hat, xi_hat, flags, solver_iters,
-                          report, time.perf_counter() - t0)
+    at = net.pos.__getitem__
+    sets = [tuple(map(at, brothers)) for brothers in net.brother_sets]
+    (xi,), iterations = _solve_xi([(sets, tuple(map(at, net.source_links)),
+                                    [views.r[i] for i in net.order])])
+    by_id = list(map(at, sorted(net.links)))
+    theta_hat, flags = _finish(xi, net.order, net.child_pos, by_id, _regular_bad(report))
+    return EstimateResult("le-xi", theta_hat, {net.order[q]: xi[q] for q in by_id}, flags,
+                          iterations, report, time.perf_counter() - t0)
 
 
 def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float,
@@ -400,7 +427,7 @@ def _finish_em(method: str, net: GeneralNetwork, report: RegularityReport,
     theta_hat: dict[int, float | None] = {}
     for i in net.links:
         theta_hat[i] = None if i in report.no_information else theta_map[i]
-    flags = _assemble_flags(net, report, theta_hat, frozenset())
+    flags = _assemble_flags(theta_hat, _regular_bad(report), frozenset())
     xi_hat = theta_to_xi(theta_hat, net)
     return EstimateResult(method, theta_hat, xi_hat, flags, iterations,
                           report, time.perf_counter() - t0,
@@ -534,13 +561,27 @@ def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1
                       converged, ll_path, th_path, t0)
 
 
+def _tree_bad(tree: MulticastTree, n1: list[int], n0: list[int]) -> set[int]:
+    """Links whose data fail the regularity conditions on the tree alone:
+    regularity_report's sets on the tree's own counts, but for the
+    no-information links, which come back None before any flag is read."""
+    bad = {i for i, c1, c0 in zip(tree.order, n1, n0) if c1 == 0 or c0 == 0}
+    for c1, kids in zip(n1, tree.child_pos):
+        if kids and c1 > 0 and c1 >= sum(n1[c] for c in kids):
+            bad.update(tree.order[c] for c in kids)
+    return bad
+
+
 def mvwa(views: InternalView, net: GeneralNetwork,
          report: RegularityReport | None = None) -> EstimateResult:
     """Per-tree estimates combined by minimum-variance weighted averaging.
 
-    Each tree is estimated on its own with le_xi.  Links seen by several
-    trees are averaged with weights 1/variance from the exact diagonal
-    observed information of the tree's own likelihood.  A per-tree
+    Each tree is estimated as le_xi would on a network of that tree alone,
+    on the tree's slice of the views and its positional form, so no
+    sub-network is built; every tree's sets that need an interior root go
+    to one _solve_interiors call.  Links seen by several trees are
+    averaged, in ascending tree id, with weights 1/variance from the exact
+    diagonal observed information of the tree's own likelihood.  A per-tree
     estimate with no usable variance (boundary point, flat curvature) gets
     zero weight, matching the minimum-variance reading; only when no tree
     has a usable variance does the link fall back to probe-count weights.
@@ -549,19 +590,29 @@ def mvwa(views: InternalView, net: GeneralNetwork,
     t0 = time.perf_counter()
     if report is None:
         report = regularity_report(views, net)
+    per_tree = []
+    for k in sorted(views.per_tree_n1):
+        tree = net.tree_by_id[k]
+        n1 = list(map(views.per_tree_n1[k].__getitem__, tree.order))
+        n0 = list(map(views.per_tree_n0[k].__getitem__, tree.order))
+        per_tree.append((k, tree, n1, n0))
+    xis, iterations = _solve_xi(
+        ([c for c in tree.child_pos if c], (0,),
+         [c1 / (c1 + c0) if c1 + c0 > 0 else None for c1, c0 in zip(n1, n0)])
+        for _, tree, n1, n0 in per_tree)
+
     # link -> (tree id, estimate, variance, flag) per estimating tree, by tree id
     by_link: dict[int, list[tuple[int, float, float, str]]] = {i: [] for i in net.links}
-    iterations = 0
-    for k in sorted(views.per_tree_n1):
-        sub = net.tree_networks[k]
-        sub_views, sub_report = tree_views(views, sub)
-        res = le_xi(sub_views, sub, report=sub_report)
-        filled = {i: (math.nan if v is None else v) for i, v in res.theta_hat.items()}
-        variances = observed_information(filled, sub_views, sub)
-        for i, est in res.theta_hat.items():
+    for (k, tree, n1, n0), xi in zip(per_tree, xis):
+        theta, tree_flags = _finish(xi, tree.order, tree.child_pos, range(len(xi)),
+                                    _tree_bad(tree, n1, n0))
+        variances = information_by_position(
+            [math.nan if v is None else v for v in theta.values()], n1, n0,
+            tree.parent_pos, tree.child_pos)
+        for i, est, var, flag in zip(tree.order, theta.values(), variances,
+                                     tree_flags.values()):
             if est is not None:
-                by_link[i].append((k, est, variances.get(i, math.nan), res.flags[i]))
-        iterations = max(iterations, res.iterations)
+                by_link[i].append((k, est, var, flag))
 
     theta_hat: dict[int, float | None] = {}
     flags: dict[int, str] = {}

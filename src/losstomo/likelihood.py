@@ -7,9 +7,10 @@ tests lean on that.  Boundary evaluations return -inf rather than raising,
 so optimizers can still compare candidates.  A term with a zero coefficient
 contributes nothing even when its log argument is zero.
 
-observed_information gives mvwa its per-link variances from the exact
-diagonal curvature of loglik_theta, one pass over the links with no
-finite differences.
+observed_information gives the exact diagonal curvature of loglik_theta,
+one pass over the links with no finite differences; mvwa reads the same
+computation on each tree's lists (information_by_position) for its
+per-link variances.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import child_product, psi_to_xi, theta_to_xi
+from .params import child_product, psi_to_xi, theta_to_xi, xi_by_position
 from .statistics import InternalView, internal_states
 from .topology import GeneralNetwork
 
@@ -109,37 +110,54 @@ def observed_information(theta, views: InternalView, net: GeneralNetwork
     positive come back as nan, and every link does when the likelihood at
     theta is not finite; callers fall back to probe-count weights.  A link
     with several parent links makes xi non-affine, so such a network raises
-    ValueError.
+    ValueError.  information_by_position is the same computation on lists.
     """
     multi = sorted(i for i, ups in net.parent_links.items() if len(ups) > 1)
     if multi:
         raise ValueError(f"observed_information needs at most one parent link per link; "
                          f"links {multi} have several")
-    if not math.isfinite(loglik_theta(views, theta, net).value):
-        return {i: math.nan for i in sorted(net.links)}
-    xi = theta_to_xi(theta, net)
-    # carried[i]: sum over i and its ancestors a of n0_a (dxi_a/dxi_i)^2 / xi_a^2
-    carried: dict[int, float] = {}
-    for i in net.order:
-        n0 = views.n0[i]
-        s = 0.0 if n0 == 0.0 else n0 / (xi[i] * xi[i])
-        if net.parent_links[i]:
-            a = net.parent_links[i][0]
+    variances = information_by_position(
+        [theta[i] for i in net.order], [views.n1[i] for i in net.order],
+        [views.n0[i] for i in net.order],
+        [ups[0] if ups else -1 for ups in net.parent_pos], net.child_pos)
+    return dict(sorted(zip(net.order, variances)))
+
+
+def information_by_position(theta: list[float], n1: list[int], n0: list[int],
+                            parent_pos, child_pos: tuple[tuple[int, ...], ...]
+                            ) -> list[float]:
+    """observed_information on lists over a parents-first order.
+
+    parent_pos holds one parent position per link (-1 at a root), as a
+    tree's parent_pos does; child_pos lists each link's children by
+    ascending link id.  xi is computed once, and the likelihood counts as
+    finite when each of its terms is, as loglik_theta's sum is short of an
+    overflow: a term c*log(a) with c != 0 needs 0 < a < inf.
+    """
+    xi = xi_by_position(theta, child_pos)
+    for th, v, c1, c0 in zip(theta, xi, n1, n0):
+        if not ((c1 == 0 or 0.0 < 1.0 - th < math.inf) and (c0 == 0 or 0.0 < v < math.inf)):
+            return [math.nan] * len(theta)
+    # carried[q]: sum over q and its ancestors a of n0_a (dxi_a/dxi_q)^2 / xi_a^2
+    carried: list[float] = []
+    for q, (a, c0) in enumerate(zip(parent_pos, n0)):
+        s = 0.0 if c0 == 0.0 else c0 / (xi[q] * xi[q])
+        if a >= 0:
             up = 1.0 - theta[a]
-            for b in net.child_links[a]:
-                if b != i:
+            for b in child_pos[a]:
+                if b != q:
                     up *= xi[b]
             s += up * up * carried[a]
-        carried[i] = s
-    variances: dict[int, float] = {}
-    for i in sorted(net.links):
-        th = theta[i]
+        carried.append(s)
+    variances: list[float] = []
+    for th, kids, c1, s in zip(theta, child_pos, n1, carried):
         curvature = math.nan
         if 0.0 < th < 1.0:
-            d = 1.0 - child_product(xi, net, i)
-            curvature = views.n1[i] / ((1.0 - th) * (1.0 - th)) + d * d * carried[i]
-        if math.isfinite(curvature) and curvature > 0.0:
-            variances[i] = 1.0 / curvature
-        else:
-            variances[i] = math.nan
+            prod = 0.0 if not kids else 1.0
+            for c in kids:
+                prod *= xi[c]
+            d = 1.0 - prod
+            curvature = c1 / ((1.0 - th) * (1.0 - th)) + d * d * s
+        variances.append(1.0 / curvature if math.isfinite(curvature) and curvature > 0.0
+                         else math.nan)
     return variances

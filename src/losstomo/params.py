@@ -93,6 +93,30 @@ def theta_to_xi(theta: dict[int, float | None], net: GeneralNetwork
     return dict(sorted(zip(net.order, xi)))
 
 
+def theta_by_position(xi: list[float | None], child_pos: tuple[tuple[int, ...], ...]
+                      ) -> list[float | None]:
+    """xi_to_theta on lists over net.order, given child_pos = net.child_pos."""
+    theta: list[float | None] = []
+    for v, kids in zip(xi, child_pos):
+        prod = 0.0 if not kids else 1.0
+        for c in kids:
+            w = xi[c]
+            if w is None:
+                prod = None
+                break
+            prod *= w
+        if v is None:
+            theta.append(None)
+        elif prod is None:
+            # children carry no information, so xi here was pinned at 1
+            theta.append(1.0)
+        elif prod >= 1.0:
+            theta.append(1.0 if v >= 1.0 else -math.inf)
+        else:
+            theta.append((v - prod) / (1.0 - prod))
+    return theta
+
+
 def xi_to_theta(xi: dict[int, float | None], net: GeneralNetwork
                 ) -> dict[int, float | None]:
     """Link loss rates from subtree loss rates.
@@ -102,20 +126,8 @@ def xi_to_theta(xi: dict[int, float | None], net: GeneralNetwork
     comes back <= 0 (or -inf when the product reaches 1), so callers can
     detect and project.  Use xi_membership to classify.
     """
-    theta: dict[int, float | None] = {}
-    for i in sorted(net.links):
-        v = xi[i]
-        prod = child_product(xi, net, i)
-        if v is None:
-            theta[i] = None
-        elif prod is None:
-            # children carry no information, so xi here was pinned at 1
-            theta[i] = 1.0
-        elif prod >= 1.0:
-            theta[i] = 1.0 if v >= 1.0 else -math.inf
-        else:
-            theta[i] = (v - prod) / (1.0 - prod)
-    return theta
+    theta = theta_by_position([xi[i] for i in net.order], net.child_pos)
+    return dict(sorted(zip(net.order, theta)))
 
 
 def xi_to_psi(xi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:

@@ -30,6 +30,9 @@ import numpy as np
 from .topology import GeneralNetwork, MulticastTree
 
 
+_COLUMN_BLOCK = 256   # patterns per block of internal_views' count product
+
+
 class DataError(ValueError):
     """Raised when observation data is malformed or inconsistent."""
 
@@ -196,7 +199,8 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
     (len(tree.order) x patterns) array.  From the last position up to the
     root's children, row q is ORed into row parent_pos[q], so a row holds
     the link's internal state per pattern; n_i(1) is that row dotted with
-    the counts, so probes are never replayed one by one, and n_i(0) is the
+    the counts, one block of _COLUMN_BLOCK patterns at a time, so probes are
+    never replayed one by one, and n_i(0) is the
     parent's n(1), or the tree's probes at the root, less n_i(1).  Bits
     are read by position, so check_fits first rejects a table that does
     not fit net.
@@ -213,7 +217,12 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
         seen[list(tree.leaf_pos)] = bits[k].T
         for q in range(len(up) - 1, 0, -1):
             seen[up[q]] |= seen[q]
-        n1 = (seen @ counts).tolist()
+        # in column blocks: a bool-by-int64 product casts its whole bool
+        # operand to int64 first
+        n1 = seen[:, :_COLUMN_BLOCK] @ counts[:_COLUMN_BLOCK]
+        for s in range(_COLUMN_BLOCK, len(table), _COLUMN_BLOCK):
+            n1 += seen[:, s:s + _COLUMN_BLOCK] @ counts[s:s + _COLUMN_BLOCK]
+        n1 = n1.tolist()
         n0 = [(n1[u] if u >= 0 else patterns.probes[k]) - v for u, v in zip(up, n1)]
         per_tree_n1[k] = {i: n1[pos[i]] for i in tree.links}
         per_tree_n0[k] = {i: n0[pos[i]] for i in tree.links}

@@ -7,15 +7,16 @@ leaf links, whose child nodes are the receivers.  All structural sets the
 estimators need (parent links, brother sets, child sets, topological
 orders) are derived once at construction and never mutated afterwards, so
 a network can be shared freely across threads.  The one exception is
-GeneralNetwork.tree_networks, built on first use; two threads racing to
+GeneralNetwork.tree_networks, the single-tree networks statistics.tree_views
+takes, built on first use (no estimator reads it); two threads racing to
 build it build equal values.
 
 The positional form indexes links by their place in a parents-first order:
 GeneralNetwork.pos (link id -> index in net.order), parent_pos and
-child_pos, read by params.xi_by_position and the pcem and nem E-steps; per
-tree, pos (link id -> index in tree.order), parent_pos (-1 at the root) and
-leaf_pos, read by the simulator, internal_views and nem.  No other module
-builds a link-to-index map.
+child_pos, read by params.xi_by_position, le_xi and the pcem and nem
+E-steps; per tree, pos (link id -> index in tree.order), parent_pos (-1 at
+the root), child_pos and leaf_pos, read by the simulator, internal_views,
+mvwa and nem.  No other module builds a link-to-index map.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class MulticastTree:
         order:      link ids, parents before children, ties by ascending id
         pos:        link id -> its position in order
         parent_pos: per position in order, the parent's position (-1 at the root)
+        child_pos:  per position in order, the children's positions, by ascending id
         leaf_pos:   positions in order of the leaves, in receiver bit order
     """
 
@@ -116,6 +118,11 @@ class MulticastTree:
         self.pos = pos = {i: q for q, i in enumerate(order)}
         self.parent_pos = tuple(pos[self.parent[i]] if i in self.parent else -1
                                 for i in order)
+        # the walk pops brothers in ascending id order, so each tuple is by id
+        below: list[list[int]] = [[] for _ in order]
+        for q in range(1, len(order)):
+            below[self.parent_pos[q]].append(q)
+        self.child_pos = tuple(map(tuple, below))
         self.leaves = tuple(sorted(i for i in self.links if not self.children[i]))
         self.leaf_pos = tuple(pos[i] for i in self.leaves)
 
@@ -246,6 +253,9 @@ def _merged_order(links: dict[int, LinkRecord], parents: dict[int, tuple[int, ..
             if pending[c] == 0:
                 heapq.heappush(ready, c)
     if len(out) != len(links):
+        # each tree's walk from its root rejects every cycle first: a cycle
+        # here would force, through the child-set agreement check, a cycle
+        # within one tree.  The guard stays in case that chain ever breaks.
         raise TopologyError("link graph contains a cycle")
     return tuple(out)
 

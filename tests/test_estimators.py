@@ -358,7 +358,7 @@ class TestMvwa:
         for i in (2, 3):
             assert avg.theta_hat[i] == pytest.approx(solo.theta_hat[i], abs=1e-12)
 
-    def test_sub_networks_built_once_per_network(self, monkeypatch):
+    def test_builds_no_sub_networks(self, monkeypatch):
         net = fixtures.twotree12()
         views, _ = internal_views(simulate(SimConfig(net, 200, seed=5),
                                            {i: 0.1 for i in net.links}), net)
@@ -372,7 +372,8 @@ class TestMvwa:
         monkeypatch.setattr(GeneralNetwork, "__init__", counted)
         first = mvwa(views, net)
         second = mvwa(views, net)
-        assert len(built) == len(net.trees)
+        assert built == []
+        assert "tree_networks" not in vars(net)
         assert first.theta_hat == second.theta_hat
 
     def test_single_tree_links_pass_through(self):

@@ -5,6 +5,8 @@ _solve_interiors call, which runs the scalar _solve_interior per set below
 BATCH_MIN_SETS sets and _solve_interior_rows from there on.  Estimates must
 not depend on the path, so every comparison here is bit for bit: floats by
 float.hex, results by repr (which also keeps dict order and the sign of 0).
+mvwa hands every tree's sets to one _solve_interiors call, and must equal
+tests/mvwa_reference.py, which runs le_xi on each tree's sub-network.
 """
 
 import math
@@ -23,6 +25,7 @@ from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import internal_views
 from losstomo.topology import parse_topology
 
+from mvwa_reference import mvwa_reference
 from test_estimators import _simulated_small_nets
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,3 +190,41 @@ def test_le_xi_and_mvwa_do_not_depend_on_the_path_large_nets(net, a, b, probes):
         batch_calls = _both_paths(views, net, estimator)
         # every call with interior solves went through the batched solve
         assert batch_calls and max(batch_calls) > estimators.BATCH_MIN_SETS
+
+
+@settings(max_examples=150, deadline=None)
+@given(_simulated_small_nets())
+def test_mvwa_equals_per_tree_reference_small_nets(case):
+    net, patterns = case
+    views, report = internal_views(patterns, net)
+    _assert_same_result(mvwa(views, net, report=report), mvwa_reference(views, net, report))
+
+
+def _four_trees_one_hub():
+    """Four trees, each a root link with two private leaves and one entry link
+    into node 1, below which all four share a complete binary subtree of 14
+    links: mvwa averages each shared link over four trees."""
+    links = [(u, 2 * u + c) for u in range(1, 8) for c in (0, 1)]
+    shared = list(range(1, len(links) + 1))
+    trees = []
+    for k in range(1, 5):
+        links += [(100 + k, 200 + k), (200 + k, 300 + 2 * k), (200 + k, 301 + 2 * k),
+                  (200 + k, 1)]
+        trees.append(f"tree {k} {len(links) - 3} : "
+                     + " ".join(map(str, [*range(len(links) - 3, len(links) + 1), *shared])))
+    return parse_topology("network hub4\n"
+                          + "".join(f"link {i} {u} {d}\n" for i, (u, d) in enumerate(links, 1))
+                          + "\n".join(trees))
+
+
+@pytest.mark.parametrize("net,a,b,probes", [
+    pytest.param(fixtures.kary_tree(4, 5), 1, 100, 2000, id="kary_4_5"),
+    pytest.param(HUB, 1, 100, 8000, id="hub-beta1_100"),
+    pytest.param(HUB, 1, 1000, 80000, id="hub-beta1_1000"),
+    # sums of four weighted estimates, whose order shows in the last bits
+    pytest.param(_four_trees_one_hub(), 1, 20, 2000, id="four_trees_one_hub"),
+])
+def test_mvwa_equals_per_tree_reference_large_nets(net, a, b, probes):
+    theta = sample_theta(a, b, net, np.random.default_rng(1)).theta
+    views, report = internal_views(simulate(SimConfig(net, probes, 1), theta), net)
+    _assert_same_result(mvwa(views, net, report=report), mvwa_reference(views, net, report))

@@ -419,6 +419,20 @@ def test_kary_tree_views_equal_reference():
     _assert_views_match_reference(patterns, net)
 
 
+@pytest.mark.parametrize("distinct", [255, 256, 257, 513])
+def test_views_across_column_blocks_equal_reference(distinct):
+    """internal_views sums its count product over blocks of 256 patterns; the
+    last pattern, alone in its block at 257 and 513, carries the largest count."""
+    net = fixtures.kary_tree(2, 4)
+    leaves = net.trees[0].leaves
+    rng = random.Random(distinct)
+    bits = [format(v, f"0{len(leaves)}b") for v in rng.sample(range(2 ** len(leaves)), distinct)]
+    table = {b: rng.randint(1, 9) for b in bits}
+    table[bits[-1]] = 1000
+    patterns = PatternTable("t", {1: sum(table.values())}, {1: leaves}, {1: table})
+    _assert_views_match_reference(patterns, net)
+
+
 @pytest.mark.parametrize("counts,msg", [
     ({"1x": 4}, "tree 1: bad pattern '1x'"),
     ({"٠1": 4}, "tree 1: bad pattern '٠1'"),

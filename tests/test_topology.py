@@ -153,6 +153,22 @@ def test_rejects_cycle_within_tree():
         parse_topology(text)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_networks())
+def test_tree_child_pos_lists_children_by_id(net):
+    for tree in net.trees:
+        assert tree.child_pos == tuple(tuple(tree.pos[c] for c in tree.children[i])
+                                       for i in tree.order)
+
+
+def test_rejects_detached_cycle():
+    # links 2 and 3 feed each other and hang from no node the root reaches
+    text = "network x\nlink 1 0 1\nlink 2 5 6\nlink 3 6 5\ntree 1 1 : 1 2 3\n"
+    with pytest.raises(TopologyError, match=r"tree 1: links \[2, 3\] are not reachable "
+                                            r"from the root"):
+        parse_topology(text)
+
+
 def test_rejects_inconsistent_child_sets():
     # link 2 is internal in tree 1 but a leaf in tree 2
     text = ("network x\n"
