@@ -6,9 +6,14 @@ Usage: python3 scripts/output_matrix.py OUTDIR
 Run it on two checkouts and compare them with `diff -r`: an empty diff
 shows that a change kept every output byte for byte.  The commands go
 through losstomo.cli.main in-process, with OUTDIR as the working
-directory, on the fixtures/*.topo networks plus shared_pair and
-kary_tree(4, 5), and on the benchmark's hub network (perfbench.inputs.hub_network(1),
-764 links in four trees, with shared and multi-parent links):
+directory, on the fixtures/*.topo networks plus shared_pair,
+kary_tree(4, 5) and SPLIT_NODE in both of its numberings, and on the
+benchmark's hub network (perfbench.inputs.hub_network(1), 764 links in four
+trees, with shared and multi-parent links).  SPLIT_NODE's node 1 is reached
+by link 1 in tree 1 and link 2 in tree 2, which continue through different
+subsets of its child links; the second numbering swaps ids 3 and 4, so the
+brother set at node 1 is fed by links 1 and 2 in one numbering and by link 2
+alone in the other.  The commands:
 
 * simulate at seeds 0-3 and Beta(1,100), Beta(5,1000) and Beta(1,10);
 * simulate twotree12 and kary_tree(4, 5) at MULTI_BLOCK_PROBES probes, so
@@ -63,6 +68,10 @@ BLOCK_EDGE_RUNS = (("twotree12", "8192"), ("twotree12", "8194"), ("layered49", "
 HUB_RUNS = (("1,100", "8000"), ("1,1000", "80000"))
 SMALL_HUB = HubShape(private_depth=3, hub_depth=3)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
+SPLIT_NODE = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 3 1 2\nlink 4 1 3\n"
+              "tree 1 1 : 1 3\ntree 2 2 : 2 3 4\n")
+SPLIT_NODE_SWAPPED = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 4 1 2\nlink 3 1 3\n"
+                      "tree 1 1 : 1 4\ntree 2 2 : 2 4 3\n")
 BAD_TOPOLOGIES = (
     "network x\nlink 1 0 1\nlink 1 0 2\ntree 1 1 : 1",
     "network x\nlink 1 0 1\ntree 1 1 : 1 2",
@@ -115,6 +124,8 @@ def run_matrix(log: list[str]) -> None:
             for p in sorted((ROOT / "fixtures").glob("*.topo"))}
     nets["shared_pair"] = serialize_topology(fixtures.shared_pair())
     nets["kary_4_5"] = serialize_topology(fixtures.kary_tree(4, 5))
+    nets["split_node"] = SPLIT_NODE
+    nets["split_node_swapped"] = SPLIT_NODE_SWAPPED
     methods = {}
     for name, text in nets.items():
         Path(f"{name}.topo").write_text(text, encoding="utf-8")

@@ -3,11 +3,11 @@
 Four procedures over the same internal-view statistics:
 
 * le_xi: solves the likelihood equations in the subtree-loss
-  parametrization, in three steps over the network's positional form.
-  The case split gives root links their closed form and settles every
-  brother set that needs no root; one _solve_interiors call solves the
-  rest; the finish maps xi to theta and flags.  The solves are independent
-  of each other and run on the calling thread by a size rule: below
+  parametrization on the network's positional form, in the two steps
+  mvwa runs per tree.  _solve_xi gives the links at root_pos their closed
+  form, settles every set of brother_pos that needs no root, and hands the
+  rest to one _solve_interiors call; _finish maps xi to theta and flags.
+  The solves run on the calling thread by a size rule: below
   BATCH_MIN_SETS sets that need an interior root, a pure-Python Newton
   loop per set; from there on, one numpy Newton pass over all those sets
   at once, masked per set once it meets SOLVER_TOL.  Both paths take the
@@ -17,14 +17,14 @@ Four procedures over the same internal-view statistics:
 * nem: the brute-force EM that enumerates, per distinct receiver pattern,
   every feasible assignment of link states.  Exponential cost; kept as an
   oracle for small networks and refused above 20 links.
-* mvwa: estimates each tree separately, on that tree's slice of the shared
-  views and on the tree's own positional form (no sub-network is built),
-  and combines shared links by inverse-variance weights.  It runs le_xi's
-  case split and finish per tree, but hands every tree's pending brother
-  sets to one joint _solve_interiors call, so the size rule sees all
-  trees' sets together.  The variances are the exact diagonal observed
-  information of each tree's likelihood; contributions without a usable
-  variance are dropped from the average.
+* mvwa: the same two steps on every tree at once, each on that tree's
+  slice of the shared views and its own positional form, with one joint
+  _solve_interiors call, so the size rule sees all trees' sets together;
+  each tree's flags come from statistics.regularity_by_position, the rule
+  regularity_report applies to the network.  Shared links are combined by
+  inverse-variance weights, the variances being the exact diagonal
+  observed information of each tree's likelihood; contributions without a
+  usable variance are dropped from the average.
 
 Estimates for links whose data fail the regularity conditions are still
 produced (projected onto [0, 1]) but flagged; links with no information at
@@ -42,8 +42,8 @@ import numpy as np
 
 from .likelihood import information_by_position, loglik_theta
 from .params import XI_BOUNDARY_TOL, theta_by_position, theta_to_xi, xi_by_position
-from .statistics import (InternalView, PatternTable, RegularityReport,
-                         internal_views, regularity_report)
+from .statistics import (InternalView, PatternTable, RegularityReport, internal_views,
+                         regularity_by_position, regularity_report)
 from .topology import GeneralNetwork, MulticastTree
 
 FLAG_OK = "ok"
@@ -295,21 +295,23 @@ def _solve_node(brothers: tuple[int, ...], r: list[float | None],
 
 
 def _solve_xi(problems) -> tuple[list[list[float | None]], int]:
-    """xi per position for each (brother sets, root positions, r) problem,
-    and the largest solver iteration count.
+    """xi per position for each (structure, r) problem, and the largest
+    solver iteration count.
 
-    r holds the confirmed pass fraction per position, None without
-    information.  Root links take their closed form and each brother set
-    goes through _solve_node; then the sets of every problem that wait on an
-    interior root go to one _solve_interiors call.
+    The structure is a network or a tree; r holds the confirmed pass
+    fraction per position of its order, None without information.  Links at
+    root_pos take their closed form and each set of brother_pos goes through
+    _solve_node; then the sets of every problem that wait on an interior
+    root go to one _solve_interiors call.
     """
     xis, pending = [], []
-    for sets, roots, r in problems:
+    for s, r in problems:
         xi: list[float | None] = [None] * len(r)
-        for q in roots:
+        for q in s.root_pos:
             if r[q] is not None:
                 xi[q] = 1.0 - r[q]
-        pending += ((xi, r, mid) for mid in [_solve_node(b, r, xi) for b in sets] if mid)
+        pending += ((xi, r, mid) for mid in [_solve_node(b, r, xi) for b in s.brother_pos]
+                    if mid)
         xis.append(xi)
     pis, iters = _solve_interiors([[r[j] for j in mid] for _, r, mid in pending])
     for (xi, r, mid), pi in zip(pending, pis):
@@ -318,13 +320,13 @@ def _solve_xi(problems) -> tuple[list[list[float | None]], int]:
     return xis, max(iters, default=0)
 
 
-def _finish(xi: list[float | None], order: tuple[int, ...],
-            child_pos: tuple[tuple[int, ...], ...], slots, bad
-            ) -> tuple[dict[int, float | None], dict[int, str]]:
-    """theta_hat and flags from the solved xi, keyed by link id, for the
-    positions in slots, in that order; bad holds the link ids whose data
-    fail the regularity conditions."""
-    theta = theta_by_position(xi, child_pos)
+def _finish(xi: list[float | None], s: GeneralNetwork | MulticastTree, slots,
+            bad: frozenset[int]) -> tuple[dict[int, float | None], dict[int, str]]:
+    """theta_hat and flags from xi, solved on the network or tree s, keyed by
+    link id, for the positions in slots, in that order; bad holds the link
+    ids the regularity report flags."""
+    order = s.order
+    theta = theta_by_position(xi, s.child_pos)
     raw = {}
     for q in slots:
         v = theta[q]
@@ -337,10 +339,6 @@ def _finish(xi: list[float | None], order: tuple[int, ...],
         raw[order[q]] = v
     theta_hat, clamped = project_to_theta_star(raw)
     return theta_hat, _assemble_flags(raw, bad, clamped)
-
-
-def _regular_bad(report: RegularityReport) -> frozenset[int]:
-    return report.n1_zero | report.n0_zero | report.brother_sum_violation
 
 
 def _assemble_flags(theta_raw: dict[int, float | None], bad,
@@ -362,24 +360,19 @@ def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
           report: RegularityReport | None = None) -> EstimateResult:
     """Likelihood-equation estimator.
 
-    Three steps over net's positional form: the case split (root closed
-    forms and _solve_node per brother set), one _solve_interiors call for
-    every set that needs an interior root (batched from BATCH_MIN_SETS sets
-    on), and _finish (xi to theta, boundary snap, projection, flags).
-    iterations is the largest solver iteration count.  workers is accepted
-    and ignored: the solves run on the calling thread.
+    mvwa's two steps on net alone: _solve_xi (root closed forms, _solve_node
+    per brother set, one _solve_interiors call, batched from BATCH_MIN_SETS
+    sets on) and _finish (xi to theta, boundary snap, projection, flags from
+    report).  iterations is the largest solver iteration count.  workers is
+    accepted and ignored: the solves run on the calling thread.
     """
     t0 = time.perf_counter()
     if report is None:
         report = regularity_report(views, net)
-    at = net.pos.__getitem__
-    sets = [tuple(map(at, brothers)) for brothers in net.brother_sets]
-    (xi,), iterations = _solve_xi([(sets, tuple(map(at, net.source_links)),
-                                    [views.r[i] for i in net.order])])
-    by_id = list(map(at, sorted(net.links)))
-    theta_hat, flags = _finish(xi, net.order, net.child_pos, by_id, _regular_bad(report))
-    return EstimateResult("le-xi", theta_hat, {net.order[q]: xi[q] for q in by_id}, flags,
-                          iterations, report, time.perf_counter() - t0)
+    (xi,), iterations = _solve_xi([(net, [views.r[i] for i in net.order])])
+    theta_hat, flags = _finish(xi, net, net.id_pos, report.flagged())
+    return EstimateResult("le-xi", theta_hat, {net.order[q]: xi[q] for q in net.id_pos},
+                          flags, iterations, report, time.perf_counter() - t0)
 
 
 def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float,
@@ -427,7 +420,7 @@ def _finish_em(method: str, net: GeneralNetwork, report: RegularityReport,
     theta_hat: dict[int, float | None] = {}
     for i in net.links:
         theta_hat[i] = None if i in report.no_information else theta_map[i]
-    flags = _assemble_flags(theta_hat, _regular_bad(report), frozenset())
+    flags = _assemble_flags(theta_hat, report.flagged(), frozenset())
     xi_hat = theta_to_xi(theta_hat, net)
     return EstimateResult(method, theta_hat, xi_hat, flags, iterations,
                           report, time.perf_counter() - t0,
@@ -561,17 +554,6 @@ def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1
                       converged, ll_path, th_path, t0)
 
 
-def _tree_bad(tree: MulticastTree, n1: list[int], n0: list[int]) -> set[int]:
-    """Links whose data fail the regularity conditions on the tree alone:
-    regularity_report's sets on the tree's own counts, but for the
-    no-information links, which come back None before any flag is read."""
-    bad = {i for i, c1, c0 in zip(tree.order, n1, n0) if c1 == 0 or c0 == 0}
-    for c1, kids in zip(n1, tree.child_pos):
-        if kids and c1 > 0 and c1 >= sum(n1[c] for c in kids):
-            bad.update(tree.order[c] for c in kids)
-    return bad
-
-
 def mvwa(views: InternalView, net: GeneralNetwork,
          report: RegularityReport | None = None) -> EstimateResult:
     """Per-tree estimates combined by minimum-variance weighted averaging.
@@ -579,7 +561,8 @@ def mvwa(views: InternalView, net: GeneralNetwork,
     Each tree is estimated as le_xi would on a network of that tree alone,
     on the tree's slice of the views and its positional form, so no
     sub-network is built; every tree's sets that need an interior root go
-    to one _solve_interiors call.  Links seen by several trees are
+    to one _solve_interiors call, and regularity_by_position flags each
+    tree's links on its own counts.  Links seen by several trees are
     averaged, in ascending tree id, with weights 1/variance from the exact
     diagonal observed information of the tree's own likelihood.  A per-tree
     estimate with no usable variance (boundary point, flat curvature) gets
@@ -597,15 +580,14 @@ def mvwa(views: InternalView, net: GeneralNetwork,
         n0 = list(map(views.per_tree_n0[k].__getitem__, tree.order))
         per_tree.append((k, tree, n1, n0))
     xis, iterations = _solve_xi(
-        ([c for c in tree.child_pos if c], (0,),
-         [c1 / (c1 + c0) if c1 + c0 > 0 else None for c1, c0 in zip(n1, n0)])
+        (tree, [c1 / (c1 + c0) if c1 + c0 > 0 else None for c1, c0 in zip(n1, n0)])
         for _, tree, n1, n0 in per_tree)
 
     # link -> (tree id, estimate, variance, flag) per estimating tree, by tree id
     by_link: dict[int, list[tuple[int, float, float, str]]] = {i: [] for i in net.links}
     for (k, tree, n1, n0), xi in zip(per_tree, xis):
-        theta, tree_flags = _finish(xi, tree.order, tree.child_pos, range(len(xi)),
-                                    _tree_bad(tree, n1, n0))
+        theta, tree_flags = _finish(xi, tree, range(len(xi)),
+                                    regularity_by_position(tree, n1, n0).flagged())
         variances = information_by_position(
             [math.nan if v is None else v for v in theta.values()], n1, n0,
             tree.parent_pos, tree.child_pos)

@@ -120,7 +120,7 @@ def observed_information(theta, views: InternalView, net: GeneralNetwork
         [theta[i] for i in net.order], [views.n1[i] for i in net.order],
         [views.n0[i] for i in net.order],
         [ups[0] if ups else -1 for ups in net.parent_pos], net.child_pos)
-    return dict(sorted(zip(net.order, variances)))
+    return {net.order[q]: variances[q] for q in net.id_pos}
 
 
 def information_by_position(theta: list[float], n1: list[int], n0: list[int],

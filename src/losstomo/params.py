@@ -90,7 +90,7 @@ def theta_to_xi(theta: dict[int, float | None], net: GeneralNetwork
                 ) -> dict[int, float | None]:
     """Subtree loss rates from link loss rates (leaf-to-root recursion)."""
     xi = xi_by_position([theta[i] for i in net.order], net.child_pos)
-    return dict(sorted(zip(net.order, xi)))
+    return {net.order[q]: xi[q] for q in net.id_pos}
 
 
 def theta_by_position(xi: list[float | None], child_pos: tuple[tuple[int, ...], ...]
@@ -127,7 +127,7 @@ def xi_to_theta(xi: dict[int, float | None], net: GeneralNetwork
     detect and project.  Use xi_membership to classify.
     """
     theta = theta_by_position([xi[i] for i in net.order], net.child_pos)
-    return dict(sorted(zip(net.order, theta)))
+    return {net.order[q]: theta[q] for q in net.id_pos}
 
 
 def xi_to_psi(xi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:

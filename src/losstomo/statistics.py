@@ -271,24 +271,28 @@ def _aggregate(per_tree_n1: dict[int, dict[int, int]],
 
 
 def regularity_report(view: InternalView, net: GeneralNetwork) -> RegularityReport:
-    n1_zero, n0_zero, no_info, brother_bad = set(), set(), set(), set()
-    for i in net.links:
-        if view.n1[i] + view.n0[i] == 0:
-            no_info.add(i)
-            continue
-        if view.n1[i] == 0:
-            n1_zero.add(i)
-        if view.n0[i] == 0:
-            n0_zero.add(i)
-    for brothers in net.brother_sets:
-        parents = net.parent_links[brothers[0]]
-        attempts = sum(view.n1[p] for p in parents)
-        passes = sum(view.n1[j] for j in brothers)
-        if attempts > 0 and attempts >= passes:
-            brother_bad.update(brothers)
-    all_ok = not (n1_zero or n0_zero or no_info or brother_bad)
-    return RegularityReport(frozenset(n1_zero), frozenset(n0_zero),
-                            frozenset(no_info), frozenset(brother_bad), all_ok)
+    """regularity_by_position on the aggregated views, over net.order."""
+    return regularity_by_position(net, list(map(view.n1.__getitem__, net.order)),
+                                  list(map(view.n0.__getitem__, net.order)))
+
+
+def regularity_by_position(s: GeneralNetwork | MulticastTree, n1: list, n0: list
+                           ) -> RegularityReport:
+    """The regularity conditions on counts per position of s.order, s a network
+    or a tree: brother set s.brother_pos[k] fails when the links feeding it,
+    s.feed_pos[k], confirm some passes and at least as many as its brothers."""
+    order, at = s.order, n1.__getitem__
+    no_info = frozenset([i for i, c1, c0 in zip(order, n1, n0) if c1 + c0 == 0])
+    n1_zero = frozenset([i for i, c in zip(order, n1) if c == 0]) - no_info
+    n0_zero = frozenset([i for i, c in zip(order, n0) if c == 0]) - no_info
+    bad: list[int] = []
+    for brothers, feeds in zip(s.brother_pos, s.feed_pos):
+        attempts = sum(map(at, feeds))
+        if attempts > 0 and attempts >= sum(map(at, brothers)):
+            bad += brothers
+    brother_bad = frozenset(map(order.__getitem__, bad))
+    return RegularityReport(n1_zero, n0_zero, no_info, brother_bad,
+                            not (n1_zero or n0_zero or no_info or brother_bad))
 
 
 def parse_data(text: str, net: GeneralNetwork) -> PatternTable:

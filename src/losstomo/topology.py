@@ -8,15 +8,19 @@ estimators need (parent links, brother sets, child sets, topological
 orders) are derived once at construction and never mutated afterwards, so
 a network can be shared freely across threads.  The one exception is
 GeneralNetwork.tree_networks, the single-tree networks statistics.tree_views
-takes, built on first use (no estimator reads it); two threads racing to
-build it build equal values.
+takes, built on first use; only the tests' reference mvwa reads either of
+them.  Two threads racing to build it build equal values.
 
 The positional form indexes links by their place in a parents-first order:
-GeneralNetwork.pos (link id -> index in net.order), parent_pos and
-child_pos, read by params.xi_by_position, le_xi and the pcem and nem
-E-steps; per tree, pos (link id -> index in tree.order), parent_pos (-1 at
-the root), child_pos and leaf_pos, read by the simulator, internal_views,
-mvwa and nem.  No other module builds a link-to-index map.
+GeneralNetwork.pos (link id -> index in net.order), parent_pos, child_pos
+and id_pos (the positions in ascending link id), read by
+params.xi_by_position, le_xi and the pcem and nem E-steps; per tree, pos
+(link id -> index in tree.order), parent_pos (-1 at the root), child_pos and
+leaf_pos, read by the simulator, internal_views, mvwa and nem.  Both carry
+their brother sets as position tuples (brother_pos), the positions of the
+links feeding each set (feed_pos) and of the root links (root_pos), read by
+statistics.regularity_by_position, le_xi and mvwa.  No other module builds
+a link-to-index map.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ class MulticastTree:
         parent_pos: per position in order, the parent's position (-1 at the root)
         child_pos:  per position in order, the children's positions, by ascending id
         leaf_pos:   positions in order of the leaves, in receiver bit order
+        brother_pos, feed_pos, root_pos: the brother sets (each non-empty
+                    child_pos group), the one parent feeding each, and (0,)
     """
 
     def __init__(self, tree_id: int, root_link: int, link_ids: Iterable[int],
@@ -123,6 +129,9 @@ class MulticastTree:
         for q in range(1, len(order)):
             below[self.parent_pos[q]].append(q)
         self.child_pos = tuple(map(tuple, below))
+        self.brother_pos = tuple(c for c in self.child_pos if c)
+        self.feed_pos = tuple((q,) for q, c in enumerate(self.child_pos) if c)
+        self.root_pos = (0,)
         self.leaves = tuple(sorted(i for i in self.links if not self.children[i]))
         self.leaf_pos = tuple(pos[i] for i in self.leaves)
 
@@ -198,20 +207,21 @@ class GeneralNetwork:
 
         # child links grouped by the node they hang from; the unit of the
         # brother-set solves (source nodes excluded, their single child is a root)
-        root_set = set(self.source_links)
-        groups: dict[int, set[int]] = {}
-        for i, rec in self.links.items():
-            if i in root_set:
-                continue
-            groups.setdefault(rec.parent_node, set()).add(i)
-        self.brother_sets = tuple(
-            tuple(sorted(g)) for _, g in sorted(groups.items()))
+        groups: dict[int, list[int]] = {}
+        for i in sorted(set(self.links) - set(self.source_links)):
+            groups.setdefault(self.links[i].parent_node, []).append(i)
+        self.brother_sets = tuple(tuple(g) for _, g in sorted(groups.items()))
 
         self.order = _merged_order(self.links, self.parent_links)
         self.pos = {i: p for p, i in enumerate(self.order)}
         at = self.pos.__getitem__
         self.parent_pos = tuple([tuple(map(at, self.parent_links[i])) for i in self.order])
         self.child_pos = tuple([tuple(map(at, self.child_links[i])) for i in self.order])
+        # each brother set is fed by the parent links of its smallest-id brother
+        self.brother_pos = tuple([tuple(map(at, b)) for b in self.brother_sets])
+        self.feed_pos = tuple([self.parent_pos[b[0]] for b in self.brother_pos])
+        self.root_pos = tuple(map(at, self.source_links))
+        self.id_pos = tuple(map(at, sorted(self.links)))
 
     def __eq__(self, other):
         return (isinstance(other, GeneralNetwork)
