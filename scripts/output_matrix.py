@@ -36,7 +36,13 @@ alone in the other.  The commands:
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
   star3 data, and bench on fixtures/table_grid.txt over layered49;
 * one estimate per BAD_TOPOLOGIES file, each malformed in a different way
-  (exit 2), so the log pins every topology error message.
+  (exit 2), so the log pins every topology error message;
+* one le-xi estimate on star3 per BAD_DATA file, each malformed in a
+  different way (exit 2), so the log pins every data error message through
+  the CLI, the line-numbered ones included;
+* le-xi on valid but unusual rewrites (UNUSUAL) of star3's fixture data and
+  of the twotree12 and hub data files: comments, tabs, blank lines, CRLF
+  line ends, and pattern lines before and between the header lines.
 
 Every file the commands write stays in OUTDIR; commands.log holds each
 command with its exit code and stderr.  Nothing is timed: the bench CSV
@@ -91,6 +97,45 @@ BAD_TOPOLOGIES = (
     # tree 1's root link reused below tree 2's root, which enters tree 1's source
     "network x\nlink 1 0 1\nlink 2 1 2\nlink 4 7 0\ntree 1 1 : 1 2\ntree 2 4 : 4 1 2",
 )
+
+STAR_HEAD = "data x\nprobes 1 2\nreceivers 1 : 2 3\n"
+BAD_DATA = (
+    "probes 1 2\nreceivers 1 : 2 3\npattern 1 11 2\n",
+    STAR_HEAD + "pattern 1 11 1\n",
+    "data x\nprobes 1 1\nreceivers 1 : 3 2\npattern 1 11 1\n",
+    STAR_HEAD + "pattern 1 111 2\n",
+    "data x\nprobes 1 1\npattern 1 11 1\n",
+    "data x\nprobes 9 1\nreceivers 9 : 2 3\npattern 9 11 1\n",
+    STAR_HEAD + "pattern 1 11 1\npattern 1 11 1\n",
+    # one tree id spelled two ways
+    STAR_HEAD + "pattern 1 11 1\npattern 01 11 1\n",
+    STAR_HEAD + "pattern 1 11 1\nbogus 1\n",
+    "data x\nprobes 1 1\nprobes 1 1\nreceivers 1 : 2 3\npattern 1 11 1\n",
+    "data x\nprobes 1 1\nreceivers 1 : 2 3\nreceivers 1 : 2 3\npattern 1 11 1\n",
+    STAR_HEAD + "pattern 1 11 x\npattern 1 10 1\n",
+    # a comment cuts a pattern line short
+    STAR_HEAD + "pattern 1 11 # 1\npattern 1 10 1\n",
+    # the right number of tokens in all, the wrong number on each line
+    STAR_HEAD + "pattern 1 11 1 5\npattern 1 10\n",
+    STAR_HEAD + "pattern 1 11 1\npattern 2 10 1\n",
+    STAR_HEAD + "pattern 1 11 0\npattern 1 10 2\n",
+    "data x y\nprobes 1 2\nreceivers 1 : 2 3\npattern 1 11 2\n",
+    "data x\nprobes 1 2\nreceivers 1 2 3\npattern 1 11 2\n",
+)
+UNUSUAL = ("comments", "crlf-tabs", "out-of-order")
+
+
+def _unusual(text: str, kind: str) -> str:
+    """text rewritten as a valid data file of the given UNUSUAL kind."""
+    lines = text.splitlines()
+    head = [line for line in lines if not line.startswith("pattern ")]
+    patterns = [line for line in lines if line.startswith("pattern ")]
+    if kind == "comments":
+        return "".join(f"# line {n}\n{line}  # trailing\n" for n, line in enumerate(lines))
+    if kind == "crlf-tabs":
+        return "\r\n".join(["", *("\t".join(line.split()) for line in lines), "  "]) + "\r\n"
+    half = len(patterns) // 2
+    return "\n".join(patterns[half:] + head[::-1] + patterns[:half]) + "\n"
 
 
 def _run(log: list[str], *argv: str) -> None:
@@ -170,6 +215,22 @@ def run_matrix(log: list[str]) -> None:
         Path(f"bad{n}.topo").write_text(text, encoding="utf-8")
         _run(log, "estimate", "--topology", f"bad{n}.topo", "--data", "all-dark.data",
              "--method", "le-xi", "--out", f"bad{n}.csv")
+
+    for n, text in enumerate(BAD_DATA):
+        Path(f"bad{n}.data").write_text(text, encoding="utf-8")
+        _run(log, "estimate", "--topology", "star3.topo", "--data", f"bad{n}.data",
+             "--method", "le-xi", "--out", f"bad{n}.data.csv")
+
+    sources = {"star3": (ROOT / "fixtures" / "star3.data").read_text(encoding="utf-8"),
+               "twotree12": Path("twotree12.beta1_100.seed0.data").read_text(encoding="utf-8"),
+               "hub": Path("hub.beta1_100.seed0.probes8000.data").read_text(encoding="utf-8")}
+    for name, text in sources.items():
+        for kind in UNUSUAL:
+            stem = f"{name}.{kind}"
+            with open(f"{stem}.data", "w", encoding="utf-8", newline="") as f:
+                f.write(_unusual(text, kind))
+            _run(log, "estimate", "--topology", f"{name}.topo", "--data", f"{stem}.data",
+                 "--method", "le-xi", "--out", f"{stem}.csv")
 
 
 def main(argv: list[str]) -> int:

@@ -11,7 +11,7 @@ from .params import (LossRates, parse_rates, psi_to_xi, serialize_rates, theta_t
 from .simulator import SimConfig, sample_theta, simulate
 from .statistics import (DataError, InternalView, PatternTable, RegularityReport,
                          collapse_patterns, internal_states, internal_views,
-                         parse_data, regularity_report, serialize_data, tree_views)
+                         parse_data, regularity_report, serialize_data)
 from .topology import (GeneralNetwork, LinkRecord, MulticastTree, TopologyError,
                        parse_topology, serialize_topology)
 

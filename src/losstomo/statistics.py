@@ -11,6 +11,9 @@ count of confirmed passes, and the count of probes confirmed at the parent
 but unseen below the link.  Internal views add across trees for links
 shared by several trees.
 
+parse_data splits and checks the pattern lines in bulk (keyword_block) and
+reads the file line by line when a check fails, to name the first bad line.
+
 Views are counted on arrays, one tree at a time, on the tree's positional
 form: the bit matrix of the tree's distinct patterns fills the leaf rows of
 a (links x patterns) array in tree.order, each row is ORed into its
@@ -24,10 +27,11 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .topology import GeneralNetwork, MulticastTree
+from .topology import GeneralNetwork, MulticastTree, keyword_block
 
 
 _COLUMN_BLOCK = 256   # patterns per block of internal_views' count product
@@ -209,6 +213,7 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
     bits = {k: patterns.bit_matrix(k) for k in patterns.probes}
     per_tree_n1: dict[int, dict[int, int]] = {}
     per_tree_n0: dict[int, dict[int, int]] = {}
+    agg1, agg0 = dict.fromkeys(net.links, 0), dict.fromkeys(net.links, 0)
     for k, table in patterns.counts.items():
         tree = net.tree_by_id[k]
         up, pos = tree.parent_pos, tree.pos
@@ -226,7 +231,13 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
         n0 = [(n1[u] if u >= 0 else patterns.probes[k]) - v for u, v in zip(up, n1)]
         per_tree_n1[k] = {i: n1[pos[i]] for i in tree.links}
         per_tree_n0[k] = {i: n0[pos[i]] for i in tree.links}
-    return _aggregate(per_tree_n1, per_tree_n0, dict(patterns.probes), net)
+        for i, c1, c0 in zip(tree.order, n1, n0):
+            agg1[i] += c1
+            agg0[i] += c0
+    r = {i: agg1[i] / (agg1[i] + agg0[i]) if agg1[i] + agg0[i] > 0 else None
+         for i in net.links}
+    view = InternalView(per_tree_n1, per_tree_n0, agg1, agg0, r, dict(patterns.probes))
+    return view, regularity_report(view, net)
 
 
 def check_fits(patterns: PatternTable, net: GeneralNetwork):
@@ -241,33 +252,6 @@ def check_fits(patterns: PatternTable, net: GeneralNetwork):
         if patterns.receivers.get(k) != expected:
             raise DataError(f"tree {k}: receivers {patterns.receivers.get(k)} "
                             f"do not match leaf links {expected}")
-
-
-def tree_views(views: InternalView, tree_net: GeneralNetwork
-               ) -> tuple[InternalView, RegularityReport]:
-    """internal_views of tree_net, a network of one tree, sliced from views."""
-    k = tree_net.trees[0].tree_id
-    return _aggregate({k: views.per_tree_n1[k]}, {k: views.per_tree_n0[k]},
-                      {k: views.probes[k]}, tree_net)
-
-
-def _aggregate(per_tree_n1: dict[int, dict[int, int]],
-               per_tree_n0: dict[int, dict[int, int]], probes: dict[int, int],
-               net: GeneralNetwork) -> tuple[InternalView, RegularityReport]:
-    agg1 = {i: 0 for i in net.links}
-    agg0 = {i: 0 for i in net.links}
-    for k in per_tree_n1:
-        for i, v in per_tree_n1[k].items():
-            agg1[i] += v
-        for i, v in per_tree_n0[k].items():
-            agg0[i] += v
-    r: dict[int, float | None] = {}
-    for i in net.links:
-        tot = agg1[i] + agg0[i]
-        r[i] = agg1[i] / tot if tot > 0 else None
-
-    view = InternalView(per_tree_n1, per_tree_n0, agg1, agg0, r, probes)
-    return view, regularity_report(view, net)
 
 
 def regularity_report(view: InternalView, net: GeneralNetwork) -> RegularityReport:
@@ -298,18 +282,22 @@ def regularity_by_position(s: GeneralNetwork | MulticastTree, n1: list, n0: list
 def parse_data(text: str, net: GeneralNetwork) -> PatternTable:
     """Parse the line-oriented observation format.
 
-    Grammar::
+    Grammar (tokens whitespace separated, '#' starts a comment)::
 
         data <name>
         probes <tree_id> <n_k>
         receivers <tree_id> : <leaf_link_id> ...
         pattern <tree_id> <bitstring> <count>
+
+    The pattern lines are split and checked in bulk, and the loop below reads
+    the other lines; it reads them all when a bulk check fails, so that an
+    error names the first bad line.
     """
+    others, counts = keyword_block(text, "pattern", 4, _pattern_counts)
     name = None
     probes: dict[int, int] = {}
     receivers: dict[int, tuple[int, ...]] = {}
-    counts: dict[int, dict[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in others:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -359,6 +347,20 @@ def parse_data(text: str, net: GeneralNetwork) -> PatternTable:
     check_fits(table, net)
     table.validate()
     return table
+
+
+def _pattern_counts(trees: list[str], bits: list[str], cs: list[str]) -> dict:
+    """Pattern columns as tree id -> pattern -> count; ValueError for a malformed
+    integer, a repeat, or a tree in two runs of lines or spelled two ways."""
+    counts, at, ints = {}, 0, {c: int(c) for c in set(cs)}   # few distinct counts
+    for k, same in groupby(trees):
+        end = at + len(list(same))
+        table = dict(zip(bits[at:end], map(ints.__getitem__, cs[at:end])))
+        if int(k) in counts or len(table) < end - at:
+            raise ValueError(f"tree {k}: a repeated pattern or a second run")
+        counts[int(k)] = table
+        at = end
+    return counts
 
 
 def serialize_data(patterns: PatternTable) -> str:

@@ -5,11 +5,8 @@ set of multicast trees that cover those links.  Each tree has a root link
 fed by a dedicated source node; probes travel from the source toward the
 leaf links, whose child nodes are the receivers.  All structural sets the
 estimators need (parent links, brother sets, child sets, topological
-orders) are derived once at construction and never mutated afterwards, so
-a network can be shared freely across threads.  The one exception is
-GeneralNetwork.tree_networks, the single-tree networks statistics.tree_views
-takes, built on first use; only the tests' reference mvwa reads either of
-them.  Two threads racing to build it build equal values.
+orders) are derived once at construction, mostly by zips and maps, and
+never mutated afterwards, so a network can be shared freely across threads.
 
 The positional form indexes links by their place in a parents-first order:
 GeneralNetwork.pos (link id -> index in net.order), parent_pos, child_pos
@@ -21,13 +18,19 @@ their brother sets as position tuples (brother_pos), the positions of the
 links feeding each set (feed_pos) and of the root links (root_pos), read by
 statistics.regularity_by_position, le_xi and mvwa.  No other module builds
 a link-to-index map.
+
+parse_topology and parse_data split their block of link or pattern lines in
+one pass (keyword_block) and check it in bulk; their line loop reads the few
+other lines, and the whole file only when a bulk check fails, for a bad or
+an unusual file (comments or tabs in the block), so errors name their line.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
+from itertools import accumulate, chain, repeat
+from operator import eq
 from typing import Iterable
 
 
@@ -35,19 +38,17 @@ class TopologyError(ValueError):
     """Raised when a topology file or structure is invalid."""
 
 
-@dataclass(frozen=True)
-class LinkRecord:
-    """One directed link. The child node receives what the parent forwards."""
+class LinkRecord(namedtuple("LinkRecord", "link_id parent_node child_node")):
+    """One directed link, a named tuple. The child node receives what the parent forwards."""
 
-    link_id: int
-    parent_node: int
-    child_node: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.link_id <= 0:
-            raise TopologyError(f"link id must be positive, got {self.link_id}")
-        if self.parent_node == self.child_node:
-            raise TopologyError(f"link {self.link_id} is a self-loop at node {self.parent_node}")
+    def __new__(cls, link_id: int, parent_node: int, child_node: int):
+        if link_id <= 0:
+            raise TopologyError(f"link id must be positive, got {link_id}")
+        if parent_node == child_node:
+            raise TopologyError(f"link {link_id} is a self-loop at node {parent_node}")
+        return super().__new__(cls, link_id, parent_node, child_node)
 
 
 class MulticastTree:
@@ -78,62 +79,60 @@ class MulticastTree:
             raise TopologyError(f"tree {tree_id} has no links")
         if root_link not in self.links:
             raise TopologyError(f"tree {tree_id}: root link {root_link} not in its link list")
-        for i in self.links:
-            if i not in records:
-                raise TopologyError(f"tree {tree_id} references unknown link {i}")
+        if not records.keys() >= self.links:
+            i = next(i for i in self.links if i not in records)
+            raise TopologyError(f"tree {tree_id} references unknown link {i}")
 
-        by_child_node = {}
-        for i in sorted(self.links):
-            node = records[i].child_node
-            if node in by_child_node:
-                raise TopologyError(
-                    f"tree {tree_id}: links {by_child_node[node]} and {i} both end at node {node}")
-            by_child_node[node] = i
+        ids = sorted(self.links)
+        _, ups, downs = zip(*map(records.__getitem__, ids))
+        by_child_node = dict(zip(downs, ids))
+        if len(by_child_node) < len(ids):
+            q = next(q for q, node in enumerate(downs) if node in downs[:q])
+            raise TopologyError(f"tree {tree_id}: links {ids[downs.index(downs[q])]} and "
+                                f"{ids[q]} both end at node {downs[q]}")
 
         source = records[root_link].parent_node
         if source in by_child_node:
             raise TopologyError(
                 f"tree {tree_id}: source node {source} is a child node within the tree")
 
-        self.parent: dict[int, int] = {}
-        kids: dict[int, list[int]] = {i: [] for i in self.links}
-        for i in sorted(self.links):
-            if i == root_link:
-                continue
-            up = by_child_node.get(records[i].parent_node)
+        # ids ascend, so each link's children are appended in ascending order
+        self.parent = dict(zip(ids, map(by_child_node.get, ups)))
+        del self.parent[root_link]
+        kids: dict[int, list[int]] = {i: [] for i in ids}
+        for i, up in self.parent.items():
             if up is None:
                 raise TopologyError(
                     f"tree {tree_id}: link {i} hangs from node {records[i].parent_node} "
                     f"which no tree link reaches")
-            self.parent[i] = up
             kids[up].append(i)
-        self.children = {i: tuple(sorted(c)) for i, c in kids.items()}
+        self.children = dict(zip(kids, map(tuple, kids.values())))
 
         # parents-before-children walk; also proves every link is reachable
         order: list[int] = []
-        frontier = [root_link]
+        frontier, push, pop = [root_link], heapq.heappush, heapq.heappop
         while frontier:
-            i = heapq.heappop(frontier)
+            i = pop(frontier)
             order.append(i)
             for c in self.children[i]:
-                heapq.heappush(frontier, c)
+                push(frontier, c)
         if len(order) != len(self.links):
             missing = sorted(self.links - set(order))
             raise TopologyError(f"tree {tree_id}: links {missing} are not reachable from the root")
         self.order = tuple(order)
-        self.pos = pos = {i: q for q, i in enumerate(order)}
-        self.parent_pos = tuple(pos[self.parent[i]] if i in self.parent else -1
-                                for i in order)
+        self.pos = pos = dict(zip(order, range(len(order))))
+        # the root's parent is None, at position -1
+        self.parent_pos = tuple(map(pos.get, map(self.parent.get, order), repeat(-1)))
         # the walk pops brothers in ascending id order, so each tuple is by id
         below: list[list[int]] = [[] for _ in order]
-        for q in range(1, len(order)):
-            below[self.parent_pos[q]].append(q)
+        for q, up in enumerate(self.parent_pos[1:], 1):
+            below[up].append(q)
         self.child_pos = tuple(map(tuple, below))
-        self.brother_pos = tuple(c for c in self.child_pos if c)
+        self.brother_pos = tuple(filter(None, self.child_pos))
         self.feed_pos = tuple((q,) for q, c in enumerate(self.child_pos) if c)
         self.root_pos = (0,)
-        self.leaves = tuple(sorted(i for i in self.links if not self.children[i]))
-        self.leaf_pos = tuple(pos[i] for i in self.leaves)
+        self.leaves = tuple(i for i, c in self.children.items() if not c)
+        self.leaf_pos = tuple(map(pos.__getitem__, self.leaves))
 
     def __eq__(self, other):
         return (isinstance(other, MulticastTree)
@@ -160,11 +159,7 @@ class GeneralNetwork:
 
     def __init__(self, name: str, records: Iterable[LinkRecord], trees: Iterable[MulticastTree]):
         self.name = name
-        self.links: dict[int, LinkRecord] = {}
-        for rec in records:
-            if rec.link_id in self.links:
-                raise TopologyError(f"duplicate link id {rec.link_id}")
-            self.links[rec.link_id] = rec
+        self.links = _by_id(list(records))
         self.trees = tuple(sorted(trees, key=lambda t: t.tree_id))
         if not self.trees:
             raise TopologyError("network has no trees")
@@ -187,41 +182,37 @@ class GeneralNetwork:
                 raise TopologyError(
                     f"link {rec.link_id} ends at source node {rec.child_node}")
 
-        # one walk over each tree's links: the network-level child set, which
-        # must agree across trees, and the parent links from every tree
+        # a link's child set is its first tree's, and every tree repeats it
         self.child_links: dict[int, tuple[int, ...]] = {}
-        ups: dict[int, set[int]] = {i: set() for i in self.links}
+        for t in reversed(self.trees):
+            self.child_links.update(t.children)
         for t in self.trees:
-            for i in t.links:
-                cs = t.children[i]
-                if i in self.child_links:
-                    if self.child_links[i] != cs:
-                        raise TopologyError(
-                            f"link {i} has child links {self.child_links[i]} in one tree "
-                            f"but {cs} in tree {t.tree_id}")
-                else:
-                    self.child_links[i] = cs
-                if i in t.parent:
-                    ups[i].add(t.parent[i])
-        self.parent_links = {i: tuple(sorted(ups[i])) for i in sorted(self.links)}
-
-        # child links grouped by the node they hang from; the unit of the
-        # brother-set solves (source nodes excluded, their single child is a root)
+            if not t.children.items() <= self.child_links.items():
+                i = next(i for i in t.links if self.child_links[i] != t.children[i])
+                raise TopologyError(
+                    f"link {i} has child links {self.child_links[i]} in one tree "
+                    f"but {t.children[i]} in tree {t.tree_id}")
+        # in ascending id: the parent links, and the links grouped by the node
+        # they hang from, the brother sets (a source node's one child is a root)
+        ups: dict[int, list[int]] = {i: [] for i in sorted(self.links)}
         groups: dict[int, list[int]] = {}
-        for i in sorted(set(self.links) - set(self.source_links)):
-            groups.setdefault(self.links[i].parent_node, []).append(i)
-        self.brother_sets = tuple(tuple(g) for _, g in sorted(groups.items()))
+        for i, rec in zip(ups, map(self.links.__getitem__, ups)):
+            for c in self.child_links[i]:
+                ups[c].append(i)
+            groups.setdefault(rec.parent_node, []).append(i)
+        self.parent_links = {i: tuple(u) for i, u in ups.items()}
+        self.brother_sets = tuple(tuple(g) for node, g in sorted(groups.items())
+                                  if node not in source_nodes)
 
-        self.order = _merged_order(self.links, self.parent_links)
-        self.pos = {i: p for p, i in enumerate(self.order)}
-        at = self.pos.__getitem__
-        self.parent_pos = tuple([tuple(map(at, self.parent_links[i])) for i in self.order])
-        self.child_pos = tuple([tuple(map(at, self.child_links[i])) for i in self.order])
+        self.order = _merged_order(self.child_links, self.parent_links)
+        self.pos = dict(zip(self.order, range(len(self.order))))
+        self.parent_pos = _positions(self.pos, map(self.parent_links.__getitem__, self.order))
+        self.child_pos = _positions(self.pos, map(self.child_links.__getitem__, self.order))
         # each brother set is fed by the parent links of its smallest-id brother
-        self.brother_pos = tuple([tuple(map(at, b)) for b in self.brother_sets])
+        self.brother_pos = _positions(self.pos, self.brother_sets)
         self.feed_pos = tuple([self.parent_pos[b[0]] for b in self.brother_pos])
-        self.root_pos = tuple(map(at, self.source_links))
-        self.id_pos = tuple(map(at, sorted(self.links)))
+        self.root_pos = tuple(map(self.pos.__getitem__, self.source_links))
+        self.id_pos = tuple(map(self.pos.__getitem__, ups))
 
     def __eq__(self, other):
         return (isinstance(other, GeneralNetwork)
@@ -236,38 +227,76 @@ class GeneralNetwork:
         return (f"GeneralNetwork({self.name!r}, m={len(self.links)}, "
                 f"trees={len(self.trees)})")
 
-    @cached_property
-    def tree_networks(self) -> dict[int, GeneralNetwork]:
-        """Tree id -> a network of that tree alone, over its links; built on first use."""
-        return {t.tree_id: GeneralNetwork(f"{self.name}.tree{t.tree_id}",
-                                          [self.links[i] for i in sorted(t.links)], [t])
-                for t in self.trees}
+
+def _by_id(records: list[LinkRecord]) -> dict[int, LinkRecord]:
+    """Link id -> record; TopologyError at the first repeated id."""
+    links = {rec.link_id: rec for rec in records}
+    if len(links) < len(records):
+        seen: set[int] = set()
+        repeat_id = next(i for i, _, _ in records if i in seen or seen.add(i))
+        raise TopologyError(f"duplicate link id {repeat_id}")
+    return links
 
 
-def _merged_order(links: dict[int, LinkRecord], parents: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    # Kahn's algorithm with a heap: every link after all its parent links,
-    # ties broken by ascending link id.
-    pending = {i: len(parents[i]) for i in links}
-    ready = [i for i, d in pending.items() if d == 0]
+def _merged_order(children: dict[int, tuple[int, ...]],
+                  parents: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    # Kahn's algorithm with a heap: every link after all its parent links, ties by
+    # ascending id; pending counts the parents to come of links with several
+    pending = {i: len(ups) - 1 for i, ups in parents.items() if len(ups) > 1}
+    ready = [i for i, ups in parents.items() if not ups]
     heapq.heapify(ready)
-    down: dict[int, list[int]] = {i: [] for i in links}
-    for i, ups in parents.items():
-        for u in ups:
-            down[u].append(i)
+    push, pop = heapq.heappush, heapq.heappop
     out: list[int] = []
     while ready:
-        i = heapq.heappop(ready)
+        i = pop(ready)
         out.append(i)
-        for c in down[i]:
-            pending[c] -= 1
-            if pending[c] == 0:
-                heapq.heappush(ready, c)
-    if len(out) != len(links):
+        for c in children[i]:
+            if pending.get(c):
+                pending[c] -= 1
+            else:
+                push(ready, c)
+    if len(out) != len(parents):
         # each tree's walk from its root rejects every cycle first: a cycle
         # here would force, through the child-set agreement check, a cycle
         # within one tree.  The guard stays in case that chain ever breaks.
         raise TopologyError("link graph contains a cycle")
     return tuple(out)
+
+
+def _positions(pos: dict[int, int], groups: Iterable[tuple[int, ...]]) -> tuple[tuple, ...]:
+    """Each group of link ids as a tuple of positions: one map, a slice per group."""
+    groups = list(groups)
+    flat = tuple(map(pos.__getitem__, chain.from_iterable(groups)))
+    ends = list(accumulate(map(len, groups), initial=0))
+    return tuple([flat[a:b] for a, b in zip(ends, ends[1:])])
+
+
+def keyword_block(text: str, keyword: str, width: int, convert):
+    """(text's lines outside its block, numbered from 1 as in the file, and
+    convert(the block's token columns 1 to width - 1, from one split)).  The
+    block runs from the first to the last line that starts with keyword and a
+    blank; unless each of its lines starts so and holds width tokens, with no
+    comment or line break but \\n, no other line names keyword and convert
+    raises no ValueError, every line is outside and the columns are empty."""
+    lead = keyword + " "
+    first = 0 if text.startswith(lead) else text.find("\n" + lead) + 1
+    end = text.find("\n", text.rfind("\n" + lead) + 1) % (len(text) + 1)   # -1: the end
+    head, tail, n = text[:first], text[end:], text.count("\n", first, end) + 1
+    tok = text.split()
+    tok = tok[len(head.split()):len(tok) - len(tail.split())]
+    # n lines start with keyword; when it occurs n times, every width-th
+    # token, those are the line starts and each line holds width
+    if (text.startswith(lead, first) and keyword not in head and keyword not in tail
+            and text.isascii() and text.count("\n" + lead, first, end) == n - 1
+            and not any(text.find(c, first, end) >= 0 for c in "#\r\v\f\x1c\x1d\x1e")
+            and len(tok) == width * n and tok.count(keyword) == tok[::width].count(keyword) == n):
+        try:
+            columns = convert(*(tok[j::width] for j in range(1, width)))
+            head = head.splitlines()
+            return [*enumerate(head, 1), *enumerate(tail.splitlines(), len(head) + n)], columns
+        except ValueError:
+            pass
+    return enumerate(text.splitlines(), 1), convert(*[[]] * (width - 1))
 
 
 def parse_topology(text: str) -> GeneralNetwork:
@@ -278,11 +307,15 @@ def parse_topology(text: str) -> GeneralNetwork:
         network <name>
         link <link_id> <parent_node_id> <child_node_id>
         tree <tree_id> <root_link_id> : <link_id> ...
+
+    The link lines are split and checked in bulk, and the loop below reads
+    the other lines; it reads them all when a bulk check fails, so that an
+    error names the first bad line.
     """
+    others, records = keyword_block(text, "link", 4, _link_records)
     name = None
-    records: list[LinkRecord] = []
     tree_specs: list[tuple[int, int, list[int]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in others:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -301,7 +334,7 @@ def parse_topology(text: str) -> GeneralNetwork:
             elif tok[0] == "tree":
                 if len(tok) < 5 or tok[3] != ":":
                     raise TopologyError("'tree' takes <id> <root_link> : <link> ...")
-                tree_specs.append((int(tok[1]), int(tok[2]), [int(x) for x in tok[4:]]))
+                tree_specs.append((int(tok[1]), int(tok[2]), list(map(int, tok[4:]))))
             else:
                 raise TopologyError(f"unknown keyword {tok[0]!r}")
         except TopologyError as exc:
@@ -312,13 +345,17 @@ def parse_topology(text: str) -> GeneralNetwork:
         raise TopologyError("missing 'network' line")
     if not tree_specs:
         raise TopologyError("topology declares no trees")
-    rec_map = {}
-    for rec in records:
-        if rec.link_id in rec_map:
-            raise TopologyError(f"duplicate link id {rec.link_id}")
-        rec_map[rec.link_id] = rec
+    rec_map = _by_id(records)
     trees = [MulticastTree(tid, root, ids, rec_map) for tid, root, ids in tree_specs]
     return GeneralNetwork(name, records, trees)
+
+
+def _link_records(ids: list[str], ups: list[str], downs: list[str]) -> list[LinkRecord]:
+    """keyword_block's link columns as records; ValueError where a line may be bad."""
+    ids, ups, downs = ([*map(int, column)] for column in (ids, ups, downs))
+    if min(ids, default=1) < 1 or any(map(eq, ups, downs)):
+        raise ValueError("a link id below 1 or a self-loop")
+    return list(map(tuple.__new__, repeat(LinkRecord), zip(ids, ups, downs)))
 
 
 def serialize_topology(net: GeneralNetwork) -> str:

@@ -1,7 +1,7 @@
 """Reference mvwa: each tree estimated on a network of that tree alone.
 
-Per tree, in ascending tree id: the tree's sub-network
-(GeneralNetwork.tree_networks), its slice of the views (tree_views), a full
+Per tree, in ascending tree id: the tree's sub-network (tree_networks),
+its slice of the views (tree_views), a full
 le_xi on them and observed_information at the estimate, then the same
 inverse-variance combination mvwa makes.  mvwa must give the same result,
 bit for bit.
@@ -14,7 +14,27 @@ from losstomo.estimators import (_FLAG_RANK, FLAG_NON_ESTIMABLE, EstimateResult,
                                  le_xi)
 from losstomo.likelihood import observed_information
 from losstomo.params import theta_to_xi
-from losstomo.statistics import regularity_report, tree_views
+from losstomo.statistics import InternalView, RegularityReport, regularity_report
+from losstomo.topology import GeneralNetwork
+
+
+def tree_networks(net: GeneralNetwork) -> dict[int, GeneralNetwork]:
+    """Tree id -> a network of that tree alone, over its links."""
+    return {t.tree_id: GeneralNetwork(f"{net.name}.tree{t.tree_id}",
+                                      [net.links[i] for i in sorted(t.links)], [t])
+            for t in net.trees}
+
+
+def tree_views(views: InternalView, tree_net: GeneralNetwork
+               ) -> tuple[InternalView, RegularityReport]:
+    """internal_views of tree_net, a network of one tree, sliced from views."""
+    k = tree_net.trees[0].tree_id
+    n1 = {i: views.per_tree_n1[k][i] for i in tree_net.links}
+    n0 = {i: views.per_tree_n0[k][i] for i in tree_net.links}
+    r = {i: n1[i] / (n1[i] + n0[i]) if n1[i] + n0[i] > 0 else None for i in tree_net.links}
+    view = InternalView({k: views.per_tree_n1[k]}, {k: views.per_tree_n0[k]}, n1, n0, r,
+                        {k: views.probes[k]})
+    return view, regularity_report(view, tree_net)
 
 
 def mvwa_reference(views, net, report=None) -> EstimateResult:
@@ -24,8 +44,9 @@ def mvwa_reference(views, net, report=None) -> EstimateResult:
     # link -> (tree id, estimate, variance, flag) per estimating tree, by tree id
     by_link = {i: [] for i in net.links}
     iterations = 0
+    subs = tree_networks(net)
     for k in sorted(views.per_tree_n1):
-        sub = net.tree_networks[k]
+        sub = subs[k]
         sub_views, sub_report = tree_views(views, sub)
         res = le_xi(sub_views, sub, report=sub_report)
         filled = {i: (math.nan if v is None else v) for i, v in res.theta_hat.items()}

@@ -373,7 +373,6 @@ class TestMvwa:
         first = mvwa(views, net)
         second = mvwa(views, net)
         assert built == []
-        assert "tree_networks" not in vars(net)
         assert first.theta_hat == second.theta_hat
 
     def test_single_tree_links_pass_through(self):

@@ -11,8 +11,10 @@ from losstomo.likelihood import per_probe_loglik
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import (DataError, InternalView, PatternTable,
                                  collapse_patterns, internal_states, internal_views,
-                                 parse_data, regularity_report, serialize_data, tree_views)
+                                 parse_data, regularity_report, serialize_data)
 from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
+
+from mvwa_reference import tree_views
 
 STAR = fixtures.star3()
 TOY = fixtures.toy7()

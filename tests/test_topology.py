@@ -5,6 +5,7 @@ from losstomo import fixtures
 from losstomo.topology import (GeneralNetwork, LinkRecord, MulticastTree,
                                TopologyError, parse_topology, serialize_topology)
 
+from mvwa_reference import tree_networks
 from test_statistics import _networks
 
 TOY7_TEXT = """\
@@ -100,11 +101,9 @@ def test_roundtrip_all_fixtures():
         assert parse_topology(serialize_topology(net)) == net
 
 
-def test_tree_networks_built_once_on_first_use():
+def test_reference_tree_networks_hold_one_tree_each():
     net = parse_topology(serialize_topology(fixtures.twotree12()))
-    assert "tree_networks" not in vars(net)
-    subs = net.tree_networks
-    assert net.tree_networks is subs
+    subs = tree_networks(net)
     assert sorted(subs) == [t.tree_id for t in net.trees]
     for k, sub in subs.items():
         assert sub.trees == (net.tree_by_id[k],)
