@@ -31,6 +31,10 @@ alone in the other.  The commands:
   of its four trees has 16-21 brother sets that need an interior root,
   fewer than BATCH_MIN_SETS, but 75 together, so mvwa's one solve over all
   trees runs batched where each tree alone would take the scalar loop;
+* simulate star3 and twotree12 with --theta files of EDGE_RATES, the rates
+  at the ends of the simulator's integer loss thresholds (0, the smallest
+  float, 2**-53, 1 - 2**-53 and 1), dealt to the links in ascending id
+  order, once from each starting rate;
 * estimate on each data file with le-xi, pcem and mvwa, and with nem on
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
@@ -73,6 +77,7 @@ MULTI_BLOCK_PROBES = "9000"
 BLOCK_EDGE_RUNS = (("twotree12", "8192"), ("twotree12", "8194"), ("layered49", "8193"))
 HUB_RUNS = (("1,100", "8000"), ("1,1000", "80000"))
 SMALL_HUB = HubShape(private_depth=3, hub_depth=3)
+EDGE_RATES = (0.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
 SPLIT_NODE = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 3 1 2\nlink 4 1 3\n"
               "tree 1 1 : 1 3\ntree 2 2 : 2 3 4\n")
@@ -154,10 +159,12 @@ def _drop_runtime(csv: str) -> str:
     return "".join(rows)
 
 
-def _simulate_and_estimate(log: list[str], name: str, methods: list[str], beta: str,
-                           seed: int, probes: str, stem: str) -> None:
+def _simulate_and_estimate(log: list[str], name: str, methods: list[str], rates: str,
+                           seed: int, probes: str, stem: str, flag: str = "--beta") -> None:
+    """Simulate under rates, Beta parameters 'a,b' or with flag="--theta" a rate
+    file, then estimate the data with each method."""
     topo = f"{name}.topo"
-    _run(log, "simulate", "--topology", topo, "--beta", beta, "--probes", probes,
+    _run(log, "simulate", "--topology", topo, flag, rates, "--probes", probes,
          "--seed", str(seed), "--out", f"{stem}.data", "--theta-out", f"{stem}.rates")
     for method in methods:
         _run(log, "estimate", "--topology", topo, "--data", f"{stem}.data",
@@ -185,6 +192,15 @@ def run_matrix(log: list[str]) -> None:
                          ("twotree12", "1"), *BLOCK_EDGE_RUNS):
         _simulate_and_estimate(log, name, methods[name], "1,100", 0, probes,
                                f"{name}.beta1_100.seed0.probes{probes}")
+    for name in ("star3", "twotree12"):
+        links = sorted(parse_topology(nets[name]).links)
+        for start in range(len(EDGE_RATES)):
+            stem = f"{name}.edge-rates{start}"
+            Path(f"{stem}.theta").write_text("".join(
+                f"theta {i} {EDGE_RATES[(n + start) % len(EDGE_RATES)]!r}\n"
+                for n, i in enumerate(links)), encoding="utf-8")
+            _simulate_and_estimate(log, name, methods[name], f"{stem}.theta", 0, PROBES,
+                                   stem, flag="--theta")
     Path("hub.topo").write_text(hub_network(1).topology_text(), encoding="utf-8")
     for beta, probes in HUB_RUNS:
         _simulate_and_estimate(log, "hub", ["le-xi", "pcem", "mvwa"], beta, 0, probes,

@@ -1,9 +1,7 @@
 """Link-level loss estimation for multicast networks from end-to-end probes."""
 
 from .bench import ExperimentGrid, ExperimentReport, GridCell, mse, parse_grid, run_grid
-from .estimators import (BrotherSetProblem, EstimateResult, UniqueRootUnavailable,
-                         le_xi, mvwa, nem, pcem, project_to_theta_star,
-                         solve_brother_fixed_point)
+from .estimators import EstimateResult, le_xi, mvwa, nem, pcem, project_to_theta_star
 from .likelihood import (LogLikValue, loglik_psi, loglik_theta, loglik_xi,
                          observed_information, per_probe_loglik)
 from .params import (LossRates, parse_rates, psi_to_xi, serialize_rates, theta_to_xi,

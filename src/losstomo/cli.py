@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -112,7 +113,9 @@ _TOL = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 _RATE = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared; not to be changed."""
     parser = argparse.ArgumentParser(
         prog="losstomo",
         description="Link-level loss estimation from end-to-end multicast probes.")
@@ -127,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--replicate", type=int, default=0)
     sim.add_argument("--out", required=True)
     sim.add_argument("--theta-out", help="also write the rates that were used")
-    sim.set_defaults(fn=_cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate loss rates from probe data")
     est.add_argument("--topology", required=True)
@@ -139,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--threads", type=_COUNT, default=1,
                      help="accepted for compatibility; estimation is single-threaded")
     est.add_argument("--out", required=True)
-    est.set_defaults(fn=_cmd_estimate)
 
     ben = sub.add_parser("bench", help="run a replicated method-comparison grid")
     ben.add_argument("--topology", required=True)
@@ -148,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--workers", type=_COUNT, default=1,
                      help="accepted for compatibility; the grid runs single-threaded")
-    ben.set_defaults(fn=_cmd_bench)
     return parser
 
 
@@ -159,7 +159,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        # looked up per call, so a replaced handler is the one that runs
+        return globals()[f"_cmd_{args.command}"](args)
     except (CliError, TopologyError, DataError, GridError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'losstomo {args.command} --help' for usage", file=sys.stderr)

@@ -60,38 +60,6 @@ _SOLVER_DELTA = 1e-9
 METHODS = ("le-xi", "pcem", "nem", "mvwa")
 
 
-class UniqueRootUnavailable(ValueError):
-    """The brother-set equation has no unique root in (0, 1)."""
-
-
-@dataclass
-class BrotherSetProblem:
-    """One brother set's pass fractions and the product being solved for."""
-
-    r: dict[int, float]
-
-    @property
-    def solvable_uniquely(self) -> bool:
-        vals = list(self.r.values())
-        return all(0.0 < v < 1.0 for v in vals) and sum(vals) > 1.0
-
-
-def solve_brother_fixed_point(problem: BrotherSetProblem) -> float:
-    """Root in (0, 1) of  x = prod_j[(1 - r_j) + r_j x].
-
-    x = 1 always solves the equation and is never returned.  This is the
-    checked entry to the scalar solve le_xi runs per brother set below
-    BATCH_MIN_SETS sets, for any number of brothers: Newton iterations
-    safeguarded by bisection on the bracket [prod_j(1 - r_j), 1 - 1e-9],
-    stopped once the residual is <= SOLVER_TOL.
-    """
-    if not problem.solvable_uniquely:
-        raise UniqueRootUnavailable(
-            f"pass fractions {sorted(problem.r.values())} admit no unique root")
-    pi, _ = _solve_interior([problem.r[j] for j in sorted(problem.r)])
-    return pi
-
-
 def _residual_and_slope(rs: list[float], x: float) -> tuple[float, float]:
     """g(x) = prod_j[(1 - r_j) + r_j x] - x and g'(x), both summed left to right."""
     prod = 1.0
@@ -109,11 +77,14 @@ def _residual_and_slope(rs: list[float], x: float) -> tuple[float, float]:
 
 
 def _solve_interior(rs: list[float], max_iter: int = 200) -> tuple[float, int]:
-    """Root and iteration count of one brother set's fixed point.
+    """Root in (0, 1) of x = prod_j[(1 - r_j) + r_j x], one brother set's fixed
+    point, and the iteration count.
 
-    The scalar path: le_xi runs it per set below BATCH_MIN_SETS sets, and
-    solve_brother_fixed_point wraps it.  _solve_interior_rows takes the
-    same iterates on many sets at once.
+    x = 1 always solves the equation and is never returned.  The scalar
+    path, which le_xi runs per set below BATCH_MIN_SETS sets: Newton
+    iterations safeguarded by bisection on the bracket [prod_j(1 - r_j),
+    1 - 1e-9], stopped once the residual is <= SOLVER_TOL.
+    _solve_interior_rows takes the same iterates on many sets at once.
     """
     lo = 1.0
     for r in rs:

@@ -7,10 +7,15 @@ Randomness is addressed by (seed, replicate, tree, block): probes are
 generated in fixed-size blocks with an independent counter-based stream per
 block, and only one block's rows are held at a time.
 
-A block is drawn probe-major, one (probes x links) float array in C order,
-and processed link-major: one comparison against the tree's rates turns it
-into pass bits, which are transposed so that each link's bits are one
-contiguous row, and each link is then ANDed with its parent, parents first.
+A block is drawn probe-major, one (probes x links) array of raw 64-bit
+Philox words in C order, and processed link-major.  Generator.random would
+turn word w into the uniform u = (w >> 11) * 2**-53, so u >= theta exactly
+when w >= ceil(theta * 2**53) << 11: one comparison of the words with these
+per-link integer thresholds gives the pass bits that comparing the uniforms
+with the rates gives, without the floats.  theta = 1 has no uint64
+threshold (2**64); its links pass no probe.  The pass bits are transposed
+so that each link's bits are one contiguous row, and each link is then
+ANDed with its parent, parents first.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .topology import GeneralNetwork
 
 BLOCK_PROBES = 4096
 THETA_CLAMP = 1e-6
+_NEVER = 1 << 64   # the threshold of theta = 1: above every 64-bit word
 
 
 @dataclass
@@ -65,13 +71,20 @@ def _probe_rows(cfg: SimConfig, theta: dict[int, float], tree_id: int,
     the block, set when the probe passed the link and every link above it.
     """
     tree = cfg.net.tree_by_id[tree_id]
-    th = np.array([theta[i] for i in tree.order])
+    limits = [math.ceil(theta[i] * 2.0 ** 53) << 11 for i in tree.order]
+    dead = []
+    if _NEVER in limits:
+        dead = [q for q, v in enumerate(limits) if v == _NEVER]
+        limits = [v % _NEVER for v in limits]
+    limits = np.array(limits, dtype=np.uint64)
     w = len(tree.leaves)
     for block in range(-(-probes // BLOCK_PROBES)):
         rows = min(BLOCK_PROBES, probes - block * BLOCK_PROBES)
         ss = np.random.SeedSequence((cfg.seed, cfg.replicate, tree_id, block))
-        rng = np.random.Generator(np.random.Philox(seed=ss))
-        passed = np.ascontiguousarray((rng.random((rows, len(th))) >= th).T)
+        draw = np.random.Philox(seed=ss).random_raw
+        passed = np.ascontiguousarray((draw(rows * len(limits)).reshape(rows, -1) >= limits).T)
+        for q in dead:
+            passed[q] = False
         for q, up in enumerate(tree.parent_pos):
             if up >= 0:
                 passed[q] &= passed[up]

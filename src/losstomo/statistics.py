@@ -69,11 +69,9 @@ class PatternTable:
         """
         pats = self.counts.get(k, {})
         width = len(self.receivers[k])
-        try:
-            raw = "".join(pats).encode("ascii")
-        except (TypeError, UnicodeEncodeError):
-            raw = None
-        if raw is not None and set(map(len, pats)) <= {width}:
+        raw = _ascii_keys(pats, width)
+        if raw is not None:
+            # on large tables, min and max of the array are faster than a translate
             codes = np.frombuffer(raw, np.uint8).reshape(len(pats), width)
             zero, one = ord("0"), ord("1")
             if (codes.min(initial=zero) >= zero and codes.max(initial=one) <= one
@@ -95,6 +93,16 @@ class PatternTable:
             total += c
         if total != self.probes[k]:
             raise DataError(f"tree {k}: pattern counts sum to {total}, expected {self.probes[k]}")
+
+
+def _ascii_keys(keys: dict[str, int], width: int) -> bytes | None:
+    """The keys joined as ASCII bytes when every key is a width-long str of ASCII
+    characters, else None."""
+    try:
+        raw = "".join(keys).encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        return None
+    return raw if set(map(len, keys)) <= {width} else None
 
 
 @dataclass(frozen=True)
@@ -143,20 +151,28 @@ def collapse_patterns(records: dict[int, Iterable[str]], net: GeneralNetwork,
     """Count per-probe bit strings, any iterable of them per tree, into a pattern
     table.  The only code that turns rows into counts.  Each tree's rows are
     counted first, and patterns keep the order in which they were first seen;
-    then each distinct pattern is checked once, in that order, so the error
-    names the first bad row read."""
+    then the distinct patterns are checked at once, on their joined bytes.
+    When that check fails, _check_records checks them one by one, in that
+    order, so the error names the first bad row read."""
     probes, receivers, counts = {}, {}, {}
     for k, rows in sorted(records.items()):
         tree = net.tree_by_id[k]
         width = len(tree.leaves)
         table = dict(Counter(rows))
-        for bits in table:
-            if len(bits) != width or set(bits) - {"0", "1"}:
-                raise DataError(f"tree {k}: bad record {bits!r}")
+        raw = _ascii_keys(table, width)
+        if raw is None or raw.translate(None, b"01"):
+            _check_records(k, table, width)
         probes[k] = sum(table.values())
         receivers[k] = tree.leaves
         counts[k] = table
     return PatternTable(name, probes, receivers, counts)
+
+
+def _check_records(k: int, table: dict[str, int], width: int):
+    """Check tree k's distinct records one by one, in table order; name the first bad one."""
+    for bits in table:
+        if len(bits) != width or set(bits) - {"0", "1"}:
+            raise DataError(f"tree {k}: bad record {bits!r}")
 
 
 @dataclass

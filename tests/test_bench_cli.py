@@ -1,3 +1,4 @@
+import argparse
 import math
 import random
 import threading
@@ -5,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from losstomo import fixtures
+from losstomo import cli, fixtures
 from losstomo.bench import (ExperimentGrid, GridCell, GridError, mse, parse_grid,
                             run_grid)
 from losstomo.cli import main
@@ -240,6 +241,34 @@ class TestCli:
                      "--method", "pcem", "--out", str(tmp_path / "o.csv")]) == 2
         assert main(["simulate", "--topology", str(topo), "--probes", "5",
                      "--seed", "1", "--out", str(tmp_path / "x.data")]) == 2
+
+    def test_parser_built_once_per_process(self, star_files, tmp_path, capsys, monkeypatch):
+        topo, data = star_files
+        cli.build_parser.cache_clear()
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        estimate = ["estimate", "--topology", str(topo), "--data", str(data),
+                    "--method", "le-xi", "--out", str(tmp_path / "est.csv")]
+        runs = []
+        for _ in range(2):
+            codes = [main(["estimate", "--method", "nope"]), main(["estimate", "--help"]),
+                     main(["--help"]), main(estimate)]
+            runs.append((codes, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [2, 0, 0, 0]
+        assert "invalid choice: 'nope'" in runs[0][1].err
+        assert "--method {le-xi,pcem,nem,mvwa}" in runs[0][1].out
+        # one parser and its three subcommand parsers, all built by the first call
+        assert built.count("losstomo") == 1 and len(built) == 4
+        # the handler is looked up per call, so a replaced one runs
+        monkeypatch.setattr(cli, "_cmd_estimate", lambda args: 7)
+        assert main(estimate) == 7
 
     def test_non_estimable_links_written_empty(self, tmp_path):
         topo = tmp_path / "star.topo"

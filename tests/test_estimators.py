@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from losstomo import fixtures
 from losstomo.estimators import (FLAG_BOUNDARY, FLAG_NON_ESTIMABLE, FLAG_OK,
-                                 FLAG_REGULARITY, BrotherSetProblem,
-                                 UniqueRootUnavailable, le_xi, mvwa, nem, pcem,
-                                 project_to_theta_star, solve_brother_fixed_point)
+                                 FLAG_REGULARITY, _solve_interior, le_xi, mvwa, nem,
+                                 pcem, project_to_theta_star)
 from losstomo.likelihood import loglik_xi
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import InternalView, PatternTable, internal_views
@@ -39,6 +39,26 @@ def residual(rs, pi):
 def two_brother_root(r1, r2):
     # closed form for two brothers: the fixed-point quadratic's other root is 1
     return (1.0 - r1) * (1.0 - r2) / (r1 * r2)
+
+
+class UniqueRootUnavailable(ValueError):
+    """The brother-set equation has no unique root in (0, 1)."""
+
+
+@dataclass
+class BrotherSetProblem:
+    """One brother set's pass fractions, by brother link id."""
+
+    r: dict[int, float]
+
+
+def solve_brother_fixed_point(problem):
+    # the scalar solve le_xi runs per brother set, refused where no unique
+    # interior root exists: every r_j in (0, 1), summing to more than 1
+    rs = [problem.r[j] for j in sorted(problem.r)]
+    if not (all(0.0 < r < 1.0 for r in rs) and sum(rs) > 1.0):
+        raise UniqueRootUnavailable(f"pass fractions {sorted(rs)} admit no unique root")
+    return _solve_interior(rs)[0]
 
 
 def bisect_root(rs, lo=0.0, hi=1.0 - 1e-9, steps=200):

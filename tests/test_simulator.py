@@ -158,3 +158,48 @@ def test_simulate_equals_block_reference_at_block_edges(net, per_tree):
     cfg = SimConfig(net, per_tree * len(net.trees), seed=7, replicate=2)
     assert set(cfg.tree_probes().values()) == {per_tree}
     _assert_equals_reference(cfg, theta)
+
+
+# twotree12 with two blocks in each tree, the second of 2 rows; link 4 of tree
+# 1 sits above leaves 5 and 6
+THRESHOLD_CFG = SimConfig(fixtures.twotree12(), 2 * (BLOCK_PROBES + 2), seed=4, replicate=1)
+
+
+def _link_words(cfg: SimConfig, tree_id: int, link: int, block: int) -> np.ndarray:
+    """The raw Philox words the simulator draws for one link in one block."""
+    tree = cfg.net.tree_by_id[tree_id]
+    rows = min(BLOCK_PROBES, cfg.tree_probes()[tree_id] - block * BLOCK_PROBES)
+    ss = np.random.SeedSequence((cfg.seed, cfg.replicate, tree_id, block))
+    words = np.random.Philox(seed=ss).random_raw(rows * len(tree.order))
+    return words.reshape(rows, -1)[:, tree.pos[link]]
+
+
+def test_simulate_equals_reference_at_drawn_uniforms():
+    # Every other rate is 0, so link 4 alone decides which probes of tree 1
+    # are lost.  Its rate is set to uniforms drawn at its own stream positions
+    # and to their float neighbours: the rows on either side of the block edge,
+    # the last row, and the block-0 rows whose word has its low 11 bits zero,
+    # the only words for which w >= limit and w > limit differ.
+    cfg = THRESHOLD_CFG
+    words = [_link_words(cfg, 1, 4, block) for block in (0, 1)]
+    zero_low = np.flatnonzero(words[0] % 2048 == 0)
+    assert len(zero_low) == 2
+    rows = [(0, BLOCK_PROBES - 1), (1, 0), (1, 1), *((0, int(r)) for r in zero_low)]
+    drawn = [float(words[block][row] >> 11) * 2.0 ** -53 for block, row in rows]
+    # below 0.5 the neighbour above u is no multiple of 2**-53, where ceil and floor differ
+    assert min(drawn) < 0.5
+    for u in drawn:
+        tables = []
+        for rate in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
+            theta = dict.fromkeys(cfg.net.links, 0.0) | {4: float(rate)}
+            _assert_equals_reference(cfg, theta)
+            tables.append(simulate(cfg, theta).counts[1])
+        # the probe that drew u passes link 4 up to rate u and is lost above it
+        assert tables[0] == tables[1] != tables[2]
+
+
+@pytest.mark.parametrize("rate", [0.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0])
+def test_simulate_equals_reference_at_extreme_rates(rate):
+    # link 4 is internal in tree 1, link 9 in tree 2
+    theta = dict.fromkeys(THRESHOLD_CFG.net.links, 0.1) | {4: rate, 9: rate}
+    _assert_equals_reference(THRESHOLD_CFG, theta)

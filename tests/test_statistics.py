@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from losstomo import fixtures
+from losstomo import fixtures, statistics
 from losstomo.likelihood import per_probe_loglik
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import (DataError, InternalView, PatternTable,
@@ -50,12 +50,36 @@ def test_collapse_rejects_bad_records():
     (["11", "0x", "10", "x0", "0x"], "0x"),
     (["11", "111", "00", "111", "1"], "111"),
     (["01", "٠1", "01", "٠1", "0", "٠1"], "٠1"),
-], ids=["after-duplicates", "two-bad", "bad-repeats", "bad-repeats-unicode-digit"])
-def test_collapse_names_first_bad_row_read(rows, bad, as_generator):
+    (["11", "12", "10"], "12"),
+    (["11", "1 ", "10"], "1 "),
+    (["11", "1١", "10"], "1١"),
+    (["11", "10"] * 500 + ["111"], "111"),
+    ([b"11", b"10"], b"11"),
+], ids=["after-duplicates", "two-bad", "bad-repeats", "bad-repeats-unicode-digit",
+        "digit-2", "blank", "unicode-digit", "wide-after-1000", "bytes"])
+def test_collapse_names_first_bad_row_read(rows, bad, as_generator, monkeypatch):
+    entered = []
+    real = statistics._check_records
+    monkeypatch.setattr(statistics, "_check_records",
+                        lambda *args: entered.append(args[0]) or real(*args))
     records = (r for r in rows) if as_generator else rows
     with pytest.raises(DataError) as exc:
         collapse_patterns({1: records}, STAR)
     assert str(exc.value) == f"tree 1: bad record {bad!r}"
+    assert entered == [1]
+
+
+def test_collapse_checks_valid_rows_in_bulk(monkeypatch):
+    # valid rows never reach the per-row loop, which only names a bad row
+    def refuse(*args):
+        raise AssertionError("per-row check entered on valid rows")
+
+    monkeypatch.setattr(statistics, "_check_records", refuse)
+    assert collapse_patterns({1: ["11", "10", "01", "00", "11"]}, STAR).probes == {1: 5}
+    assert collapse_patterns({1: []}, STAR).counts == {1: {}}
+    for net in (STAR, TOY, fixtures.twotree12(), fixtures.layered49()):
+        for rate in (0.0, 0.3, 1.0):
+            simulate(SimConfig(net, 300, seed=2), dict.fromkeys(net.links, rate))
 
 
 @settings(max_examples=100, deadline=None)
