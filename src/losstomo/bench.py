@@ -18,7 +18,7 @@ from .estimators import METHODS, estimator, nem
 from .params import rates_dict
 from .simulator import SimConfig, sample_theta, simulate
 from .statistics import internal_views
-from .topology import GeneralNetwork
+from .topology import GeneralNetwork, token_lines
 
 CSV_HEADER = "setting,beta_a,beta_b,n,replicate,method,mse,runtime_ms,iterations,violations"
 
@@ -98,11 +98,7 @@ def parse_grid(text: str, master_seed: int = 0) -> ExperimentGrid:
     """Parse grid files: one 'cell <a> <b> <n> <replicates> <methods>' per line."""
     cells = []
     runs: dict[tuple[str, int, str], str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for lineno, _, tok in token_lines(enumerate(text.splitlines(), start=1)):
         if tok[0] != "cell" or len(tok) != 6:
             raise GridError(
                 f"line {lineno}: expected 'cell <beta_a> <beta_b> <n> <reps> <methods>'")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import child_product, psi_to_xi, theta_to_xi, xi_by_position
+from .params import pi_by_position, psi_to_xi, theta_to_xi, xi_by_position
 from .statistics import InternalView, internal_states
 from .topology import GeneralNetwork
 
@@ -47,9 +47,10 @@ def loglik_theta(views: InternalView, theta, net: GeneralNetwork) -> LogLikValue
 
 def loglik_xi(views: InternalView, xi, net: GeneralNetwork) -> LogLikValue:
     """Same likelihood with subtree loss rates as the free parameters."""
+    pos, pi = net.pos, pi_by_position([xi[i] for i in net.order], net.child_pos)
     total = 0.0
     for i in net.links:
-        denom = 1.0 - child_product(xi, net, i)
+        denom = 1.0 - pi[pos[i]]
         if denom <= 0.0:
             if views.n1[i] != 0.0:
                 return LogLikValue(-math.inf)
@@ -112,7 +113,7 @@ def observed_information(theta, views: InternalView, net: GeneralNetwork
     with several parent links makes xi non-affine, so such a network raises
     ValueError.  information_by_position is the same computation on lists.
     """
-    multi = sorted(i for i, ups in net.parent_links.items() if len(ups) > 1)
+    multi = sorted(i for i, ups in zip(net.order, net.parent_pos) if len(ups) > 1)
     if multi:
         raise ValueError(f"observed_information needs at most one parent link per link; "
                          f"links {multi} have several")
@@ -150,12 +151,9 @@ def information_by_position(theta: list[float], n1: list[int], n0: list[int],
             s += up * up * carried[a]
         carried.append(s)
     variances: list[float] = []
-    for th, kids, c1, s in zip(theta, child_pos, n1, carried):
+    for th, prod, c1, s in zip(theta, pi_by_position(xi, child_pos), n1, carried):
         curvature = math.nan
         if 0.0 < th < 1.0:
-            prod = 0.0 if not kids else 1.0
-            for c in kids:
-                prod *= xi[c]
             d = 1.0 - prod
             curvature = c1 / ((1.0 - th) * (1.0 - th)) + d * d * s
         variances.append(1.0 / curvature if math.isfinite(curvature) and curvature > 0.0

@@ -11,6 +11,9 @@ psi:    natural parameters of the exponential-family form of the
 Every map takes and returns a plain {link_id: value} dict and is evaluated
 in one pass over the links, no iteration.  theta_to_xi and xi_to_theta are
 mutually inverse on the interior domain; xi_to_psi and psi_to_xi likewise.
+Beside the two leaf-to-root recursions (xi_by_position, psi_to_xi), every
+reader of pi_i, the product of link i's children's xi, takes it from
+pi_by_position, on lists over net.order.
 
 None marks a link the data say nothing about.  theta_to_xi and xi_to_theta
 pass it through: a link whose theta is None, or one of whose children has a
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .topology import GeneralNetwork
+from .topology import GeneralNetwork, token_lines
 
 XI_BOUNDARY_TOL = 1e-12
 
@@ -45,25 +48,6 @@ class LossRates:
 def rates_dict(theta: dict[int, float] | LossRates) -> dict[int, float]:
     """The {link_id: rate} dict of either a plain dict or a LossRates."""
     return theta.theta if isinstance(theta, LossRates) else theta
-
-
-def child_product(xi: dict[int, float | None], net: GeneralNetwork,
-                  link_id: int) -> float | None:
-    """Product of xi over the link's child links; 0.0 for a leaf.
-
-    The leaf convention matches the model: a probe that reaches a receiver
-    node is observed there with certainty.  None when some child's xi is None.
-    """
-    kids = net.child_links[link_id]
-    if not kids:
-        return 0.0
-    prod = 1.0
-    for c in kids:
-        v = xi[c]
-        if v is None:
-            return None
-        prod *= v
-    return prod
 
 
 def xi_by_position(theta: list[float | None], child_pos: tuple[tuple[int, ...], ...]
@@ -93,18 +77,31 @@ def theta_to_xi(theta: dict[int, float | None], net: GeneralNetwork
     return {net.order[q]: xi[q] for q in net.id_pos}
 
 
+def pi_by_position(xi: list[float | None], child_pos: tuple[tuple[int, ...], ...]
+                   ) -> list[float | None]:
+    """Per position, pi: the product of the children's xi, taken in ascending
+    child id; 0.0 at a leaf, None when some child's xi is None.
+
+    The leaf convention matches the model: a probe that reaches a receiver
+    node is observed there with certainty.
+    """
+    pi: list[float | None] = []
+    for kids in child_pos:
+        prod = 1.0 if kids else 0.0
+        try:
+            for c in kids:
+                prod *= xi[c]
+        except TypeError:   # a None child xi
+            prod = None
+        pi.append(prod)
+    return pi
+
+
 def theta_by_position(xi: list[float | None], child_pos: tuple[tuple[int, ...], ...]
                       ) -> list[float | None]:
     """xi_to_theta on lists over net.order, given child_pos = net.child_pos."""
     theta: list[float | None] = []
-    for v, kids in zip(xi, child_pos):
-        prod = 0.0 if not kids else 1.0
-        for c in kids:
-            w = xi[c]
-            if w is None:
-                prod = None
-                break
-            prod *= w
+    for v, prod in zip(xi, pi_by_position(xi, child_pos)):
         if v is None:
             theta.append(None)
         elif prod is None:
@@ -138,15 +135,16 @@ def xi_to_psi(xi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:
     equivalent form pi*(1 - xi) / (xi*(1 - pi)) with pi the child product,
     which avoids cancellation for small rates.
     """
+    values = [xi[i] for i in net.order]
+    pi = pi_by_position(values, net.child_pos)
     psi: dict[int, float] = {}
-    for i in sorted(net.links):
-        v = xi[i]
+    for q in net.id_pos:
+        i, v, prod = net.order[q], values[q], pi[q]
         if not 0.0 < v < 1.0:
             raise ValueError(f"xi[{i}]={v} outside (0,1); psi undefined")
-        if not net.child_links[i]:
+        if not net.child_pos[q]:
             psi[i] = math.log((1.0 - v) / v)
         else:
-            prod = child_product(xi, net, i)
             arg = prod * (1.0 - v) / (v * (1.0 - prod))
             if not 0.0 < arg < 1.0:
                 # xi at or below the child product: the conditional pass
@@ -157,37 +155,36 @@ def xi_to_psi(xi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:
 
 
 def psi_to_xi(psi: dict[int, float], net: GeneralNetwork) -> dict[int, float]:
-    """Subtree loss rates from natural parameters (leaf-to-root)."""
-    xi: dict[int, float] = {}
-    for i in reversed(net.order):
-        if not net.child_links[i]:
-            xi[i] = 1.0 / (1.0 + math.exp(psi[i]))
+    """Subtree loss rates from natural parameters (leaf-to-root, as xi_by_position)."""
+    values = [psi[i] for i in net.order]
+    xi = [0.0] * len(values)
+    for q in range(len(values) - 1, -1, -1):
+        kids = net.child_pos[q]
+        if not kids:
+            xi[q] = 1.0 / (1.0 + math.exp(values[q]))
         else:
-            prod = child_product(xi, net, i)
-            xi[i] = prod / (prod + math.exp(psi[i]) * (1.0 - prod))
-    return {i: xi[i] for i in sorted(xi)}
+            prod = 1.0
+            for c in kids:
+                prod *= xi[c]
+            xi[q] = prod / (prod + math.exp(values[q]) * (1.0 - prod))
+    return {net.order[q]: xi[q] for q in net.id_pos}
 
 
 def xi_membership(xi: dict[int, float], net: GeneralNetwork) -> dict[int, str]:
     """Classify each link's xi as 'interior', 'boundary' or 'outside'.
 
-    Internal links are judged by the sign of xi_i minus the product of the
-    children's xi; leaves by distance from 0 and 1.  A gap within
-    XI_BOUNDARY_TOL of zero is 'boundary'.
+    A link is judged by the smaller of 1 - xi_i and xi_i minus pi_i, the
+    product of its children's xi (0 at a leaf, so a leaf's xi is measured
+    from 0).  A gap within XI_BOUNDARY_TOL of zero is 'boundary'.
     """
+    values = [xi[i] for i in net.order]
+    pi = pi_by_position(values, net.child_pos)
     out: dict[int, str] = {}
-    for i in sorted(net.links):
-        v = xi[i]
-        if not net.child_links[i]:
-            gap = min(v, 1.0 - v)
-        else:
-            gap = min(v - child_product(xi, net, i), 1.0 - v)
-        if gap > XI_BOUNDARY_TOL:
-            out[i] = "interior"
-        elif gap >= -XI_BOUNDARY_TOL:
-            out[i] = "boundary"
-        else:
-            out[i] = "outside"
+    for q in net.id_pos:
+        v = values[q]
+        gap = min(v - pi[q], 1.0 - v)
+        out[net.order[q]] = ("interior" if gap > XI_BOUNDARY_TOL else
+                             "boundary" if gap >= -XI_BOUNDARY_TOL else "outside")
     return out
 
 
@@ -198,11 +195,7 @@ def parse_rates(text: str) -> tuple[str, dict[int, float]]:
     """
     kind = None
     values: dict[int, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for lineno, line, tok in token_lines(enumerate(text.splitlines(), start=1)):
         if len(tok) != 3 or tok[0] not in ("theta", "xi"):
             raise ValueError(f"line {lineno}: expected 'theta|xi <link_id> <value>'")
         if kind is None:

@@ -18,8 +18,8 @@ Views are counted on arrays, one tree at a time, on the tree's positional
 form: the bit matrix of the tree's distinct patterns fills the leaf rows of
 a (links x patterns) array in tree.order, each row is ORed into its
 parent's row, bottom-up, and n_i(1) is the count-weighted sum of link i's
-row.  Bit column j is the j-th ascending leaf link id, which internal_views
-checks against the network before it counts.
+row, one einsum for all rows.  Bit column j is the j-th ascending leaf link
+id, which internal_views checks against the network before it counts.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .topology import GeneralNetwork, MulticastTree, keyword_block
-
-
-_COLUMN_BLOCK = 256   # patterns per block of internal_views' count product
+from .topology import GeneralNetwork, MulticastTree, keyword_block, token_lines
 
 
 class DataError(ValueError):
@@ -171,7 +168,7 @@ def collapse_patterns(records: dict[int, Iterable[str]], net: GeneralNetwork,
 def _check_records(k: int, table: dict[str, int], width: int):
     """Check tree k's distinct records one by one, in table order; name the first bad one."""
     for bits in table:
-        if len(bits) != width or set(bits) - {"0", "1"}:
+        if not isinstance(bits, str) or len(bits) != width or set(bits) - {"0", "1"}:
             raise DataError(f"tree {k}: bad record {bits!r}")
 
 
@@ -219,11 +216,10 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
     (len(tree.order) x patterns) array.  From the last position up to the
     root's children, row q is ORed into row parent_pos[q], so a row holds
     the link's internal state per pattern; n_i(1) is that row dotted with
-    the counts, one block of _COLUMN_BLOCK patterns at a time, so probes are
-    never replayed one by one, and n_i(0) is the
-    parent's n(1), or the tree's probes at the root, less n_i(1).  Bits
-    are read by position, so check_fits first rejects a table that does
-    not fit net.
+    the counts, in one einsum, so probes are never replayed one by one, and
+    n_i(0) is the parent's n(1), or the tree's probes at the root, less
+    n_i(1).  Bits are read by position, so check_fits first rejects a table
+    that does not fit net.
     """
     check_fits(patterns, net)
     bits = {k: patterns.bit_matrix(k) for k in patterns.probes}
@@ -238,12 +234,9 @@ def internal_views(patterns: PatternTable, net: GeneralNetwork
         seen[list(tree.leaf_pos)] = bits[k].T
         for q in range(len(up) - 1, 0, -1):
             seen[up[q]] |= seen[q]
-        # in column blocks: a bool-by-int64 product casts its whole bool
-        # operand to int64 first
-        n1 = seen[:, :_COLUMN_BLOCK] @ counts[:_COLUMN_BLOCK]
-        for s in range(_COLUMN_BLOCK, len(table), _COLUMN_BLOCK):
-            n1 += seen[:, s:s + _COLUMN_BLOCK] @ counts[s:s + _COLUMN_BLOCK]
-        n1 = n1.tolist()
+        # einsum casts its bool operand in buffered chunks; seen @ counts
+        # would cast the whole of it to int64 first
+        n1 = np.einsum("qp,p->q", seen, counts).tolist()
         n0 = [(n1[u] if u >= 0 else patterns.probes[k]) - v for u, v in zip(up, n1)]
         per_tree_n1[k] = {i: n1[pos[i]] for i in tree.links}
         per_tree_n0[k] = {i: n0[pos[i]] for i in tree.links}
@@ -313,11 +306,7 @@ def parse_data(text: str, net: GeneralNetwork) -> PatternTable:
     name = None
     probes: dict[int, int] = {}
     receivers: dict[int, tuple[int, ...]] = {}
-    for lineno, raw in others:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for lineno, line, tok in token_lines(others):
         try:
             if tok[0] == "data":
                 if len(tok) != 2 or name is not None:

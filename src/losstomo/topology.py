@@ -19,10 +19,14 @@ links feeding each set (feed_pos) and of the root links (root_pos), read by
 statistics.regularity_by_position, le_xi and mvwa.  No other module builds
 a link-to-index map.
 
+Only this module reads a network's link dicts (child_links, parent_links,
+brother_sets, source_links); the numeric layers read the positional form.
+
 parse_topology and parse_data split their block of link or pattern lines in
 one pass (keyword_block) and check it in bulk; their line loop reads the few
 other lines, and the whole file only when a bulk check fails, for a bad or
 an unusual file (comments or tabs in the block), so errors name their line.
+They, parse_rates and parse_grid read lines through token_lines.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import heapq
 from collections import namedtuple
 from itertools import accumulate, chain, repeat
 from operator import eq
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class TopologyError(ValueError):
@@ -109,17 +113,10 @@ class MulticastTree:
         self.children = dict(zip(kids, map(tuple, kids.values())))
 
         # parents-before-children walk; also proves every link is reachable
-        order: list[int] = []
-        frontier, push, pop = [root_link], heapq.heappush, heapq.heappop
-        while frontier:
-            i = pop(frontier)
-            order.append(i)
-            for c in self.children[i]:
-                push(frontier, c)
+        self.order = order = _merged_order(self.children, [root_link], {})
         if len(order) != len(self.links):
             missing = sorted(self.links - set(order))
             raise TopologyError(f"tree {tree_id}: links {missing} are not reachable from the root")
-        self.order = tuple(order)
         self.pos = pos = dict(zip(order, range(len(order))))
         # the root's parent is None, at position -1
         self.parent_pos = tuple(map(pos.get, map(self.parent.get, order), repeat(-1)))
@@ -204,7 +201,14 @@ class GeneralNetwork:
         self.brother_sets = tuple(tuple(g) for node, g in sorted(groups.items())
                                   if node not in source_nodes)
 
-        self.order = _merged_order(self.child_links, self.parent_links)
+        self.order = _merged_order(
+            self.child_links, [i for i, u in ups.items() if not u],
+            {i: len(u) - 1 for i, u in ups.items() if len(u) > 1})
+        if len(self.order) != len(ups):
+            # each tree's walk from its root rejects every cycle first: a cycle
+            # here would force, through the child-set agreement check, a cycle
+            # within one tree.  The guard stays in case that chain ever breaks.
+            raise TopologyError("link graph contains a cycle")
         self.pos = dict(zip(self.order, range(len(self.order))))
         self.parent_pos = _positions(self.pos, map(self.parent_links.__getitem__, self.order))
         self.child_pos = _positions(self.pos, map(self.child_links.__getitem__, self.order))
@@ -238,12 +242,12 @@ def _by_id(records: list[LinkRecord]) -> dict[int, LinkRecord]:
     return links
 
 
-def _merged_order(children: dict[int, tuple[int, ...]],
-                  parents: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    # Kahn's algorithm with a heap: every link after all its parent links, ties by
-    # ascending id; pending counts the parents to come of links with several
-    pending = {i: len(ups) - 1 for i, ups in parents.items() if len(ups) > 1}
-    ready = [i for i, ups in parents.items() if not ups]
+def _merged_order(children: dict[int, tuple[int, ...]], ready: list[int],
+                  pending: dict[int, int]) -> tuple[int, ...]:
+    """The links reached from ready, each after all its parent links, ties by
+    ascending id (Kahn's algorithm with a heap).  pending[c] counts the parent
+    links still to come of a link c with several; the caller checks that every
+    link was reached."""
     heapq.heapify(ready)
     push, pop = heapq.heappush, heapq.heappop
     out: list[int] = []
@@ -255,11 +259,6 @@ def _merged_order(children: dict[int, tuple[int, ...]],
                 pending[c] -= 1
             else:
                 push(ready, c)
-    if len(out) != len(parents):
-        # each tree's walk from its root rejects every cycle first: a cycle
-        # here would force, through the child-set agreement check, a cycle
-        # within one tree.  The guard stays in case that chain ever breaks.
-        raise TopologyError("link graph contains a cycle")
     return tuple(out)
 
 
@@ -299,6 +298,15 @@ def keyword_block(text: str, keyword: str, width: int, convert):
     return enumerate(text.splitlines(), 1), convert(*[[]] * (width - 1))
 
 
+def token_lines(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, str, list[str]]]:
+    """(lineno, line, tokens) for each (lineno, raw line) pair whose line, the
+    raw line cut at its first '#' and stripped, is not blank."""
+    for lineno, raw in numbered:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
+
+
 def parse_topology(text: str) -> GeneralNetwork:
     """Parse the line-oriented topology format into a validated network.
 
@@ -315,11 +323,7 @@ def parse_topology(text: str) -> GeneralNetwork:
     others, records = keyword_block(text, "link", 4, _link_records)
     name = None
     tree_specs: list[tuple[int, int, list[int]]] = []
-    for lineno, raw in others:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for lineno, line, tok in token_lines(others):
         try:
             if tok[0] == "network":
                 if name is not None:

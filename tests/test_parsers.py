@@ -10,7 +10,8 @@ line short, and lines that each hold the wrong number of tokens while the
 file holds the right total.  The properties then check that messy but valid
 rewrites parse equal to the canonical text, and that a network read back from
 its text derives every structural attribute as tests/topology_reference.py
-does.
+does.  Rate and grid files, read by the same line lexer, get their exact
+texts pinned too, each behind comment and blank lines that shift its number.
 """
 
 import random
@@ -20,6 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures, statistics, topology
+from losstomo.bench import GridError, parse_grid
+from losstomo.params import parse_rates
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import DataError, parse_data, serialize_data
 from losstomo.topology import (TopologyError, keyword_block, parse_topology,
@@ -187,6 +190,75 @@ def test_data_error_text_is_exact(net, text, msg):
 def test_topology_error_text_is_exact(text, msg):
     with pytest.raises(TopologyError) as exc:
         parse_topology(text)
+    assert str(exc.value) == msg
+
+
+HEAD = "# head comment\n\n   \n"   # three lines the rate and grid parsers skip
+
+RATE_ERRORS = [
+    ("", "rate file is empty"),
+    ("# only comments\n\n", "rate file is empty"),
+    (HEAD + "theta 1\n", "line 4: expected 'theta|xi <link_id> <value>'"),
+    ("theta 1 0.2\n# c\n\nxi 2 0.3\n", "line 4: mixed rate kinds 'theta' and 'xi'"),
+    ("theta 1 0.2\n\t\n# c\ntheta 1 0.4\n", "line 4: duplicate link 1"),
+    (HEAD + "gamma 1 0.5\n", "line 4: expected 'theta|xi <link_id> <value>'"),
+    (HEAD + "theta x 0.5  # note\n", "line 4: malformed number in 'theta x 0.5'"),
+    ("theta 1 0.2 # tail\n\n\ttheta 2 zero\n", "line 3: malformed number in 'theta 2 zero'"),
+    (HEAD + "theta 1 0.2#0.3 4\ntheta 1.5 0.2\n",
+     "line 5: malformed number in 'theta 1.5 0.2'"),
+    (HEAD + "theta#1 0.2\n", "line 4: expected 'theta|xi <link_id> <value>'"),
+    ("xi 1 0.2\r\n# c\r\n\r\nxi 2 0.3 0.4\r\n",
+     "line 4: expected 'theta|xi <link_id> <value>'"),
+    (HEAD + "theta 1 0.2\n\n# x\nxi 3 nan\ntheta 3 0.1\n",
+     "line 7: mixed rate kinds 'theta' and 'xi'"),
+]
+
+GRID_ERRORS = [
+    ("", "grid file declares no cells"),
+    ("# only comments\n\n", "grid file declares no cells"),
+    (HEAD + "cell 1 100 50 3\n",
+     "line 4: expected 'cell <beta_a> <beta_b> <n> <reps> <methods>'"),
+    (HEAD + "cell 1 100 50#2 pcem\n",
+     "line 4: expected 'cell <beta_a> <beta_b> <n> <reps> <methods>'"),
+    (HEAD + "row 1 100 50 3 pcem\n",
+     "line 4: expected 'cell <beta_a> <beta_b> <n> <reps> <methods>'"),
+    (HEAD + "cell one 100 50 3 pcem\n", "line 4: malformed number"),
+    (HEAD + "cell 1 100 50 2.5 pcem\n", "line 4: malformed number"),
+    (HEAD + "cell 1 100 50 3 bogus,pcem,nope\n", "line 4: unknown methods ['bogus', 'nope']"),
+    (HEAD + "cell 1 100 50 0 le-xi\n", "line 4: replicates must be >= 1, got 0"),
+    (HEAD + "cell 1 100 50 -3 le-xi\n", "line 4: replicates must be >= 1, got -3"),
+    (HEAD + "cell 1 100 0 2 le-xi\n", "line 4: probe count must be >= 1, got 0"),
+    (HEAD + "cell 0 100 50 2 le-xi\n",
+     "line 4: Beta parameters must be finite and > 0, got (0, 100)"),
+    (HEAD + "cell nan 100 50 2 le-xi\n",
+     "line 4: Beta parameters must be finite and > 0, got (nan, 100)"),
+    (HEAD + "cell 1 inf 50 2 le-xi\n",
+     "line 4: Beta parameters must be finite and > 0, got (1, inf)"),
+    ("cell 1 100 50 2 le-xi\n# c\n\ncell 1 100 50 0 le-xi\n",
+     "line 4: replicates must be >= 1, got 0"),
+    (HEAD + "cell 1 100 50 2 le-xi,le-xi # twice\n",
+     "line 4: le-xi at Beta(1,100), n=50 already runs on line 4"),
+    ("cell 1 100 50 2 le-xi\n\n# c\ncell 1 100 50 3 pcem,le-xi\n",
+     "line 4: le-xi at Beta(1,100), n=50 already runs on line 1"),
+    ("cell 1 100 50 1 le-xi\n#\n\ncell 1.0000001 100 50 1 le-xi\n",
+     "line 4: le-xi at Beta(1,100), n=50 already runs on line 1"),
+    ("cell 1 100 50 2 le-xi\n\t# c\n\ncell 1 100 50 2 mvwa,pcem # c\n"
+     "cell 2 100 50 1 pcem,pcem\n",
+     "line 5: pcem at Beta(2,100), n=50 already runs on line 5"),
+]
+
+
+@pytest.mark.parametrize("text,msg", RATE_ERRORS)
+def test_rate_error_text_is_exact(text, msg):
+    with pytest.raises(ValueError) as exc:
+        parse_rates(text)
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("text,msg", GRID_ERRORS)
+def test_grid_error_text_is_exact(text, msg):
+    with pytest.raises(GridError) as exc:
+        parse_grid(text)
     assert str(exc.value) == msg
 
 

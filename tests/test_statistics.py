@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -55,8 +56,9 @@ def test_collapse_rejects_bad_records():
     (["11", "1١", "10"], "1١"),
     (["11", "10"] * 500 + ["111"], "111"),
     ([b"11", b"10"], b"11"),
+    ([("1", "1"), ("1", "0")], ("1", "1")),
 ], ids=["after-duplicates", "two-bad", "bad-repeats", "bad-repeats-unicode-digit",
-        "digit-2", "blank", "unicode-digit", "wide-after-1000", "bytes"])
+        "digit-2", "blank", "unicode-digit", "wide-after-1000", "bytes", "tuples"])
 def test_collapse_names_first_bad_row_read(rows, bad, as_generator, monkeypatch):
     entered = []
     real = statistics._check_records
@@ -80,6 +82,22 @@ def test_collapse_checks_valid_rows_in_bulk(monkeypatch):
     for net in (STAR, TOY, fixtures.twotree12(), fixtures.layered49()):
         for rate in (0.0, 0.3, 1.0):
             simulate(SimConfig(net, 300, seed=2), dict.fromkeys(net.links, rate))
+
+
+def test_internal_views_peak_memory_stays_below_an_int64_copy():
+    # the count product must not cast the (links x patterns) bool array of
+    # internal states to int64 whole, as seen @ counts would
+    net = fixtures.kary_tree(4, 4)
+    patterns = simulate(SimConfig(net, 4000, seed=1), dict.fromkeys(net.links, 0.1))
+    width = len(patterns.counts[1])
+    assert width > 3000
+    tracemalloc.start()
+    try:
+        internal_views(patterns, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(net.links) * width
 
 
 @settings(max_examples=100, deadline=None)
