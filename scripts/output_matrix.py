@@ -35,6 +35,10 @@ alone in the other.  The commands:
   at the ends of the simulator's integer loss thresholds (0, the smallest
   float, 2**-53, 1 - 2**-53 and 1), dealt to the links in ascending id
   order, once from each starting rate;
+* simulate the stars kary_tree(n, 1) for n in WIDE_STARS, whose receiver
+  patterns fill one 64-bit word and spill one bit into a second, at
+  MULTI_BLOCK_PROBES probes with --theta files that set theta = 1 on the
+  last leaf and, in a second run, on the root;
 * estimate on each data file with le-xi, pcem and mvwa, and with nem on
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
@@ -78,6 +82,7 @@ BLOCK_EDGE_RUNS = (("twotree12", "8192"), ("twotree12", "8194"), ("layered49", "
 HUB_RUNS = (("1,100", "8000"), ("1,1000", "80000"))
 SMALL_HUB = HubShape(private_depth=3, hub_depth=3)
 EDGE_RATES = (0.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0)
+WIDE_STARS = (64, 65)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
 SPLIT_NODE = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 3 1 2\nlink 4 1 3\n"
               "tree 1 1 : 1 3\ntree 2 2 : 2 3 4\n")
@@ -201,6 +206,17 @@ def run_matrix(log: list[str]) -> None:
                 for n, i in enumerate(links)), encoding="utf-8")
             _simulate_and_estimate(log, name, methods[name], f"{stem}.theta", 0, PROBES,
                                    stem, flag="--theta")
+    for leaves in WIDE_STARS:
+        name = f"star{leaves}"
+        star = fixtures.kary_tree(leaves, 1)
+        Path(f"{name}.topo").write_text(serialize_topology(star), encoding="utf-8")
+        for dead in (leaves + 1, 1):
+            stem = f"{name}.dead{dead}"
+            Path(f"{stem}.theta").write_text("".join(
+                f"theta {i} {1.0 if i == dead else 0.02 + 0.01 * (i % 7)!r}\n"
+                for i in sorted(star.links)), encoding="utf-8")
+            _simulate_and_estimate(log, name, ["le-xi", "pcem", "mvwa"], f"{stem}.theta", 0,
+                                   MULTI_BLOCK_PROBES, stem, flag="--theta")
     Path("hub.topo").write_text(hub_network(1).topology_text(), encoding="utf-8")
     for beta, probes in HUB_RUNS:
         _simulate_and_estimate(log, "hub", ["le-xi", "pcem", "mvwa"], beta, 0, probes,

@@ -142,7 +142,8 @@ def information_by_position(theta: list[float], n1: list[int], n0: list[int],
     # carried[q]: sum over q and its ancestors a of n0_a (dxi_a/dxi_q)^2 / xi_a^2
     carried: list[float] = []
     for q, (a, c0) in enumerate(zip(parent_pos, n0)):
-        s = 0.0 if c0 == 0.0 else c0 / (xi[q] * xi[q])
+        sq = xi[q] * xi[q]
+        s = 0.0 if c0 == 0.0 else c0 / sq if sq else math.nan   # nan when xi^2 underflows
         if a >= 0:
             up = 1.0 - theta[a]
             for b in child_pos[a]:

@@ -146,11 +146,12 @@ def internal_states(bits: str, tree: MulticastTree) -> InternalStateVector:
 def collapse_patterns(records: dict[int, Iterable[str]], net: GeneralNetwork,
                       name: str = "data") -> PatternTable:
     """Count per-probe bit strings, any iterable of them per tree, into a pattern
-    table.  The only code that turns rows into counts.  Each tree's rows are
-    counted first, and patterns keep the order in which they were first seen;
-    then the distinct patterns are checked at once, on their joined bytes.
-    When that check fails, _check_records checks them one by one, in that
-    order, so the error names the first bad row read."""
+    table.  Each tree's rows are counted first, and patterns keep the order in
+    which they were first seen; then the distinct patterns are checked at once,
+    on their joined bytes.  When that check fails, _check_records checks them
+    one by one, in that order, so the error names the first bad row read.
+    It serves callers that hold one string per probe; simulate counts its
+    packed patterns itself."""
     probes, receivers, counts = {}, {}, {}
     for k, rows in sorted(records.items()):
         tree = net.tree_by_id[k]

@@ -114,7 +114,8 @@ def information_by_position(theta, n1, n0, parent_pos, child_pos):
             return [math.nan] * len(theta)
     carried = []
     for q, (a, c0) in enumerate(zip(parent_pos, n0)):
-        s = 0.0 if c0 == 0.0 else c0 / (xi[q] * xi[q])
+        sq = xi[q] * xi[q]
+        s = 0.0 if c0 == 0.0 else c0 / sq if sq else math.nan   # nan when xi^2 underflows
         if a >= 0:
             up = 1.0 - theta[a]
             for b in child_pos[a]:

@@ -267,6 +267,13 @@ def test_observed_information_zero_coefficient_at_zero_xi():
     assert got[3] == pytest.approx(1 / (3 / 0.7 ** 2 + 1 / 0.3 ** 2), rel=1e-14)
 
 
+def test_observed_information_nan_where_xi_squared_underflows():
+    # link 2 has n0 = 1 and xi_2 = 1e-200, whose square is 0.0: its n0 term is nan
+    _, views = star_views({"11": 2, "10": 1, "01": 1})
+    got = _same_nan_pattern({1: 0.1, 2: 1e-200, 3: 0.3}, views, STAR)
+    assert math.isnan(got[2]) and math.isfinite(got[1]) and math.isfinite(got[3])
+
+
 def test_observed_information_rejects_multi_parent_links():
     net = fixtures.layered49()
     views, _ = internal_views(simulate(SimConfig(net, 50, seed=2), {i: 0.05 for i in net.links}),

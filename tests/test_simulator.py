@@ -203,3 +203,36 @@ def test_simulate_equals_reference_at_extreme_rates(rate):
     # link 4 is internal in tree 1, link 9 in tree 2
     theta = dict.fromkeys(THRESHOLD_CFG.net.links, 0.1) | {4: rate, 9: rate}
     _assert_equals_reference(THRESHOLD_CFG, theta)
+
+
+@pytest.mark.parametrize("leaves", [1, 63, 64, 65, 128, 129])
+def test_simulate_equals_reference_on_wide_stars(leaves):
+    # a pattern packs into 1, 1, 1, 2, 2 and 3 uint64 words; leaf rates are
+    # drawn from the threshold edges and 0.5, the root's is 1e-3 so that most
+    # probes reach the leaves, and the last leaf, the last word's top bit in
+    # use, loses half of them
+    net = fixtures.kary_tree(leaves, 1)
+    rng = np.random.default_rng(leaves)
+    theta = {i: float(rng.choice([0.0, 5e-324, 1e-3, 0.5, 1.0])) for i in net.links}
+    theta |= {1: 1e-3, leaves + 1: 0.5}
+    _assert_equals_reference(SimConfig(net, 2 * BLOCK_PROBES + 123, seed=3), theta)
+
+
+def test_simulate_first_seen_order_when_the_first_probes_lose():
+    # at rate 0.3 on each of toy7's 7 links, 8% of probes lose nothing; here
+    # the first probes lose links, and the all-lit pattern is the 8th one seen
+    net = fixtures.toy7()
+    theta = dict.fromkeys(net.links, 0.3)
+    cfg = SimConfig(net, 2 * BLOCK_PROBES + 123, seed=0)
+    assert list(simulate(cfg, theta).counts[1]).index("1111") == 7
+    _assert_equals_reference(cfg, theta)
+
+
+def test_simulate_lossy_probes_can_repeat_the_base_pattern():
+    # link 2, above leaves 4 and 5, passes nothing, so a probe that loses link 4
+    # or 5 but not 6 has the pattern of a probe that loses nothing
+    net = fixtures.toy7()
+    theta = {1: 0.0, 2: 1.0, 3: 0.0, 4: 0.5, 5: 0.5, 6: 0.2, 7: 0.0}
+    cfg = SimConfig(net, 2 * BLOCK_PROBES + 123, seed=11)
+    assert list(simulate(cfg, theta).counts[1]) == ["0011", "0001"]
+    _assert_equals_reference(cfg, theta)
