@@ -43,6 +43,11 @@ alone in the other.  The commands:
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
   star3 data, and bench on fixtures/table_grid.txt over layered49;
+* bench on EDGE_GRIDS, cells at the edges of bench's per-cell batching: a
+  tree with no probes, more than one simulator block per tree, several
+  batches of replicates in a cell, nem, the split node in both numberings,
+  and brother sets that reach BATCH_MIN_SETS only across a cell's
+  replicates;
 * one estimate per BAD_TOPOLOGIES file, each malformed in a different way
   (exit 2), so the log pins every topology error message;
 * one le-xi estimate on star3 per BAD_DATA file, each malformed in a
@@ -82,6 +87,19 @@ BLOCK_EDGE_RUNS = (("twotree12", "8192"), ("twotree12", "8194"), ("layered49", "
 HUB_RUNS = (("1,100", "8000"), ("1,1000", "80000"))
 SMALL_HUB = HubShape(private_depth=3, hub_depth=3)
 EDGE_RATES = (0.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0)
+EDGE_GRIDS = (
+    # twotree12 at 1 probe leaves tree 2 none; at 1500 probes per tree two
+    # replicates share a batch, seven in four batches; at 3000 each runs alone
+    ("twotree12", "cell 1 20 1 3 le-xi,pcem,mvwa,nem\ncell 2 60 3000 7 le-xi,pcem,mvwa\n"
+                  "cell 2 60 6000 3 le-xi,pcem,mvwa\ncell 2 60 80 3 nem\n"),
+    # a full block and a 5-row one in star3's one tree
+    ("star3", "cell 1 100 4101 2 le-xi,pcem,mvwa\ncell 1 20 60 4 nem,le-xi,mvwa\n"),
+    ("split_node", "cell 1 10 400 4 le-xi,pcem,mvwa,nem\n"),
+    ("split_node_swapped", "cell 1 10 400 4 le-xi,pcem,mvwa,nem\n"),
+    # under 10 sets per replicate need an interior root, over 50 across the
+    # cell's one batch
+    ("layered49", "cell 1 100 400 10 le-xi,mvwa\n"),
+)
 WIDE_STARS = (64, 65)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
 SPLIT_NODE = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 3 1 2\nlink 4 1 3\n"
@@ -239,9 +257,16 @@ def run_matrix(log: list[str]) -> None:
                     encoding="utf-8")
     _run(log, "bench", "--topology", "layered49.topo", "--grid", str(grid),
          "--out", "bench.csv", "--seed", "0")
-    bench = Path("bench.csv")
-    if bench.exists():
-        bench.write_text(_drop_runtime(bench.read_text(encoding="utf-8")), encoding="utf-8")
+    benches = [Path("bench.csv")]
+    for n, (name, cells) in enumerate(EDGE_GRIDS):
+        Path(f"edge{n}.grid").write_text(cells, encoding="utf-8")
+        benches.append(Path(f"bench-edge{n}.csv"))
+        _run(log, "bench", "--topology", f"{name}.topo", "--grid", f"edge{n}.grid",
+             "--out", benches[-1].name, "--seed", str(n))
+    for bench in benches:
+        if bench.exists():
+            bench.write_text(_drop_runtime(bench.read_text(encoding="utf-8")),
+                             encoding="utf-8")
 
     for n, text in enumerate(BAD_TOPOLOGIES):
         Path(f"bad{n}.topo").write_text(text, encoding="utf-8")

@@ -4,6 +4,8 @@ Per setting and replicate, one true rate vector is drawn and reused for
 every sample size, so MSE comparisons across sizes are paired.  All seeds
 derive from the master seed plus the cell coordinates; reruns are
 byte-identical apart from the runtime column.
+A cell's replicates are simulated, counted and, by le-xi and mvwa,
+estimated together, with the rows of running each alone.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import METHODS, estimator, nem
+from .estimators import METHODS, estimator, le_xi_replicates, mvwa_replicates, nem
 from .params import rates_dict
-from .simulator import SimConfig, sample_theta, simulate
-from .statistics import internal_views
+from .simulator import BLOCK_PROBES, SimConfig, sample_theta, simulate_replicates
+from .statistics import internal_views_replicates
 from .topology import GeneralNetwork, token_lines
 
 CSV_HEADER = "setting,beta_a,beta_b,n,replicate,method,mse,runtime_ms,iterations,violations"
@@ -174,38 +176,60 @@ def _data_seed(master: int, cell: GridCell, replicate: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_methods(net: GeneralNetwork, cell: GridCell, replicate: int,
-                 master_seed: int) -> list[dict]:
-    rng = np.random.Generator(np.random.Philox(seed=_theta_seed(master_seed, cell, replicate)))
-    theta_true = sample_theta(cell.beta_a, cell.beta_b, net, rng)
-    cfg = SimConfig(net, cell.probes, _data_seed(master_seed, cell, replicate),
-                    replicate=replicate)
-    patterns = simulate(cfg, theta_true)
-    views, report = internal_views(patterns, net)
-    out = []
-    for method in cell.methods:
+_BATCHED = {"le-xi": le_xi_replicates, "mvwa": mvwa_replicates}
+
+
+def _method_rows(net: GeneralNetwork, cell: GridCell, method: str, reps: range, tables,
+                 views, truths) -> list[dict]:
+    """One row per replicate in reps.  le-xi and mvwa run on all of them in one
+    call, each result timed at an equal share of it; pcem, nem, and a batched
+    call that raised run one replicate at a time, so each error row is its own."""
+    results = None
+    if method in _BATCHED:
+        try:
+            results = _BATCHED[method]([v for v, _ in views], net, [r for _, r in views])
+        except ValueError:
+            pass
+    rows = []
+    for rep, patterns, (view, report), truth, done in zip(
+            reps, tables, views, truths, results or [None] * len(reps)):
         row = {"setting": cell.setting, "beta_a": cell.beta_a, "beta_b": cell.beta_b,
-               "n": cell.probes, "replicate": replicate, "method": method}
+               "n": cell.probes, "replicate": rep, "method": method}
         t0 = time.perf_counter()
         try:
-            res = (nem(patterns, net) if method == "nem"
-                   else estimator(method)(views, net, report=report))
-            row.update(mse=mse(res.theta_hat, theta_true), iterations=res.iterations,
+            res = done or (nem(patterns, net) if method == "nem"
+                           else estimator(method)(view, net, report=report))
+            row.update(mse=mse(res.theta_hat, truth), iterations=res.iterations,
                        violations=res.violations())
         except ValueError as exc:
             row.update(mse=None, iterations=0, violations=-1, error=str(exc))
-        row["runtime_ms"] = (time.perf_counter() - t0) * 1e3
-        out.append(row)
-    return out
+        row["runtime_ms"] = (done.wall_time if done else time.perf_counter() - t0) * 1e3
+        rows.append(row)
+    return rows
 
 
 def run_grid(grid: ExperimentGrid, net: GeneralNetwork,
              workers: int = 1) -> ExperimentReport:
     """Run every (cell, replicate, method) and return ordered rows.
 
+    A cell's replicates run in batches of at most BLOCK_PROBES probes per
+    tree in all, or of one replicate whose tree alone gets more, so a
+    batch's draws, tables and views stay within one block per tree.
     workers is accepted and ignored: the replicates run on the calling thread.
     """
-    rows = [row for cell in grid.cells() for rep in range(cell.replicates)
-            for row in _run_methods(net, cell, rep, grid.master_seed)]
+    rows = []
+    for cell in grid.cells():
+        tree_probes = -(-cell.probes // len(net.trees))   # the first tree's share
+        step = max(1, BLOCK_PROBES // max(tree_probes, 1))
+        for start in range(0, cell.replicates, step):
+            reps = range(start, min(start + step, cell.replicates))
+            truths = [sample_theta(cell.beta_a, cell.beta_b, net, np.random.Generator(
+                np.random.Philox(seed=_theta_seed(grid.master_seed, cell, rep)))) for rep in reps]
+            tables = simulate_replicates(
+                [SimConfig(net, cell.probes, _data_seed(grid.master_seed, cell, rep),
+                           replicate=rep) for rep in reps], truths)
+            views = internal_views_replicates(tables, net)
+            for method in cell.methods:
+                rows += _method_rows(net, cell, method, reps, tables, views, truths)
     rows.sort(key=lambda r: (r["setting"], r["n"], r["replicate"], r["method"]))
     return ExperimentReport(rows)

@@ -26,6 +26,9 @@ Four procedures over the same internal-view statistics:
   observed information of each tree's likelihood; contributions without a
   usable variance are dropped from the average.
 
+le_xi and mvwa are le_xi_replicates and mvwa_replicates on one dataset;
+those send every dataset's sets to one _solve_interiors call.
+
 Estimates for links whose data fail the regularity conditions are still
 produced (projected onto [0, 1]) but flagged; links with no information at
 all come back as None.
@@ -265,9 +268,9 @@ def _solve_node(brothers: tuple[int, ...], r: list[float | None],
     return []
 
 
-def _solve_xi(problems) -> tuple[list[list[float | None]], int]:
-    """xi per position for each (structure, r) problem, and the largest
-    solver iteration count.
+def _solve_xi(problems) -> tuple[list[list[float | None]], list[int]]:
+    """xi per position for each (structure, r) problem, and each problem's
+    largest solver iteration count.
 
     The structure is a network or a tree; r holds the confirmed pass
     fraction per position of its order, None without information.  Links at
@@ -276,19 +279,21 @@ def _solve_xi(problems) -> tuple[list[list[float | None]], int]:
     root go to one _solve_interiors call.
     """
     xis, pending = [], []
-    for s, r in problems:
+    for p, (s, r) in enumerate(problems):
         xi: list[float | None] = [None] * len(r)
         for q in s.root_pos:
             if r[q] is not None:
                 xi[q] = 1.0 - r[q]
-        pending += ((xi, r, mid) for mid in [_solve_node(b, r, xi) for b in s.brother_pos]
+        pending += ((p, xi, r, mid) for mid in [_solve_node(b, r, xi) for b in s.brother_pos]
                     if mid)
         xis.append(xi)
-    pis, iters = _solve_interiors([[r[j] for j in mid] for _, r, mid in pending])
-    for (xi, r, mid), pi in zip(pending, pis):
+    pis, iters = _solve_interiors([[r[j] for j in mid] for _, _, r, mid in pending])
+    most = [0] * len(xis)
+    for (p, xi, r, mid), pi, it in zip(pending, pis, iters):
         for j in mid:
             xi[j] = (1.0 - r[j]) + r[j] * pi
-    return xis, max(iters, default=0)
+        most[p] = max(most[p], it)
+    return xis, most
 
 
 def _finish(xi: list[float | None], s: GeneralNetwork | MulticastTree, slots,
@@ -329,21 +334,38 @@ def _assemble_flags(theta_raw: dict[int, float | None], bad,
 
 def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
           report: RegularityReport | None = None) -> EstimateResult:
-    """Likelihood-equation estimator.
+    """Likelihood-equation estimator: le_xi_replicates on one dataset.  workers
+    is accepted and ignored: the solves run on the calling thread."""
+    return le_xi_replicates([views], net, [report])[0]
 
-    mvwa's two steps on net alone: _solve_xi (root closed forms, _solve_node
-    per brother set, one _solve_interiors call, batched from BATCH_MIN_SETS
-    sets on) and _finish (xi to theta, boundary snap, projection, flags from
-    report).  iterations is the largest solver iteration count.  workers is
-    accepted and ignored: the solves run on the calling thread.
+
+def _timed(results: list[EstimateResult], t0: float) -> list[EstimateResult]:
+    """Give each result an equal share of the wall time since t0."""
+    share = (time.perf_counter() - t0) / len(results)
+    for res in results:
+        res.wall_time = share
+    return results
+
+
+def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
+                     reports: list[RegularityReport | None]) -> list[EstimateResult]:
+    """le_xi on each dataset's views and report (None: computed here).
+
+    mvwa's two steps on net alone: _solve_xi on every dataset at once, then
+    _finish per dataset (xi to theta, boundary snap, projection, flags).  A
+    result's iterations is its own largest solver iteration count.
     """
     t0 = time.perf_counter()
-    if report is None:
-        report = regularity_report(views, net)
-    (xi,), iterations = _solve_xi([(net, [views.r[i] for i in net.order])])
-    theta_hat, flags = _finish(xi, net, net.id_pos, report.flagged())
-    return EstimateResult("le-xi", theta_hat, {net.order[q]: xi[q] for q in net.id_pos},
-                          flags, iterations, report, time.perf_counter() - t0)
+    reports = [regularity_report(v, net) if r is None else r
+               for v, r in zip(views_list, reports)]
+    xis, iterations = _solve_xi([(net, [v.r[i] for i in net.order]) for v in views_list])
+    out = []
+    for report, xi, its in zip(reports, xis, iterations):
+        theta_hat, flags = _finish(xi, net, net.id_pos, report.flagged())
+        out.append(EstimateResult("le-xi", theta_hat,
+                                  {net.order[q]: xi[q] for q in net.id_pos},
+                                  flags, its, report, 0.0))
+    return _timed(out, t0)
 
 
 def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float,
@@ -527,33 +549,53 @@ def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1
 
 def mvwa(views: InternalView, net: GeneralNetwork,
          report: RegularityReport | None = None) -> EstimateResult:
-    """Per-tree estimates combined by minimum-variance weighted averaging.
+    """Per-tree estimates combined by minimum-variance weighted averaging:
+    mvwa_replicates on one dataset."""
+    return mvwa_replicates([views], net, [report])[0]
+
+
+def mvwa_replicates(views_list: list[InternalView], net: GeneralNetwork,
+                    reports: list[RegularityReport | None]) -> list[EstimateResult]:
+    """mvwa on each dataset's views and report (None: computed here).
 
     Each tree is estimated as le_xi would on a network of that tree alone,
-    on the tree's slice of the views and its positional form, so no
-    sub-network is built; every tree's sets that need an interior root go
-    to one _solve_interiors call, and regularity_by_position flags each
-    tree's links on its own counts.  Links seen by several trees are
-    averaged, in ascending tree id, with weights 1/variance from the exact
-    diagonal observed information of the tree's own likelihood.  A per-tree
-    estimate with no usable variance (boundary point, flat curvature) gets
-    zero weight, matching the minimum-variance reading; only when no tree
-    has a usable variance does the link fall back to probe-count weights.
-    Links seen by one tree pass through.
+    on its slice of the views and its positional form; every dataset's and
+    tree's sets go to one _solve_interiors call, and regularity_by_position
+    flags each tree's links on its own counts.  Links seen by several trees
+    are averaged, in ascending tree id, with weights 1/variance from the
+    exact diagonal observed information of the tree's likelihood; without a
+    usable variance (boundary point, flat curvature) an estimate gets zero
+    weight, and when no tree has one the link falls back to probe-count
+    weights.  A result's iterations is the largest of its own trees'.
     """
     t0 = time.perf_counter()
-    if report is None:
-        report = regularity_report(views, net)
-    per_tree = []
-    for k in sorted(views.per_tree_n1):
-        tree = net.tree_by_id[k]
-        n1 = list(map(views.per_tree_n1[k].__getitem__, tree.order))
-        n0 = list(map(views.per_tree_n0[k].__getitem__, tree.order))
-        per_tree.append((k, tree, n1, n0))
+    reports = [regularity_report(v, net) if r is None else r
+               for v, r in zip(views_list, reports)]
+    per_view = []
+    for views in views_list:
+        per_tree = []
+        for k in sorted(views.per_tree_n1):
+            tree = net.tree_by_id[k]
+            n1 = list(map(views.per_tree_n1[k].__getitem__, tree.order))
+            n0 = list(map(views.per_tree_n0[k].__getitem__, tree.order))
+            per_tree.append((k, tree, n1, n0))
+        per_view.append(per_tree)
     xis, iterations = _solve_xi(
         (tree, [c1 / (c1 + c0) if c1 + c0 > 0 else None for c1, c0 in zip(n1, n0)])
-        for _, tree, n1, n0 in per_tree)
+        for per_tree in per_view for _, tree, n1, n0 in per_tree)
+    out, at = [], 0
+    for views, report, per_tree in zip(views_list, reports, per_view):
+        end = at + len(per_tree)
+        theta_hat, flags = _combine(views, net, per_tree, xis[at:end])
+        out.append(EstimateResult("mvwa", theta_hat, theta_to_xi(theta_hat, net), flags,
+                                  max(iterations[at:end], default=0), report, 0.0))
+        at = end
+    return _timed(out, t0)
 
+
+def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
+             ) -> tuple[dict[int, float | None], dict[int, str]]:
+    """mvwa's theta_hat and flags on one dataset, from each tree's solved xi."""
     # link -> (tree id, estimate, variance, flag) per estimating tree, by tree id
     by_link: dict[int, list[tuple[int, float, float, str]]] = {i: [] for i in net.links}
     for (k, tree, n1, n0), xi in zip(per_tree, xis):
@@ -591,10 +633,7 @@ def mvwa(views: InternalView, net: GeneralNetwork,
         est = sum(w * e for w, (_, e, _, _) in zip(weights, usable)) / total
         theta_hat[i] = min(1.0, max(0.0, est))
         flags[i] = max((f for _, _, _, f in usable), key=_FLAG_RANK.__getitem__)
-
-    xi_hat = theta_to_xi(theta_hat, net)
-    return EstimateResult("mvwa", theta_hat, xi_hat, flags, iterations,
-                          report, time.perf_counter() - t0)
+    return theta_hat, flags
 
 
 def estimator(method: str):

@@ -20,10 +20,13 @@ a (links x patterns) array in tree.order, each row is ORed into its
 parent's row, bottom-up, and n_i(1) is the count-weighted sum of link i's
 row, one einsum for all rows.  Bit column j is the j-th ascending leaf link
 id, which internal_views checks against the network before it counts.
+internal_views is the one-table case of internal_views_replicates, which
+ORs up the patterns of many tables, side by side, once per tree.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -210,44 +213,58 @@ class RegularityReport:
 
 def internal_views(patterns: PatternTable, net: GeneralNetwork
                    ) -> tuple[InternalView, RegularityReport]:
-    """Internal views from a pattern table, plus the regularity report.
+    """Internal views from a pattern table, plus the regularity report: the
+    one-table case of internal_views_replicates."""
+    return internal_views_replicates([patterns], net)[0]
 
-    Each tree's distinct patterns are counted as one bit matrix (see
-    PatternTable.bit_matrix), transposed into the leaf rows of a
-    (len(tree.order) x patterns) array.  From the last position up to the
-    root's children, row q is ORed into row parent_pos[q], so a row holds
-    the link's internal state per pattern; n_i(1) is that row dotted with
-    the counts, in one einsum, so probes are never replayed one by one, and
-    n_i(0) is the parent's n(1), or the tree's probes at the root, less
-    n_i(1).  Bits are read by position, so check_fits first rejects a table
-    that does not fit net.
+
+def internal_views_replicates(tables: list[PatternTable], net: GeneralNetwork
+                              ) -> list[tuple[InternalView, RegularityReport]]:
+    """internal_views of each table.  Per tree, the tables' bit matrices
+    (PatternTable.bit_matrix) side by side fill the leaf rows of one
+    (len(tree.order) x patterns) array; row q is ORed into row parent_pos[q],
+    children first, and a table's n_i(1) is its own columns of the row
+    dotted with its counts, one einsum per table.  n_i(0) is the parent's
+    n(1), or the tree's probes at the root, less n_i(1).  Bits are read by
+    position, so check_fits first rejects a table that does not fit net.
     """
-    check_fits(patterns, net)
-    bits = {k: patterns.bit_matrix(k) for k in patterns.probes}
-    per_tree_n1: dict[int, dict[int, int]] = {}
-    per_tree_n0: dict[int, dict[int, int]] = {}
-    agg1, agg0 = dict.fromkeys(net.links, 0), dict.fromkeys(net.links, 0)
-    for k, table in patterns.counts.items():
+    for patterns in tables:
+        check_fits(patterns, net)
+    bits = [{k: t.bit_matrix(k) for k in t.probes} for t in tables]
+    seen_n1 = {}   # (table, tree id) -> n_i(1) per position of tree.order
+    for k in dict.fromkeys(k for t in tables for k in t.counts):
         tree = net.tree_by_id[k]
-        up, pos = tree.parent_pos, tree.pos
-        counts = np.fromiter(table.values(), np.int64, len(table))
-        seen = np.zeros((len(tree.order), len(table)), bool)
-        seen[list(tree.leaf_pos)] = bits[k].T
+        up, leaves = tree.parent_pos, list(tree.leaf_pos)
+        reps = [r for r, t in enumerate(tables) if k in t.counts]
+        ends = list(itertools.accumulate((len(tables[r].counts[k]) for r in reps), initial=0))
+        counts = np.fromiter(itertools.chain.from_iterable(
+            tables[r].counts[k].values() for r in reps), np.int64, ends[-1])
+        seen = np.zeros((len(tree.order), ends[-1]), bool)
+        for r, a, b in zip(reps, ends, ends[1:]):
+            seen[leaves, a:b] = bits[r][k].T
         for q in range(len(up) - 1, 0, -1):
             seen[up[q]] |= seen[q]
-        # einsum casts its bool operand in buffered chunks; seen @ counts
-        # would cast the whole of it to int64 first
-        n1 = np.einsum("qp,p->q", seen, counts).tolist()
-        n0 = [(n1[u] if u >= 0 else patterns.probes[k]) - v for u, v in zip(up, n1)]
-        per_tree_n1[k] = {i: n1[pos[i]] for i in tree.links}
-        per_tree_n0[k] = {i: n0[pos[i]] for i in tree.links}
-        for i, c1, c0 in zip(tree.order, n1, n0):
-            agg1[i] += c1
-            agg0[i] += c0
-    r = {i: agg1[i] / (agg1[i] + agg0[i]) if agg1[i] + agg0[i] > 0 else None
-         for i in net.links}
-    view = InternalView(per_tree_n1, per_tree_n0, agg1, agg0, r, dict(patterns.probes))
-    return view, regularity_report(view, net)
+        for r, a, b in zip(reps, ends, ends[1:]):
+            # einsum casts its bool operand in buffered chunks; seen @ counts
+            # would cast the whole of it to int64 first
+            seen_n1[r, k] = np.einsum("qp,p->q", seen[:, a:b], counts[a:b]).tolist()
+    out = []
+    for r, patterns in enumerate(tables):
+        per_tree_n1, per_tree_n0 = {}, {}
+        agg1, agg0 = dict.fromkeys(net.links, 0), dict.fromkeys(net.links, 0)
+        for k in patterns.counts:
+            tree, n1, n_k = net.tree_by_id[k], seen_n1[r, k], patterns.probes[k]
+            n0 = [(n1[u] if u >= 0 else n_k) - v for u, v in zip(tree.parent_pos, n1)]
+            per_tree_n1[k] = {i: n1[tree.pos[i]] for i in tree.links}
+            per_tree_n0[k] = {i: n0[tree.pos[i]] for i in tree.links}
+            for i, c1, c0 in zip(tree.order, n1, n0):
+                agg1[i] += c1
+                agg0[i] += c0
+        rates = {i: agg1[i] / (agg1[i] + agg0[i]) if agg1[i] + agg0[i] > 0 else None
+                 for i in net.links}
+        view = InternalView(per_tree_n1, per_tree_n0, agg1, agg0, rates, dict(patterns.probes))
+        out.append((view, regularity_report(view, net)))
+    return out
 
 
 def check_fits(patterns: PatternTable, net: GeneralNetwork):

@@ -2,18 +2,21 @@ import argparse
 import math
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from losstomo import cli, fixtures
+import bench_reference
+from bench_reference import run_grid_reference
+from losstomo import bench, cli, estimators, fixtures
 from losstomo.bench import (ExperimentGrid, GridCell, GridError, mse, parse_grid,
                             run_grid)
 from losstomo.cli import main
-from losstomo.estimators import le_xi
-from losstomo.simulator import SimConfig, simulate
+from losstomo.estimators import BATCH_MIN_SETS, le_xi
+from losstomo.simulator import BLOCK_PROBES, SimConfig, simulate
 from losstomo.statistics import internal_views
-from losstomo.topology import serialize_topology
+from losstomo.topology import parse_topology, serialize_topology
 
 STAR_DATA = """\
 data star-fixture
@@ -153,6 +156,121 @@ class TestGrid:
         grid = parse_grid("cell 1 50 20 1 nem\n", master_seed=1)
         rows = run_grid(grid, net).rows
         assert rows[0]["mse"] is None and rows[0]["violations"] == -1
+
+
+def _strip(rows):
+    return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
+
+
+# node 1 is reached by link 1 in tree 1 and by link 2 in tree 2, with child
+# sets {3} and {3, 4}; the second text numbers the two children the other way
+SPLIT_NODE = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 3 1 2\nlink 4 1 3\n"
+              "tree 1 1 : 1 3\ntree 2 2 : 2 3 4\n")
+SPLIT_NODE_SWAPPED = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 4 1 2\n"
+                      "link 3 1 3\ntree 1 1 : 1 4\ntree 2 2 : 2 4 3\n")
+
+REFERENCE_CASES = {
+    # one probe: tree 2 of twotree12 gets none
+    "twotree12-one-probe": (fixtures.twotree12, "cell 1 20 1 3 le-xi,pcem,mvwa,nem\n"),
+    # star3's one tree gets a full block and a second of 5 rows
+    "star3-two-blocks": (fixtures.star3, f"cell 1 100 {BLOCK_PROBES + 5} 2 le-xi,pcem,mvwa\n"),
+    # 1500 probes per tree: two replicates per batch, seven in four batches
+    "twotree12-four-batches": (fixtures.twotree12, "cell 2 60 3000 7 le-xi,pcem,mvwa\n"),
+    # 3000 probes per tree: one replicate per batch
+    "twotree12-lone-batches": (fixtures.twotree12, "cell 2 60 6000 3 le-xi,pcem,mvwa\n"),
+    "star3-nem": (fixtures.star3, "cell 1 20 60 4 nem,le-xi,mvwa\n"),
+    "twotree12-nem": (fixtures.twotree12, "cell 2 60 80 3 nem,pcem,mvwa\n"),
+    "split-node": (lambda: parse_topology(SPLIT_NODE), "cell 1 10 400 4 le-xi,pcem,mvwa,nem\n"),
+    "split-node-swapped": (lambda: parse_topology(SPLIT_NODE_SWAPPED),
+                           "cell 1 10 400 4 le-xi,pcem,mvwa,nem\n"),
+    # the same setting at two sizes, and a setting whose seeds equal Beta(1,100)'s
+    "layered49-shared-settings": (fixtures.layered49, "cell 1 100 50 4 le-xi,mvwa\n"
+                                  "cell 1 100 200 4 le-xi,pcem\n"
+                                  "cell 1.0000001 100 80 4 le-xi,mvwa\n"),
+}
+
+
+class TestBatchedGrid:
+    """run_grid batches each cell's replicates; its rows, apart from
+    runtime_ms, equal tests/bench_reference.py's, which runs them one by one."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_rows_equal_per_replicate_reference(self, case):
+        make_net, text = REFERENCE_CASES[case]
+        net, grid = make_net(), parse_grid(text, master_seed=4)
+        rows = run_grid(grid, net).rows
+        assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
+        assert len(rows) == sum(c.replicates * len(c.methods) for c in grid.cells())
+
+    def test_pooled_sets_reach_the_batched_solve(self, monkeypatch):
+        # no replicate alone has BATCH_MIN_SETS sets that need an interior root,
+        # the ten of a batch do; the batched solve must count each one's iterations
+        net = fixtures.layered49()
+        grid = parse_grid("cell 1 100 400 10 le-xi,mvwa\n", master_seed=3)
+        sizes = []
+        real = estimators._solve_interiors
+        monkeypatch.setattr(estimators, "_solve_interiors",
+                            lambda rows: sizes.append(len(rows)) or real(rows))
+        rows = run_grid(grid, net).rows
+        pooled, sizes[:] = list(sizes), []
+        want = run_grid_reference(grid, net).rows
+        assert max(sizes) < BATCH_MIN_SETS <= min(pooled)
+        assert len(pooled) == 2 and len(sizes) == 20
+        assert _strip(rows) == _strip(want)
+        assert len({r["iterations"] for r in rows if r["method"] == "le-xi"}) > 1
+
+    def test_mse_error_rows_equal_reference(self, monkeypatch):
+        # mse raises for the replicates whose link 1 rate is above 0.03
+        def picky(theta_hat, theta_true):
+            if theta_true[1] > 0.03:
+                raise ValueError("no estimable links in common")
+            return mse(theta_hat, theta_true)
+        monkeypatch.setattr(bench, "mse", picky)
+        monkeypatch.setattr(bench_reference, "mse", picky)
+        net = fixtures.twotree12()
+        grid = parse_grid("cell 1 30 200 6 le-xi,pcem,mvwa\n", master_seed=2)
+        rows = run_grid(grid, net).rows
+        assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
+        errors = [r for r in rows if r["mse"] is None]
+        assert 0 < len(errors) < len(rows)
+        assert all(r["violations"] == -1 and r["iterations"] == 0 for r in errors)
+
+    def test_batched_error_reruns_each_replicate(self, monkeypatch):
+        # le_xi raises on the replicates with an odd root pass count; the batched
+        # call raises when any does, and each replicate then runs alone
+        real = estimators.le_xi
+
+        def odd_fails(views, net, workers=1, report=None):
+            if views.n1[1] % 2:
+                raise ValueError(f"odd root count {views.n1[1]}")
+            return real(views, net, workers, report)
+        monkeypatch.setattr(estimators, "le_xi", odd_fails)
+        monkeypatch.setitem(bench._BATCHED, "le-xi", lambda views, net, reports: [
+            odd_fails(v, net, report=r) for v, r in zip(views, reports)])
+        net = fixtures.twotree12()
+        grid = parse_grid("cell 1 30 200 8 le-xi,mvwa\n", master_seed=2)
+        rows = run_grid(grid, net).rows
+        assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
+        errors = [r for r in rows if r["mse"] is None]
+        assert 0 < len(errors) < 8
+        assert all(r["error"].startswith("odd root count") for r in errors)
+
+    @pytest.mark.parametrize("beta_b", [1000, 100])
+    def test_peak_memory_stays_within_one_stacked_block(self, beta_b):
+        # 20 replicates of two full blocks each: stacking every replicate's
+        # words at once would hold 20 blocks of 8-byte words; at Beta(1,100)
+        # nearly every probe has its own 256-leaf pattern, so holding all 20
+        # tables and their views at once would too
+        net = fixtures.kary_tree(4, 4)
+        grid = parse_grid(f"cell 1 {beta_b} 8192 20 le-xi\n", master_seed=1)
+        tracemalloc.start()
+        try:
+            rows = run_grid(grid, net).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 20
+        assert peak < 3 * BLOCK_PROBES * len(net.links) * 8
 
 
 class TestCli:

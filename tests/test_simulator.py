@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures
-from losstomo.simulator import BLOCK_PROBES, SimConfig, sample_theta, simulate
+from losstomo.simulator import (BLOCK_PROBES, SimConfig, sample_theta, simulate,
+                                simulate_replicates)
 from losstomo.statistics import internal_views, serialize_data
 
 from sim_reference import simulate_reference
@@ -236,3 +237,72 @@ def test_simulate_lossy_probes_can_repeat_the_base_pattern():
     cfg = SimConfig(net, 2 * BLOCK_PROBES + 123, seed=11)
     assert list(simulate(cfg, theta).counts[1]) == ["0011", "0001"]
     _assert_equals_reference(cfg, theta)
+
+
+def _replicate_cases():
+    """(network, probes, configs' (seed, replicate) pairs, rate maps): theta = 1
+    on some links in some replicates only, so each has its own base mask."""
+    cases = []
+    for net, probes in [(fixtures.toy7(), 1), (fixtures.twotree12(), 1),
+                        (fixtures.twotree12(), 300),
+                        # 1500 probes per tree: five replicates stack 7500 rows
+                        (fixtures.twotree12(), 3000),
+                        (fixtures.layered49(), 2 * BLOCK_PROBES + 123),
+                        (fixtures.kary_tree(65, 1), BLOCK_PROBES + 7)]:
+        rng = np.random.default_rng(probes)
+        ids = sorted(net.links)
+        thetas = []
+        for r in range(5):
+            theta = {i: float(rng.uniform(0.0, 0.2)) for i in ids}
+            if r == 1:
+                theta[ids[1]] = 1.0            # an internal link, or a leaf of the star
+            elif r == 3:
+                theta[ids[-1]] = 1.0           # a leaf
+            elif r == 4:
+                theta[ids[0]] = 1.0            # a root: every probe all dark
+            thetas.append(theta)
+        keys = [(11, 0), (11, 5), (3, 2), (11, 7), (40, 1)]
+        cases.append((net, probes, keys, thetas))
+    return cases
+
+
+@pytest.mark.parametrize("net,probes,keys,thetas", _replicate_cases(),
+                         ids=["toy7-1", "twotree12-1", "twotree12-300", "twotree12-3000",
+                              "layered49-blocks", "star65-blocks"])
+def test_simulate_replicates_equal_each_config_alone(net, probes, keys, thetas):
+    cfgs = [SimConfig(net, probes, seed, replicate=rep) for seed, rep in keys]
+    got = simulate_replicates(cfgs, thetas)
+    assert len(got) == len(cfgs)
+    for cfg, theta, table in zip(cfgs, thetas, got):
+        want = simulate_reference(cfg, theta)
+        assert table == want
+        for k, counts in want.counts.items():
+            assert list(table.counts[k]) == list(counts)   # first-seen key order
+        assert table == simulate(cfg, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_simulate_replicates_equal_reference_on_random_networks(data):
+    net = data.draw(_networks())
+    probes = data.draw(st.integers(0, 300))
+    rates = st.sampled_from([0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0)
+    cfgs, thetas = [], []
+    for rep in range(data.draw(st.integers(1, 4))):
+        cfgs.append(SimConfig(net, probes, data.draw(st.integers(0, 2**32 - 1)), replicate=rep))
+        thetas.append({i: data.draw(rates) for i in net.links})
+    for cfg, theta, table in zip(cfgs, thetas, simulate_replicates(cfgs, thetas)):
+        want = simulate_reference(cfg, theta)
+        assert table == want
+        for k, counts in want.counts.items():
+            assert list(table.counts[k]) == list(counts)
+
+
+def test_simulate_replicates_need_one_network_and_probe_count():
+    net = fixtures.twotree12()
+    theta = dict.fromkeys(net.links, 0.1)
+    with pytest.raises(ValueError, match="share a network and a probe count"):
+        simulate_replicates([SimConfig(net, 10, 1), SimConfig(net, 11, 1)], [theta, theta])
+    with pytest.raises(ValueError, match="share a network and a probe count"):
+        simulate_replicates([SimConfig(net, 10, 1), SimConfig(fixtures.twotree12(), 10, 1)],
+                            [theta, theta])

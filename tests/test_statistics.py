@@ -12,7 +12,8 @@ from losstomo.likelihood import per_probe_loglik
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import (DataError, InternalView, PatternTable,
                                  collapse_patterns, internal_states, internal_views,
-                                 parse_data, regularity_report, serialize_data)
+                                 internal_views_replicates, parse_data,
+                                 regularity_report, serialize_data)
 from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
 
 from mvwa_reference import tree_views
@@ -412,6 +413,11 @@ def _networks(draw):
 @st.composite
 def _nets_and_tables(draw):
     net = draw(_networks())
+    return net, _table_on(draw, net)
+
+
+def _table_on(draw, net):
+    """A random table on net: trees in any order, some with no counts entry."""
     probes, receivers, counts = {}, {}, {}
     for tree in draw(st.permutations(net.trees)):
         k, width = tree.tree_id, len(tree.leaves)
@@ -421,7 +427,7 @@ def _nets_and_tables(draw):
         receivers[k] = tree.leaves
         if table or draw(st.booleans()):
             counts[k] = table
-    return net, PatternTable("random", probes, receivers, counts)
+    return PatternTable("random", probes, receivers, counts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,6 +435,39 @@ def _nets_and_tables(draw):
 def test_views_equal_per_pattern_reference(case):
     net, patterns = case
     _assert_views_match_reference(patterns, net)
+
+
+@st.composite
+def _nets_and_table_lists(draw):
+    net = draw(_networks())
+    return net, [_table_on(draw, net) for _ in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nets_and_table_lists())
+def test_replicate_views_equal_per_pattern_reference(case):
+    # the tables' patterns share one array per tree; each table's views and
+    # report must be those of the table alone
+    net, tables = case
+    got = internal_views_replicates(tables, net)
+    assert len(got) == len(tables)
+    for table, (view, report) in zip(tables, got):
+        want = _reference_views(table, net)
+        _assert_identical(view, want[0])
+        _assert_identical(report, want[1])
+
+
+def test_replicate_views_of_simulated_cells_equal_each_table_alone():
+    # twotree12 at 1 probe leaves tree 2 empty; layered49 tables differ in size
+    for net, probes in [(fixtures.twotree12(), 1), (fixtures.twotree12(), 300),
+                        (fixtures.layered49(), 500)]:
+        tables = [_simulated(net, 1, 30, probes, seed) for seed in range(6)]
+        got = internal_views_replicates(tables, net)
+        for table, (view, report) in zip(tables, got):
+            want = internal_views(table, net)
+            _assert_identical(view, want[0])
+            _assert_identical(report, want[1])
+            _assert_identical(view, _reference_views(table, net)[0])
 
 
 def _views_edge_cases():
