@@ -53,6 +53,8 @@ alone in the other.  The commands:
 * one le-xi estimate on star3 per BAD_DATA file, each malformed in a
   different way (exit 2), so the log pins every data error message through
   the CLI, the line-numbered ones included;
+* simulate star3 at each BAD_BETAS setting, Beta parameters that are 0,
+  nan or inf (exit 2), so the log pins sample_theta's message;
 * le-xi on valid but unusual rewrites (UNUSUAL) of star3's fixture data and
   of the twotree12 and hub data files: comments, tabs, blank lines, CRLF
   line ends, and pattern lines before and between the header lines.
@@ -150,6 +152,7 @@ BAD_DATA = (
     "data x y\nprobes 1 2\nreceivers 1 : 2 3\npattern 1 11 2\n",
     "data x\nprobes 1 2\nreceivers 1 2 3\npattern 1 11 2\n",
 )
+BAD_BETAS = ("0,1", "nan,1", "inf,1", "1,inf")
 UNUSUAL = ("comments", "crlf-tabs", "out-of-order")
 
 
@@ -277,6 +280,10 @@ def run_matrix(log: list[str]) -> None:
         Path(f"bad{n}.data").write_text(text, encoding="utf-8")
         _run(log, "estimate", "--topology", "star3.topo", "--data", f"bad{n}.data",
              "--method", "le-xi", "--out", f"bad{n}.data.csv")
+
+    for beta in BAD_BETAS:
+        _run(log, "simulate", "--topology", "star3.topo", "--beta", beta, "--probes", PROBES,
+             "--seed", "0", "--out", f"star3.bad-beta{beta.replace(',', '_')}.data")
 
     sources = {"star3": (ROOT / "fixtures" / "star3.data").read_text(encoding="utf-8"),
                "twotree12": Path("twotree12.beta1_100.seed0.data").read_text(encoding="utf-8"),

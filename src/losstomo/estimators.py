@@ -1,6 +1,7 @@
 """Loss-rate estimators.
 
-Four procedures over the same internal-view statistics:
+Four procedures over the same internal-view statistics, read by position
+through InternalView.counts, with pass fractions from pass_fractions:
 
 * le_xi: solves the likelihood equations in the subtree-loss
   parametrization on the network's positional form, in the two steps
@@ -46,7 +47,7 @@ import numpy as np
 from .likelihood import information_by_position, loglik_theta
 from .params import XI_BOUNDARY_TOL, theta_by_position, theta_to_xi, xi_by_position
 from .statistics import (InternalView, PatternTable, RegularityReport, internal_views,
-                         regularity_by_position, regularity_report)
+                         pass_fractions, regularity_by_position, regularity_report)
 from .topology import GeneralNetwork, MulticastTree
 
 FLAG_OK = "ok"
@@ -313,19 +314,17 @@ def _finish(xi: list[float | None], s: GeneralNetwork | MulticastTree, slots,
         elif v is not None and abs(v - 1.0) <= XI_BOUNDARY_TOL:
             v = 1.0
         raw[order[q]] = v
-    theta_hat, clamped = project_to_theta_star(raw)
-    return theta_hat, _assemble_flags(raw, bad, clamped)
+    return project_to_theta_star(raw)[0], _assemble_flags(raw, bad)
 
 
-def _assemble_flags(theta_raw: dict[int, float | None], bad,
-                    clamped: frozenset[int]) -> dict[int, str]:
+def _assemble_flags(theta_raw: dict[int, float | None], bad) -> dict[int, str]:
     flags = {}
     for i, v in theta_raw.items():
         if v is None:
             flags[i] = FLAG_NON_ESTIMABLE
         elif i in bad:
             flags[i] = FLAG_REGULARITY
-        elif i in clamped or v <= 0.0 or v >= 1.0:
+        elif v <= 0.0 or v >= 1.0:
             flags[i] = FLAG_BOUNDARY
         else:
             flags[i] = FLAG_OK
@@ -358,7 +357,7 @@ def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
-    xis, iterations = _solve_xi([(net, [v.r[i] for i in net.order]) for v in views_list])
+    xis, iterations = _solve_xi([(net, pass_fractions(*v.counts(net))) for v in views_list])
     out = []
     for report, xi, its in zip(reports, xis, iterations):
         theta_hat, flags = _finish(xi, net, net.id_pos, report.flagged())
@@ -413,7 +412,7 @@ def _finish_em(method: str, net: GeneralNetwork, report: RegularityReport,
     theta_hat: dict[int, float | None] = {}
     for i in net.links:
         theta_hat[i] = None if i in report.no_information else theta_map[i]
-    flags = _assemble_flags(theta_hat, report.flagged(), frozenset())
+    flags = _assemble_flags(theta_hat, report.flagged())
     xi_hat = theta_to_xi(theta_hat, net)
     return EstimateResult(method, theta_hat, xi_hat, flags, iterations,
                           report, time.perf_counter() - t0,
@@ -440,8 +439,7 @@ def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-
         report = regularity_report(views, net)
     parents, children = net.parent_pos, net.child_pos
     m = len(parents)
-    n1 = [float(views.n1[i]) for i in net.order]
-    n0 = [float(views.n0[i]) for i in net.order]
+    n1, n0 = ([float(c) for c in cs] for cs in views.counts(net))
     om1 = [0.0] * m
     om0 = [0.0] * m
 
@@ -571,18 +569,11 @@ def mvwa_replicates(views_list: list[InternalView], net: GeneralNetwork,
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
-    per_view = []
-    for views in views_list:
-        per_tree = []
-        for k in sorted(views.per_tree_n1):
-            tree = net.tree_by_id[k]
-            n1 = list(map(views.per_tree_n1[k].__getitem__, tree.order))
-            n0 = list(map(views.per_tree_n0[k].__getitem__, tree.order))
-            per_tree.append((k, tree, n1, n0))
-        per_view.append(per_tree)
-    xis, iterations = _solve_xi(
-        (tree, [c1 / (c1 + c0) if c1 + c0 > 0 else None for c1, c0 in zip(n1, n0)])
-        for per_tree in per_view for _, tree, n1, n0 in per_tree)
+    per_view = [[(tree, *views.counts(tree))
+                 for tree in map(net.tree_by_id.__getitem__, sorted(views.per_tree_n1))]
+                for views in views_list]
+    xis, iterations = _solve_xi((tree, pass_fractions(n1, n0))
+                                for per_tree in per_view for tree, n1, n0 in per_tree)
     out, at = [], 0
     for views, report, per_tree in zip(views_list, reports, per_view):
         end = at + len(per_tree)
@@ -598,7 +589,7 @@ def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
     """mvwa's theta_hat and flags on one dataset, from each tree's solved xi."""
     # link -> (tree id, estimate, variance, flag) per estimating tree, by tree id
     by_link: dict[int, list[tuple[int, float, float, str]]] = {i: [] for i in net.links}
-    for (k, tree, n1, n0), xi in zip(per_tree, xis):
+    for (tree, n1, n0), xi in zip(per_tree, xis):
         theta, tree_flags = _finish(xi, tree, range(len(xi)),
                                     regularity_by_position(tree, n1, n0).flagged())
         variances = information_by_position(
@@ -607,7 +598,7 @@ def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
         for i, est, var, flag in zip(tree.order, theta.values(), variances,
                                      tree_flags.values()):
             if est is not None:
-                by_link[i].append((k, est, var, flag))
+                by_link[i].append((tree.tree_id, est, var, flag))
 
     theta_hat: dict[int, float | None] = {}
     flags: dict[int, str] = {}

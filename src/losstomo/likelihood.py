@@ -7,10 +7,10 @@ tests lean on that.  Boundary evaluations return -inf rather than raising,
 so optimizers can still compare candidates.  A term with a zero coefficient
 contributes nothing even when its log argument is zero.
 
-observed_information gives the exact diagonal curvature of loglik_theta,
-one pass over the links with no finite differences; mvwa reads the same
-computation on each tree's lists (information_by_position) for its
-per-link variances.
+observed_information gives the exact diagonal curvature of loglik_theta on
+the counts InternalView.counts reads, one pass over the links with no finite
+differences; mvwa runs the same computation on each tree's counts
+(information_by_position) for its per-link variances.
 """
 
 from __future__ import annotations
@@ -118,8 +118,7 @@ def observed_information(theta, views: InternalView, net: GeneralNetwork
         raise ValueError(f"observed_information needs at most one parent link per link; "
                          f"links {multi} have several")
     variances = information_by_position(
-        [theta[i] for i in net.order], [views.n1[i] for i in net.order],
-        [views.n0[i] for i in net.order],
+        [theta[i] for i in net.order], *views.counts(net),
         [ups[0] if ups else -1 for ups in net.parent_pos], net.child_pos)
     return {net.order[q]: variances[q] for q in net.id_pos}
 

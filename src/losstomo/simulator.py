@@ -21,11 +21,11 @@ block.  theta = 1 links are folded into a base mask that every lossy
 pattern is ANDed with and every lossless probe gets.  Patterns are counted
 as bytes, in the order first seen, and only each tree's distinct ones are
 decoded to '0'/'1'.
-simulate is simulate_replicates on one config.  That stacks the configs'
-blocks of one index for one compare and one reduceat, each config with its
-own stream, base mask and counts; bench.run_grid hands it at most
-BLOCK_PROBES probes per tree in all, or one config, so a stack is at most
-one block.
+simulate is simulate_replicates on one config, its table checked as it
+leaves the program; run_grid's are checked where internal_views counts them.
+simulate_replicates stacks the configs' blocks of one index for one compare
+and one reduceat, each config with its own stream, base mask and counts;
+run_grid hands it at most one block of probes per tree in all, or one config.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class SimConfig:
 def sample_theta(a: float, b: float, net: GeneralNetwork,
                  rng: np.random.Generator) -> LossRates:
     """Draw i.i.d. Beta(a, b) loss rates per link, ascending link-id order."""
-    if a <= 0 or b <= 0:
-        raise ValueError("Beta parameters must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (a, b)):
+        raise ValueError(f"Beta parameters must be finite and > 0, got ({a:g}, {b:g})")
     ids = sorted(net.links)
     draws = rng.beta(a, b, size=len(ids))
     clipped = np.clip(draws, THETA_CLAMP, 1.0 - THETA_CLAMP)
@@ -143,14 +143,16 @@ def _tree_counts(cfgs: list[SimConfig], ths: list[dict[int, float]], tree_id: in
 
 def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
     """Collapsed receiver observations of one experiment: simulate_replicates
-    on cfg.  workers is accepted and ignored; blocks run on the calling thread."""
-    return simulate_replicates([cfg], [theta])[0]
+    on cfg, checked.  workers is ignored; blocks run on the calling thread."""
+    table = simulate_replicates([cfg], [theta])[0]
+    table.validate()
+    return table
 
 
 def simulate_replicates(cfgs: list[SimConfig], thetas: list) -> list[PatternTable]:
-    """One pattern table per config, cfgs[r] run under thetas[r]; the configs
-    share a network and a probe count, so each tree's blocks stack, and a
-    stack holds len(cfgs) times a block's rows."""
+    """One pattern table per config, cfgs[r] run under thetas[r], unchecked;
+    the configs share a network and a probe count, so each tree's blocks
+    stack, and a stack holds len(cfgs) times a block's rows."""
     ths = [rates_dict(theta) for theta in thetas]
     net, probes = cfgs[0].net, cfgs[0].probes
     if any(c.net is not net or c.probes != probes for c in cfgs):
@@ -163,10 +165,7 @@ def simulate_replicates(cfgs: list[SimConfig], thetas: list) -> list[PatternTabl
             raise ValueError(f"links {bad} lack a loss rate in [0, 1]")
     split = dict(sorted(cfgs[0].tree_probes().items()))
     per_tree = {k: _tree_counts(cfgs, ths, k, n) for k, n in split.items()}
-    tables = [PatternTable(f"sim-seed{c.seed}-rep{c.replicate}", dict(split),
-                           {k: net.tree_by_id[k].leaves for k in split},
-                           {k: per_tree[k][r] for k in split})
-              for r, c in enumerate(cfgs)]
-    for table in tables:
-        table.validate()
-    return tables
+    return [PatternTable(f"sim-seed{c.seed}-rep{c.replicate}", dict(split),
+                         {k: net.tree_by_id[k].leaves for k in split},
+                         {k: per_tree[k][r] for k in split})
+            for r, c in enumerate(cfgs)]

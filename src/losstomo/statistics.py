@@ -21,7 +21,9 @@ parent's row, bottom-up, and n_i(1) is the count-weighted sum of link i's
 row, one einsum for all rows.  Bit column j is the j-th ascending leaf link
 id, which internal_views checks against the network before it counts.
 internal_views is the one-table case of internal_views_replicates, which
-ORs up the patterns of many tables, side by side, once per tree.
+ORs up the patterns of many tables, side by side, once per tree.  Tables are
+checked where they are counted (internal_views) or leave the program
+(simulate, parse_data).  InternalView.counts is the one positional read.
 """
 
 from __future__ import annotations
@@ -157,6 +159,8 @@ def collapse_patterns(records: dict[int, Iterable[str]], net: GeneralNetwork,
     packed patterns itself."""
     probes, receivers, counts = {}, {}, {}
     for k, rows in sorted(records.items()):
+        if k not in net.tree_by_id:
+            raise DataError(f"unknown tree {k}")
         tree = net.tree_by_id[k]
         width = len(tree.leaves)
         table = dict(Counter(rows))
@@ -190,6 +194,17 @@ class InternalView:
     n0: dict[int, int]
     r: dict[int, float | None]
     probes: dict[int, int]
+
+    def counts(self, s: GeneralNetwork | MulticastTree) -> tuple[list[int], list[int]]:
+        """(n1, n0) over s.order: tree s's own counts, or network s's aggregated ones."""
+        n1, n0 = ((self.per_tree_n1[s.tree_id], self.per_tree_n0[s.tree_id])
+                  if isinstance(s, MulticastTree) else (self.n1, self.n0))
+        return list(map(n1.__getitem__, s.order)), list(map(n0.__getitem__, s.order))
+
+
+def pass_fractions(n1: list, n0: list) -> list[float | None]:
+    """The confirmed pass fraction n1/(n1+n0) per position, None where both are 0."""
+    return [c1 / (c1 + c0) if c1 + c0 > 0 else None for c1, c0 in zip(n1, n0)]
 
 
 @dataclass
@@ -260,8 +275,7 @@ def internal_views_replicates(tables: list[PatternTable], net: GeneralNetwork
             for i, c1, c0 in zip(tree.order, n1, n0):
                 agg1[i] += c1
                 agg0[i] += c0
-        rates = {i: agg1[i] / (agg1[i] + agg0[i]) if agg1[i] + agg0[i] > 0 else None
-                 for i in net.links}
+        rates = dict(zip(agg1, pass_fractions(list(agg1.values()), list(agg0.values()))))
         view = InternalView(per_tree_n1, per_tree_n0, agg1, agg0, rates, dict(patterns.probes))
         out.append((view, regularity_report(view, net)))
     return out
@@ -283,8 +297,7 @@ def check_fits(patterns: PatternTable, net: GeneralNetwork):
 
 def regularity_report(view: InternalView, net: GeneralNetwork) -> RegularityReport:
     """regularity_by_position on the aggregated views, over net.order."""
-    return regularity_by_position(net, list(map(view.n1.__getitem__, net.order)),
-                                  list(map(view.n0.__getitem__, net.order)))
+    return regularity_by_position(net, *view.counts(net))
 
 
 def regularity_by_position(s: GeneralNetwork | MulticastTree, n1: list, n0: list

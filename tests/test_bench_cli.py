@@ -15,7 +15,7 @@ from losstomo.bench import (ExperimentGrid, GridCell, GridError, mse, parse_grid
 from losstomo.cli import main
 from losstomo.estimators import BATCH_MIN_SETS, le_xi
 from losstomo.simulator import BLOCK_PROBES, SimConfig, simulate
-from losstomo.statistics import internal_views
+from losstomo.statistics import PatternTable, internal_views
 from losstomo.topology import parse_topology, serialize_topology
 
 STAR_DATA = """\
@@ -430,6 +430,33 @@ def test_out_of_range_flags_exit_2(star_files, tmp_path, capsys, command, flag, 
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["nan,1", "inf,1", "1,inf", "0,1"])
+def test_simulate_rejects_beta_parameters_not_finite_and_positive(star_files, tmp_path,
+                                                                  capsys, beta):
+    topo, _ = star_files
+    out = tmp_path / "sim.data"
+    assert main(["simulate", "--topology", str(topo), "--beta", beta, "--probes", "25",
+                 "--seed", "3", "--out", str(out)]) == 2
+    shown = beta.replace(",", ", ")
+    assert f"error: Beta parameters must be finite and > 0, got ({shown})\n" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_run_grid_reads_each_table_bit_matrix_once(monkeypatch):
+    # simulate_replicates leaves its tables to internal_views_replicates,
+    # which checks each tree's patterns as it counts them
+    calls = []
+    real = PatternTable.bit_matrix
+    monkeypatch.setattr(PatternTable, "bit_matrix",
+                        lambda table, k: calls.append((id(table), k)) or real(table, k))
+    net = fixtures.layered49()
+    rows = run_grid(parse_grid("cell 1 100 200 10 le-xi,pcem,mvwa\n", master_seed=2), net).rows
+    assert len(rows) == 30 and not any("error" in r for r in rows)
+    assert len(calls) == 10 * len(net.trees) == 20
+    assert len(set(calls)) == len(calls)
 
 
 def test_estimate_exits_3_when_em_stops_at_max_iter(star_files, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -9,13 +10,14 @@ from losstomo import fixtures
 from losstomo.estimators import (FLAG_BOUNDARY, FLAG_NON_ESTIMABLE, FLAG_OK,
                                  FLAG_REGULARITY, _solve_interior, le_xi, mvwa, nem,
                                  pcem, project_to_theta_star)
-from losstomo.likelihood import loglik_xi
+from losstomo.likelihood import loglik_xi, observed_information
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import InternalView, PatternTable, internal_views
-from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
+from losstomo.statistics import InternalView, PatternTable, internal_views, regularity_report
+from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree, parse_topology
 
 from fd_reference import grad_fd
-from test_statistics import _networks
+from test_bench_cli import SPLIT_NODE, SPLIT_NODE_SWAPPED
+from test_statistics import _nets_and_tables, _networks
 
 STAR = fixtures.star3()
 TOY = fixtures.toy7()
@@ -476,3 +478,43 @@ def test_pcem_equals_nem_sweep_by_sweep(case):
     for step_a, step_b in zip(a.theta_path, b.theta_path):
         assert list(step_a) == list(step_b)
         assert max(abs(step_a[i] - step_b[i]) for i in net.links) <= 1e-9
+
+
+def _reversed(d: dict) -> dict:
+    return dict(reversed(d.items()))
+
+
+def _assert_key_order_free(patterns, net):
+    """A view rebuilt through InternalView's constructor with every dict's keys
+    reversed estimates exactly as the view internal_views builds: the
+    estimators read the views by position (InternalView.counts), not by
+    dict order."""
+    view, report = internal_views(patterns, net)
+    rebuilt = InternalView({k: _reversed(d) for k, d in _reversed(view.per_tree_n1).items()},
+                           {k: _reversed(d) for k, d in _reversed(view.per_tree_n0).items()},
+                           _reversed(view.n1), _reversed(view.n0), _reversed(view.r),
+                           _reversed(view.probes))
+    assert list(rebuilt.n1) != list(view.n1) or len(net.links) == 1
+    assert regularity_report(rebuilt, net) == report
+    for method in (le_xi, pcem, mvwa):
+        got, want = method(rebuilt, net), method(view, net)
+        assert (repr(dataclasses.replace(got, wall_time=0.0))
+                == repr(dataclasses.replace(want, wall_time=0.0))), method.__name__
+    if all(len(ups) <= 1 for ups in net.parent_pos):
+        theta = {i: math.nan if v is None else v for i, v in le_xi(view, net).theta_hat.items()}
+        assert (repr(observed_information(theta, rebuilt, net))
+                == repr(observed_information(theta, view, net)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nets_and_tables())
+def test_views_with_reversed_dicts_estimate_alike(case):
+    _assert_key_order_free(*reversed(case))
+
+
+@pytest.mark.parametrize("text", [SPLIT_NODE, SPLIT_NODE_SWAPPED], ids=["split", "swapped"])
+@pytest.mark.parametrize("seed", range(4))
+def test_split_node_views_with_reversed_dicts_estimate_alike(text, seed):
+    net = parse_topology(text)
+    theta = sample_theta(1, 10, net, np.random.default_rng(seed))
+    _assert_key_order_free(simulate(SimConfig(net, 400, seed=seed), theta), net)

@@ -75,6 +75,18 @@ def test_beta_sampler_rejects_bad_params():
         sample_theta(0.0, 10.0, STAR, rng)
 
 
+@pytest.mark.parametrize("a, b, shown", [
+    (math.nan, 1.0, "nan, 1"), (math.inf, 1.0, "inf, 1"), (1.0, math.inf, "1, inf"),
+    (1.0, math.nan, "1, nan"), (-math.inf, 1.0, "-inf, 1"), (0.0, 1.0, "0, 1"),
+    (1.0, -2.5, "1, -2.5"),
+])
+def test_beta_sampler_rejects_non_finite_or_non_positive_params(a, b, shown):
+    # the rule and text of bench.GridCell.check
+    with pytest.raises(ValueError) as exc:
+        sample_theta(a, b, STAR, np.random.default_rng(0))
+    assert str(exc.value) == f"Beta parameters must be finite and > 0, got ({shown})"
+
+
 def test_star_pattern_frequencies_match_model():
     theta = {1: 0.1, 2: 1 / 3, 3: 1 / 3}
     n = 1_000_000

@@ -46,6 +46,11 @@ def test_collapse_rejects_bad_records():
         collapse_patterns({1: ["1x"]}, STAR)
 
 
+def test_collapse_names_an_unknown_tree():
+    with pytest.raises(DataError, match="^unknown tree 99$"):
+        collapse_patterns({99: ["1"]}, STAR)
+
+
 @pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
 @pytest.mark.parametrize("rows,bad", [
     (["11", "10"] * 500 + ["1x", "00", "x1"], "1x"),
