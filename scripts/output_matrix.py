@@ -55,6 +55,8 @@ alone in the other.  The commands:
   the CLI, the line-numbered ones included;
 * simulate star3 at each BAD_BETAS setting, Beta parameters that are 0,
   nan or inf (exit 2), so the log pins sample_theta's message;
+* simulate star3 with --seed -1 and with --replicate -1, and bench with
+  --seed -1 (exit 2), so the log pins the message that names the flag;
 * le-xi on valid but unusual rewrites (UNUSUAL) of star3's fixture data and
   of the twotree12 and hub data files: comments, tabs, blank lines, CRLF
   line ends, and pattern lines before and between the header lines.
@@ -285,6 +287,13 @@ def run_matrix(log: list[str]) -> None:
         _run(log, "simulate", "--topology", "star3.topo", "--beta", beta, "--probes", PROBES,
              "--seed", "0", "--out", f"star3.bad-beta{beta.replace(',', '_')}.data")
 
+    _run(log, "simulate", "--topology", "star3.topo", "--beta", "1,100", "--probes", PROBES,
+         "--seed", "-1", "--out", "star3.seed-1.data")
+    _run(log, "simulate", "--topology", "star3.topo", "--beta", "1,100", "--probes", PROBES,
+         "--seed", "0", "--replicate", "-1", "--out", "star3.replicate-1.data")
+    _run(log, "bench", "--topology", "layered49.topo", "--grid", str(grid),
+         "--out", "bench.seed-1.csv", "--seed", "-1")
+
     sources = {"star3": (ROOT / "fixtures" / "star3.data").read_text(encoding="utf-8"),
                "twotree12": Path("twotree12.beta1_100.seed0.data").read_text(encoding="utf-8"),
                "hub": Path("hub.beta1_100.seed0.probes8000.data").read_text(encoding="utf-8")}
@@ -304,6 +313,8 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
+    # argparse wraps a usage line to the terminal's width, which COLUMNS sets
+    os.environ["COLUMNS"] = "80"
     log: list[str] = []
     try:
         run_matrix(log)

@@ -150,7 +150,7 @@ class ExperimentReport:
             mses = [r["mse"] for r in rows if r["mse"] is not None]
             mean_mse = sum(mses) / len(mses) if mses else float("nan")
             mean_ms = sum(r["runtime_ms"] for r in rows) / len(rows)
-            viol = sum(r["violations"] for r in rows)
+            viol = sum(r["violations"] for r in rows if "error" not in r)
             lines.append(f"{key[0]:<18}{key[1]:>6}{key[2]:>8}{mean_mse:>14.4e}"
                          f"{mean_ms:>10.2f}{viol:>12}")
         return "\n".join(lines)

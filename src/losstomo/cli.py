@@ -109,6 +109,7 @@ def _bounded(convert, ok, rule: str):
 
 
 _COUNT = _bounded(int, lambda v: v >= 1, ">= 1")
+_SEED = _bounded(int, lambda v: v >= 0, ">= 0")
 _TOL = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 _RATE = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
@@ -126,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--beta", help="a,b: draw per-link rates from Beta(a,b)")
     sim.add_argument("--theta", help="loss-rate file with explicit per-link rates")
     sim.add_argument("--probes", type=_COUNT, required=True)
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--replicate", type=int, default=0)
+    sim.add_argument("--seed", type=_SEED, required=True)
+    sim.add_argument("--replicate", type=_SEED, default=0)
     sim.add_argument("--out", required=True)
     sim.add_argument("--theta-out", help="also write the rates that were used")
 
@@ -146,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--topology", required=True)
     ben.add_argument("--grid", required=True)
     ben.add_argument("--out", required=True)
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--seed", type=_SEED, default=0)
     ben.add_argument("--workers", type=_COUNT, default=1,
                      help="accepted for compatibility; the grid runs single-threaded")
     return parser

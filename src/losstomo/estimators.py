@@ -4,35 +4,31 @@ Four procedures over the same internal-view statistics, read by position
 through InternalView.counts, with pass fractions from pass_fractions:
 
 * le_xi: solves the likelihood equations in the subtree-loss
-  parametrization on the network's positional form, in the two steps
-  mvwa runs per tree.  _solve_xi gives the links at root_pos their closed
-  form, settles every set of brother_pos that needs no root, and hands the
-  rest to one _solve_interiors call; _finish maps xi to theta and flags.
-  The solves run on the calling thread by a size rule: below
-  BATCH_MIN_SETS sets that need an interior root, a pure-Python Newton
-  loop per set; from there on, one numpy Newton pass over all those sets
-  at once, masked per set once it meets SOLVER_TOL.  Both paths take the
-  same iterates, so the estimates do not depend on the path.
-* pcem: expectation-maximization driven entirely by the collapsed
-  statistics; cost per sweep is linear in the number of links.
+  parametrization on the network's positional form.  _solve_xi gives the
+  links at root_pos their closed form, settles every set of brother_pos
+  that needs no root, and hands the rest to one _solve_interiors call, on
+  the calling thread by a size rule: below BATCH_MIN_SETS sets, a
+  pure-Python Newton loop per set; from there on, one numpy Newton pass
+  over all of them, masked per set once it meets SOLVER_TOL.  Both paths
+  take the same iterates, so the estimates do not depend on the path.
+* mvwa: the same steps on every tree at once, each on its slice of the
+  views and its own positional form, with one joint _solve_interiors call
+  and flags from statistics.regularity_by_position.  Shared links are
+  combined by inverse-variance weights, the exact diagonal observed
+  information of each tree's likelihood; contributions without a usable
+  variance are dropped from the average.
+* pcem: EM driven entirely by the collapsed statistics; O(links) a sweep.
 * nem: the brute-force EM that enumerates, per distinct receiver pattern,
-  every feasible assignment of link states.  Exponential cost; kept as an
-  oracle for small networks and refused above 20 links.
-* mvwa: the same two steps on every tree at once, each on that tree's
-  slice of the shared views and its own positional form, with one joint
-  _solve_interiors call, so the size rule sees all trees' sets together;
-  each tree's flags come from statistics.regularity_by_position, the rule
-  regularity_report applies to the network.  Shared links are combined by
-  inverse-variance weights, the variances being the exact diagonal
-  observed information of each tree's likelihood; contributions without a
-  usable variance are dropped from the average.
+  every feasible assignment of link states; an oracle refused above 20 links.
 
-le_xi and mvwa are le_xi_replicates and mvwa_replicates on one dataset;
-those send every dataset's sets to one _solve_interiors call.
-
-Estimates for links whose data fail the regularity conditions are still
-produced (projected onto [0, 1]) but flagged; links with no information at
-all come back as None.
+le_xi and mvwa are le_xi_replicates and mvwa_replicates on one dataset.
+Both end in _finish, which turns xi into theta and flags as lists over the
+order of the network or of one tree; link ids key an estimate only where
+its EstimateResult is built.  pcem and nem run the one EM driver, _em.
+_flag is the one flag rule of all four, and _clamp the one projection onto
+[0, 1], shared with project_to_theta_star.  Links whose data fail the
+regularity conditions are still estimated but flagged; links with no
+information at all come back as None.
 """
 
 from __future__ import annotations
@@ -225,13 +221,29 @@ class EstimateResult:
         return sum(1 for f in self.flags.values() if f != FLAG_OK)
 
 
+def _clamp(v: float | None) -> float | None:
+    """v onto [0, 1]; None and nan pass through."""
+    return v if v is None else 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
+def _flag(v: float | None, bad: bool) -> str:
+    """The flag of an unclamped estimate v, bad when the regularity report flags
+    its link: the first of non_estimable, regularity, boundary and ok that holds."""
+    if v is None:
+        return FLAG_NON_ESTIMABLE
+    if bad:
+        return FLAG_REGULARITY
+    if v <= 0.0 or v >= 1.0:
+        return FLAG_BOUNDARY
+    return FLAG_OK
+
+
 def project_to_theta_star(theta_raw: dict[int, float | None]
                           ) -> tuple[dict[int, float | None], frozenset[int]]:
     """Clamp raw rates onto [0, 1] coordinate-wise; report which moved."""
     clamped = frozenset(i for i, v in theta_raw.items()
                         if v is not None and (v < 0.0 or v > 1.0))
-    return {i: (1.0 if v > 1.0 else 0.0) if i in clamped else v
-            for i, v in theta_raw.items()}, clamped
+    return {i: _clamp(v) for i, v in theta_raw.items()}, clamped
 
 
 def _solve_node(brothers: tuple[int, ...], r: list[float | None],
@@ -297,38 +309,22 @@ def _solve_xi(problems) -> tuple[list[list[float | None]], list[int]]:
     return xis, most
 
 
-def _finish(xi: list[float | None], s: GeneralNetwork | MulticastTree, slots,
-            bad: frozenset[int]) -> tuple[dict[int, float | None], dict[int, str]]:
-    """theta_hat and flags from xi, solved on the network or tree s, keyed by
-    link id, for the positions in slots, in that order; bad holds the link
-    ids the regularity report flags."""
-    order = s.order
+def _finish(xi: list[float | None], s: GeneralNetwork | MulticastTree,
+            bad: frozenset[int]) -> tuple[list[float | None], list[str]]:
+    """theta_hat and flags from xi, solved on the network or tree s, as lists
+    over s.order; bad holds the link ids the regularity report flags."""
     theta = theta_by_position(xi, s.child_pos)
-    raw = {}
-    for q in slots:
-        v = theta[q]
+    flags = []
+    for q, (i, v) in enumerate(zip(s.order, theta)):
         # an estimate this close to the edge is the edge up to rounding in
         # the solved rates; snap so boundary cases are flagged as such
         if v is not None and abs(v) <= XI_BOUNDARY_TOL:
             v = 0.0
         elif v is not None and abs(v - 1.0) <= XI_BOUNDARY_TOL:
             v = 1.0
-        raw[order[q]] = v
-    return project_to_theta_star(raw)[0], _assemble_flags(raw, bad)
-
-
-def _assemble_flags(theta_raw: dict[int, float | None], bad) -> dict[int, str]:
-    flags = {}
-    for i, v in theta_raw.items():
-        if v is None:
-            flags[i] = FLAG_NON_ESTIMABLE
-        elif i in bad:
-            flags[i] = FLAG_REGULARITY
-        elif v <= 0.0 or v >= 1.0:
-            flags[i] = FLAG_BOUNDARY
-        else:
-            flags[i] = FLAG_OK
-    return flags
+        flags.append(_flag(v, i in bad))
+        theta[q] = _clamp(v)
+    return theta, flags
 
 
 def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
@@ -358,22 +354,25 @@ def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
     xis, iterations = _solve_xi([(net, pass_fractions(*v.counts(net))) for v in views_list])
+    ids = [(net.order[q], q) for q in net.id_pos]
     out = []
     for report, xi, its in zip(reports, xis, iterations):
-        theta_hat, flags = _finish(xi, net, net.id_pos, report.flagged())
-        out.append(EstimateResult("le-xi", theta_hat,
-                                  {net.order[q]: xi[q] for q in net.id_pos},
-                                  flags, its, report, 0.0))
+        theta, flags = _finish(xi, net, report.flagged())
+        out.append(EstimateResult("le-xi", {i: theta[q] for i, q in ids},
+                                  {i: xi[q] for i, q in ids},
+                                  {i: flags[q] for i, q in ids}, its, report, 0.0))
     return _timed(out, t0)
 
 
-def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float,
-             max_iter: int, track_loglik: bool, keep_history: bool):
-    """Shared EM driver: estep fills expected pass/fail counts per link.
+def _em(method: str, views: InternalView, net: GeneralNetwork, report: RegularityReport,
+        estep, t0: float, theta0, tol: float, max_iter: int, track_loglik: bool,
+        keep_history: bool) -> EstimateResult:
+    """The one EM driver: estep fills expected pass/fail counts per position.
 
     Stops when max|theta change| <= tol; tol <= 0 disables the rule and runs
     exactly max_iter sweeps (useful for lockstep comparisons and timing).
-    Converged means the tol rule stopped the loop.
+    Converged means the tol rule stopped the loop.  Links without
+    information come back None; every link is flagged by _flag.
     """
     order = net.order
     m = len(order)
@@ -402,22 +401,13 @@ def _em_loop(net: GeneralNetwork, views: InternalView, estep, theta0, tol: float
         if tol > 0.0 and delta <= tol:
             converged = True
             break
-    theta_map = dict(zip(order, theta))
-    return theta_map, iterations, converged, loglik_path, theta_path
-
-
-def _finish_em(method: str, net: GeneralNetwork, report: RegularityReport,
-               theta_map: dict[int, float], iterations: int, converged: bool,
-               loglik_path, theta_path, t0: float) -> EstimateResult:
-    theta_hat: dict[int, float | None] = {}
-    for i in net.links:
-        theta_hat[i] = None if i in report.no_information else theta_map[i]
-    flags = _assemble_flags(theta_hat, report.flagged())
-    xi_hat = theta_to_xi(theta_hat, net)
-    return EstimateResult(method, theta_hat, xi_hat, flags, iterations,
-                          report, time.perf_counter() - t0,
-                          loglik_path=loglik_path, theta_path=theta_path,
-                          converged=converged)
+    bad = report.flagged()
+    theta_hat = {i: None if i in report.no_information else theta[net.pos[i]]
+                 for i in net.links}
+    flags = {i: _flag(v, i in bad) for i, v in theta_hat.items()}
+    return EstimateResult(method, theta_hat, theta_to_xi(theta_hat, net), flags, iterations,
+                          report, time.perf_counter() - t0, loglik_path=loglik_path,
+                          theta_path=theta_path, converged=converged)
 
 
 def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-6,
@@ -463,10 +453,8 @@ def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-
                 om0[q] = u
         return om1, om0
 
-    theta_map, iterations, converged, ll_path, th_path = _em_loop(
-        net, views, estep, theta0, tol, max_iter, track_loglik, keep_history)
-    return _finish_em("pcem", net, report, theta_map, iterations,
-                      converged, ll_path, th_path, t0)
+    return _em("pcem", views, net, report, estep, t0, theta0, tol, max_iter,
+               track_loglik, keep_history)
 
 
 def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1e-6,
@@ -539,10 +527,8 @@ def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1
                                 om0[net_pos[q]] += share
         return om1, om0
 
-    theta_map, iterations, converged, ll_path, th_path = _em_loop(
-        net, views, estep, theta0, tol, max_iter, track_loglik, keep_history)
-    return _finish_em("nem", net, report, theta_map, iterations,
-                      converged, ll_path, th_path, t0)
+    return _em("nem", views, net, report, estep, t0, theta0, tol, max_iter,
+               track_loglik, keep_history)
 
 
 def mvwa(views: InternalView, net: GeneralNetwork,
@@ -590,13 +576,10 @@ def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
     # link -> (tree id, estimate, variance, flag) per estimating tree, by tree id
     by_link: dict[int, list[tuple[int, float, float, str]]] = {i: [] for i in net.links}
     for (tree, n1, n0), xi in zip(per_tree, xis):
-        theta, tree_flags = _finish(xi, tree, range(len(xi)),
-                                    regularity_by_position(tree, n1, n0).flagged())
-        variances = information_by_position(
-            [math.nan if v is None else v for v in theta.values()], n1, n0,
-            tree.parent_pos, tree.child_pos)
-        for i, est, var, flag in zip(tree.order, theta.values(), variances,
-                                     tree_flags.values()):
+        theta, tree_flags = _finish(xi, tree, regularity_by_position(tree, n1, n0).flagged())
+        variances = information_by_position([math.nan if v is None else v for v in theta],
+                                            n1, n0, tree.parent_pos, tree.child_pos)
+        for i, est, var, flag in zip(tree.order, theta, variances, tree_flags):
             if est is not None:
                 by_link[i].append((tree.tree_id, est, var, flag))
 
@@ -605,13 +588,10 @@ def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
     for i in sorted(net.links):
         entries = by_link[i]
         if not entries:
-            theta_hat[i] = None
-            flags[i] = FLAG_NON_ESTIMABLE
+            theta_hat[i], flags[i] = None, FLAG_NON_ESTIMABLE
             continue
         if len(entries) == 1:
-            _, est, _, flag = entries[0]
-            theta_hat[i] = est
-            flags[i] = flag
+            _, theta_hat[i], _, flags[i] = entries[0]
             continue
         usable = [(k, e, v, f) for k, e, v, f in entries
                   if math.isfinite(v) and v > 0.0]

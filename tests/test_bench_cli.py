@@ -445,6 +445,50 @@ def test_simulate_rejects_beta_parameters_not_finite_and_positive(star_files, tm
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--replicate", "-3"),
+    ("bench", "--seed", "-5"),
+])
+def test_negative_seeds_name_their_flag(star_files, tmp_path, capsys, command, flag, value):
+    topo, _ = star_files
+    grid = tmp_path / "grid.txt"
+    grid.write_text("cell 1 20 60 1 le-xi\n")
+    rest = {"simulate": ["--beta", "1,9", "--probes", "25"],
+            "bench": ["--grid", str(grid)]}[command]
+    if flag != "--seed":
+        rest += ["--seed", "1"]
+    out = tmp_path / "out"
+    code = main([command, "--topology", str(topo), *rest, flag, value, "--out", str(out)])
+    assert code == 2
+    assert f"argument {flag}: must be >= 0, got {value}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summary_counts_violations_of_rows_that_ran(monkeypatch):
+    # mse raises for the replicates whose link 1 rate is above 0.03, and nem
+    # is refused on layered49's 48 links: one mixed cell, one all-error cell
+    def picky(theta_hat, theta_true):
+        if theta_true[1] > 0.03:
+            raise ValueError("no estimable links in common")
+        return mse(theta_hat, theta_true)
+    monkeypatch.setattr(bench, "mse", picky)
+    grid = parse_grid("cell 1 30 200 6 le-xi,pcem\ncell 1 100 50 2 nem\n", master_seed=2)
+    report = run_grid(grid, fixtures.layered49())
+    ran: dict[tuple, list[int]] = {}
+    for row in report.rows:
+        key = (row["setting"], row["n"], row["method"])
+        ran.setdefault(key, [])
+        if "error" not in row:
+            ran[key].append(row["violations"])
+    assert 0 < len(ran[("Beta(1,30)", 200, "le-xi")]) < 6
+    assert ran[("Beta(1,100)", 50, "nem")] == []
+    printed = {(tok[0], int(tok[1]), tok[2]): int(tok[-1])
+               for tok in map(str.split, report.summary().splitlines()[1:])}
+    assert printed == {key: sum(v) for key, v in ran.items()}
+
+
 def test_run_grid_reads_each_table_bit_matrix_once(monkeypatch):
     # simulate_replicates leaves its tables to internal_views_replicates,
     # which checks each tree's patterns as it counts them
