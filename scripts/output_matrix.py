@@ -47,7 +47,9 @@ alone in the other.  The commands:
   tree with no probes, more than one simulator block per tree, several
   batches of replicates in a cell, nem, the split node in both numberings,
   and brother sets that reach BATCH_MIN_SETS only across a cell's
-  replicates;
+  replicates; and at the edges of its pools across cells: consecutive
+  cells whose probes per tree sum to exactly BLOCK_PROBES, a cell one
+  probe past it, and cells with differing method lists;
 * one estimate per BAD_TOPOLOGIES file, each malformed in a different way
   (exit 2), so the log pins every topology error message;
 * one le-xi estimate on star3 per BAD_DATA file, each malformed in a
@@ -103,6 +105,16 @@ EDGE_GRIDS = (
     # under 10 sets per replicate need an interior root, over 50 across the
     # cell's one batch
     ("layered49", "cell 1 100 400 10 le-xi,mvwa\n"),
+    # per tree: 2000 + 2096 probes fill one pool exactly, and the next probe
+    # opens another; 4095 + 1 fill it again, and 4096 more open a third
+    ("layered49", "cell 1 100 400 10 le-xi,mvwa\ncell 1 100 262 16 le-xi,pcem,mvwa\n"
+                  "cell 1 100 2 1 le-xi,mvwa\ncell 5 1000 8190 1 le-xi,mvwa\n"
+                  "cell 5 1000 8192 1 mvwa\n"),
+    # one pool of cells that list le-xi, mvwa, both, or nem beside them
+    ("twotree12", "cell 1 40 100 12 le-xi\ncell 1 40 200 12 mvwa,pcem\n"
+                  "cell 1 40 300 12 le-xi,mvwa,nem\n"),
+    ("layered49", "cell 2 1000 100 6 le-xi\ncell 2 1000 200 6 mvwa,pcem\n"
+                  "cell 2 1000 300 6 le-xi,mvwa\n"),
 )
 WIDE_STARS = (64, 65)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"

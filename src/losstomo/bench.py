@@ -4,8 +4,10 @@ Per setting and replicate, one true rate vector is drawn and reused for
 every sample size, so MSE comparisons across sizes are paired.  All seeds
 derive from the master seed plus the cell coordinates; reruns are
 byte-identical apart from the runtime column.
-A cell's replicates are simulated, counted and, by le-xi and mvwa,
-estimated together, with the rows of running each alone.
+A cell's replicates are simulated and counted together, in batches.  le-xi
+and mvwa estimate the datasets of consecutive batches, across cells, in one
+call per method, up to BLOCK_PROBES probes per tree; their runtime_ms is an
+equal share of that call.  The rows are those of running each alone.
 """
 
 from __future__ import annotations
@@ -179,20 +181,21 @@ def _data_seed(master: int, cell: GridCell, replicate: int) -> int:
 _BATCHED = {"le-xi": le_xi_replicates, "mvwa": mvwa_replicates}
 
 
-def _method_rows(net: GeneralNetwork, cell: GridCell, method: str, reps: range, tables,
-                 views, truths) -> list[dict]:
-    """One row per replicate in reps.  le-xi and mvwa run on all of them in one
-    call, each result timed at an equal share of it; pcem, nem, and a batched
-    call that raised run one replicate at a time, so each error row is its own."""
+def _method_rows(net: GeneralNetwork, method: str, datasets: list[tuple]) -> list[dict]:
+    """One row per (cell, replicate, table, (views, report), truth) dataset.
+    le-xi and mvwa run on all of them in one call, each result timed at an
+    equal share of it; pcem, nem, and a batched call that raised run one
+    dataset at a time, so each error row is its own."""
     results = None
     if method in _BATCHED:
         try:
-            results = _BATCHED[method]([v for v, _ in views], net, [r for _, r in views])
+            results = _BATCHED[method]([v for _, _, _, (v, _), _ in datasets], net,
+                                       [r for _, _, _, (_, r), _ in datasets])
         except ValueError:
             pass
     rows = []
-    for rep, patterns, (view, report), truth, done in zip(
-            reps, tables, views, truths, results or [None] * len(reps)):
+    for (cell, rep, patterns, (view, report), truth), done in zip(
+            datasets, results or [None] * len(datasets)):
         row = {"setting": cell.setting, "beta_a": cell.beta_a, "beta_b": cell.beta_b,
                "n": cell.probes, "replicate": rep, "method": method}
         t0 = time.perf_counter()
@@ -214,22 +217,48 @@ def run_grid(grid: ExperimentGrid, net: GeneralNetwork,
 
     A cell's replicates run in batches of at most BLOCK_PROBES probes per
     tree in all, or of one replicate whose tree alone gets more, so a
-    batch's draws, tables and views stay within one block per tree.
+    batch's draws, tables and views stay within one block per tree.  pcem
+    and nem run on each batch.  le-xi and mvwa datasets are pooled across
+    batches and cells until the next batch would take the pool past
+    BLOCK_PROBES probes per tree; then each method runs once on the pool's
+    datasets whose cell lists it, and each row's runtime_ms is an equal
+    share of that call.
     workers is accepted and ignored: the replicates run on the calling thread.
     """
     rows = []
+    pool: dict[str, list[tuple]] = {m: [] for m in _BATCHED}
+    held = 0   # probes per tree of the pooled batches
+
+    def flush():
+        for method, datasets in pool.items():
+            if datasets:
+                rows.extend(_method_rows(net, method, datasets))
+                datasets.clear()
+
     for cell in grid.cells():
         tree_probes = -(-cell.probes // len(net.trees))   # the first tree's share
         step = max(1, BLOCK_PROBES // max(tree_probes, 1))
         for start in range(0, cell.replicates, step):
             reps = range(start, min(start + step, cell.replicates))
+            if held + len(reps) * tree_probes > BLOCK_PROBES:
+                flush()
+                held = 0
             truths = [sample_theta(cell.beta_a, cell.beta_b, net, np.random.Generator(
                 np.random.Philox(seed=_theta_seed(grid.master_seed, cell, rep)))) for rep in reps]
             tables = simulate_replicates(
                 [SimConfig(net, cell.probes, _data_seed(grid.master_seed, cell, rep),
                            replicate=rep) for rep in reps], truths)
-            views = internal_views_replicates(tables, net)
+            datasets = list(zip([cell] * len(reps), reps, tables,
+                                internal_views_replicates(tables, net), truths))
             for method in cell.methods:
-                rows += _method_rows(net, cell, method, reps, tables, views, truths)
+                if method in pool:
+                    pool[method] += datasets
+                else:
+                    rows += _method_rows(net, method, datasets)
+            if any(method in pool for method in cell.methods):
+                held += len(reps) * tree_probes
+            # only the pool may keep a batch alive while the next one is drawn
+            del truths, tables, datasets
+    flush()
     rows.sort(key=lambda r: (r["setting"], r["n"], r["replicate"], r["method"]))
     return ExperimentReport(rows)

@@ -24,11 +24,24 @@ through InternalView.counts, with pass fractions from pass_fractions:
 le_xi and mvwa are le_xi_replicates and mvwa_replicates on one dataset.
 Both end in _finish, which turns xi into theta and flags as lists over the
 order of the network or of one tree; link ids key an estimate only where
-its EstimateResult is built.  pcem and nem run the one EM driver, _em.
-_flag is the one flag rule of all four, and _clamp the one projection onto
-[0, 1], shared with project_to_theta_star.  Links whose data fail the
-regularity conditions are still estimated but flagged; links with no
-information at all come back as None.
+its EstimateResult is built.  A second size rule picks the path of that
+finish: from ARRAY_MIN_POSITIONS positions in one call (datasets times
+the network's positions for le_xi, times the observed trees' positions for
+mvwa), _finish_rows runs it on (datasets x positions) arrays, nan for None,
+and mvwa's regularity flags, variances and average follow on arrays too
+(_combine_rows).  Below it, numpy's per-call overhead and the first
+build of a structure's padded child tables (topology.PaddedForm) outweigh
+the per-dataset saving, and the scalar finish runs per dataset: 1024 is
+the measured break-even of a call on a freshly parsed network, between one
+and two datasets of the 764-link hub network for mvwa.  The array
+recursions take each tree level by level over the padded tables, so every
+product and sum keeps the scalar loop's order, and both paths give the
+same bits.  pcem and nem run the one EM
+driver, _em.  _flag is the one flag rule of all four, _clamp the one
+projection onto [0, 1], shared with project_to_theta_star, and _clamp_mean
+the one clamp of mvwa's averages.  Links whose data fail the regularity
+conditions are still estimated but flagged; links with no information at
+all come back as None.
 """
 
 from __future__ import annotations
@@ -40,21 +53,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import information_by_position, loglik_theta
-from .params import XI_BOUNDARY_TOL, theta_by_position, theta_to_xi, xi_by_position
+from .likelihood import information_by_position, information_rows, loglik_theta
+from .params import (XI_BOUNDARY_TOL, theta_by_position, theta_rows, theta_to_xi,
+                     xi_by_position, xi_rows)
 from .statistics import (InternalView, PatternTable, RegularityReport, internal_views,
-                         pass_fractions, regularity_by_position, regularity_report)
+                         pass_fractions, regularity_by_position, regularity_report,
+                         regularity_rows)
 from .topology import GeneralNetwork, MulticastTree
 
 FLAG_OK = "ok"
 FLAG_BOUNDARY = "boundary_projected"
 FLAG_REGULARITY = "regularity_violated"
 FLAG_NON_ESTIMABLE = "non_estimable"
-_FLAG_RANK = {FLAG_OK: 0, FLAG_BOUNDARY: 1, FLAG_REGULARITY: 2, FLAG_NON_ESTIMABLE: 3}
+_FLAGS = (FLAG_OK, FLAG_BOUNDARY, FLAG_REGULARITY, FLAG_NON_ESTIMABLE)   # by rank
+_FLAG_RANK = {f: rank for rank, f in enumerate(_FLAGS)}
+_FLAG_NAMES = np.array(_FLAGS, dtype=object)
 
 NEM_MAX_LINKS = 20
 SOLVER_TOL = 1e-12
 BATCH_MIN_SETS = 32
+ARRAY_MIN_POSITIONS = 1024
 _SOLVER_DELTA = 1e-9
 
 METHODS = ("le-xi", "pcem", "nem", "mvwa")
@@ -226,6 +244,19 @@ def _clamp(v: float | None) -> float | None:
     return v if v is None else 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
 
+def _pick(cond: bool, a, b):
+    """a if cond else b: np.where on one element."""
+    return a if cond else b
+
+
+def _clamp_mean(est, where=_pick):
+    """mvwa's weighted mean onto [0, 1] as min(1.0, max(0.0, est)) puts it: nan
+    and -0.0 become 0.0, and est < 1.0 decides the top.  where is np.where
+    on arrays."""
+    est = where(est > 0.0, est, 0.0)
+    return where(est < 1.0, est, 1.0)
+
+
 def _flag(v: float | None, bad: bool) -> str:
     """The flag of an unclamped estimate v, bad when the regularity report flags
     its link: the first of non_estimable, regularity, boundary and ok that holds."""
@@ -327,6 +358,33 @@ def _finish(xi: list[float | None], s: GeneralNetwork | MulticastTree,
     return theta, flags
 
 
+def _finish_rows(xi: np.ndarray, s: GeneralNetwork | MulticastTree, bad: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """_finish on (datasets x positions) arrays over s.order, nan for None: bad
+    marks the positions each dataset's regularity report flags.  Returns theta,
+    nan for None, and each position's flag as its rank in _FLAGS."""
+    theta = theta_rows(xi, s.padded)
+    theta = np.where(np.abs(theta) <= XI_BOUNDARY_TOL, 0.0,
+                     np.where(np.abs(theta - 1.0) <= XI_BOUNDARY_TOL, 1.0, theta))
+    # _flag's order: non_estimable, regularity, boundary, ok
+    rank = np.where(np.isnan(theta), 3,
+                    np.where(bad, 2, np.where((theta <= 0.0) | (theta >= 1.0), 1, 0)))
+    return np.where(theta < 0.0, 0.0, np.where(theta > 1.0, 1.0, theta)), rank
+
+
+def _on_arrays(xis: list[list[float | None]]) -> bool:
+    """The size rule: finish on arrays from ARRAY_MIN_POSITIONS positions in all,
+    summed over the datasets and the networks or trees of one call."""
+    return sum(map(len, xis)) >= ARRAY_MIN_POSITIONS
+
+
+def _values(rows: np.ndarray) -> list[list[float | None]]:
+    """rows as lists of floats, None where nan."""
+    out = rows.astype(object)
+    out[np.isnan(rows)] = None
+    return out.tolist()
+
+
 def le_xi(views: InternalView, net: GeneralNetwork, workers: int = 1,
           report: RegularityReport | None = None) -> EstimateResult:
     """Likelihood-equation estimator: le_xi_replicates on one dataset.  workers
@@ -347,17 +405,26 @@ def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
     """le_xi on each dataset's views and report (None: computed here).
 
     mvwa's two steps on net alone: _solve_xi on every dataset at once, then
-    _finish per dataset (xi to theta, boundary snap, projection, flags).  A
-    result's iterations is its own largest solver iteration count.
+    the finish (xi to theta, boundary snap, projection, flags): _finish per
+    dataset, or _finish_rows on all of them by the size rule.  A result's
+    iterations is its own largest solver iteration count.
     """
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
     xis, iterations = _solve_xi([(net, pass_fractions(*v.counts(net))) for v in views_list])
+    flagged = [report.flagged() for report in reports]
+    if _on_arrays(xis):
+        bad = np.zeros((len(xis), len(net.order)), bool)
+        for row, ids in zip(bad, flagged):
+            row[[net.pos[i] for i in ids]] = True
+        theta, rank = _finish_rows(np.array(xis, dtype=float), net, bad)
+        finished = zip(_values(theta), _FLAG_NAMES[rank].tolist())
+    else:
+        finished = map(_finish, xis, itertools.repeat(net), flagged)
     ids = [(net.order[q], q) for q in net.id_pos]
     out = []
-    for report, xi, its in zip(reports, xis, iterations):
-        theta, flags = _finish(xi, net, report.flagged())
+    for report, xi, its, (theta, flags) in zip(reports, xis, iterations, finished):
         out.append(EstimateResult("le-xi", {i: theta[q] for i, q in ids},
                                   {i: xi[q] for i, q in ids},
                                   {i: flags[q] for i, q in ids}, its, report, 0.0))
@@ -550,7 +617,9 @@ def mvwa_replicates(views_list: list[InternalView], net: GeneralNetwork,
     exact diagonal observed information of the tree's likelihood; without a
     usable variance (boundary point, flat curvature) an estimate gets zero
     weight, and when no tree has one the link falls back to probe-count
-    weights.  A result's iterations is the largest of its own trees'.
+    weights.  A result's iterations is the largest of its own trees'.  The
+    finish and the average run per dataset (_combine) or, by the size rule,
+    on all of them at once (_combine_rows).
     """
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
@@ -558,21 +627,23 @@ def mvwa_replicates(views_list: list[InternalView], net: GeneralNetwork,
     per_view = [[(tree, *views.counts(tree))
                  for tree in map(net.tree_by_id.__getitem__, sorted(views.per_tree_n1))]
                 for views in views_list]
-    xis, iterations = _solve_xi((tree, pass_fractions(n1, n0))
-                                for per_tree in per_view for tree, n1, n0 in per_tree)
-    out, at = [], 0
-    for views, report, per_tree in zip(views_list, reports, per_view):
-        end = at + len(per_tree)
-        theta_hat, flags = _combine(views, net, per_tree, xis[at:end])
-        out.append(EstimateResult("mvwa", theta_hat, theta_to_xi(theta_hat, net), flags,
-                                  max(iterations[at:end], default=0), report, 0.0))
-        at = end
+    xis, iterations = _solve_xi([(tree, pass_fractions(n1, n0))
+                                 for per_tree in per_view for tree, n1, n0 in per_tree])
+    ends = list(itertools.accumulate(map(len, per_view), initial=0))
+    if _on_arrays(xis):
+        combined = _combine_rows(views_list, net, per_view, xis)
+    else:
+        combined = [_combine(views, net, per_tree, xis[a:b])
+                    for views, per_tree, a, b in zip(views_list, per_view, ends, ends[1:])]
+    out = [EstimateResult("mvwa", theta_hat, xi_hat, flags, max(iterations[a:b], default=0),
+                          report, 0.0)
+           for report, (theta_hat, xi_hat, flags), a, b in zip(reports, combined, ends, ends[1:])]
     return _timed(out, t0)
 
 
 def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
-             ) -> tuple[dict[int, float | None], dict[int, str]]:
-    """mvwa's theta_hat and flags on one dataset, from each tree's solved xi."""
+             ) -> tuple[dict[int, float | None], dict[int, float | None], dict[int, str]]:
+    """mvwa's theta_hat, xi_hat and flags on one dataset, from each tree's solved xi."""
     # link -> (tree id, estimate, variance, flag) per estimating tree, by tree id
     by_link: dict[int, list[tuple[int, float, float, str]]] = {i: [] for i in net.links}
     for (tree, n1, n0), xi in zip(per_tree, xis):
@@ -600,11 +671,70 @@ def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
         else:
             usable = entries
             weights = [float(views.probes[k]) for k, _, _, _ in usable]
-        total = sum(weights)
-        est = sum(w * e for w, (_, e, _, _) in zip(weights, usable)) / total
-        theta_hat[i] = min(1.0, max(0.0, est))
+        # explicit loops, not sum(), which is compensated from Python 3.12:
+        # _combine_rows adds in this same order
+        total = num = 0.0
+        for w, (_, e, _, _) in zip(weights, usable):
+            total += w
+            num += w * e
+        theta_hat[i] = _clamp_mean(num / total)
         flags[i] = max((f for _, _, _, f in usable), key=_FLAG_RANK.__getitem__)
-    return theta_hat, flags
+    return theta_hat, theta_to_xi(theta_hat, net), flags
+
+
+def _combine_rows(views_list: list[InternalView], net: GeneralNetwork, per_view, xis
+                  ) -> list[tuple[dict[int, float | None], dict[int, float | None],
+                                  dict[int, str]]]:
+    """_combine on every dataset at once.
+
+    Per tree, _finish_rows, regularity_rows and information_rows run on the
+    (datasets x positions) arrays of the datasets that observed the tree.
+    The average runs on (trees x datasets x links) arrays, links by ascending
+    id: a tree without an entry adds exact zeros, and the trees add in
+    ascending id, as _combine does.  xi_hat comes from xi_rows on net.
+    """
+    links = sorted(net.links)
+    column = dict(zip(links, range(len(links))))
+    shape = (len(net.trees), len(views_list), len(links))
+    est, var, rank = np.full(shape, math.nan), np.full(shape, math.nan), np.full(shape, -1)
+    probes = np.zeros(shape[:2] + (1,))
+    by_tree: dict[int, list] = {}
+    entries = [(d, *entry) for d, per_tree in enumerate(per_view) for entry in per_tree]
+    for (d, tree, n1, n0), xi in zip(entries, xis):
+        by_tree.setdefault(tree.tree_id, []).append((d, n1, n0, xi))
+    for t, tree in enumerate(net.trees):
+        if tree.tree_id not in by_tree:
+            continue
+        ds, n1, n0, xi = zip(*by_tree[tree.tree_id])
+        n1, n0 = np.array(n1), np.array(n0)
+        theta, flags = _finish_rows(np.array(xi, dtype=float), tree,
+                                    regularity_rows(tree, n1, n0))
+        at = np.ix_(ds, [column[i] for i in tree.order])
+        est[t][at], rank[t][at] = theta, flags
+        var[t][at] = information_rows(theta, n1, n0, tree)
+        probes[t, list(ds), 0] = [views_list[d].probes[tree.tree_id] for d in ds]
+
+    present = ~np.isnan(est)
+    usable = present & np.isfinite(var) & (var > 0.0)
+    some = usable.any(axis=0)
+    chosen = np.where(some, usable, present)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(chosen, np.where(some, 1.0 / var, probes), 0.0)
+        terms = weights * np.where(chosen, est, 0.0)
+        total = num = 0.0
+        for w, term in zip(weights, terms):
+            total = total + w
+            num = num + term
+        mean = _clamp_mean(num / total, np.where)
+    count = present.sum(axis=0)
+    none = count == 0
+    theta = np.where(none, math.nan, np.where(count == 1, np.fmax.reduce(est, axis=0), mean))
+    on_net = np.empty((len(views_list), len(net.order)))
+    on_net[:, net.id_pos] = theta
+    xi = xi_rows(on_net, net.padded)[:, net.id_pos]
+    flags = _FLAG_NAMES[np.where(none, 3, np.where(chosen, rank, -1).max(axis=0))].tolist()
+    return [(dict(zip(links, th)), dict(zip(links, v)), dict(zip(links, fl)))
+            for th, v, fl in zip(_values(theta), _values(xi), flags)]
 
 
 def estimator(method: str):

@@ -10,7 +10,8 @@ contributes nothing even when its log argument is zero.
 observed_information gives the exact diagonal curvature of loglik_theta on
 the counts InternalView.counts reads, one pass over the links with no finite
 differences; mvwa runs the same computation on each tree's counts
-(information_by_position) for its per-link variances.
+(information_by_position) for its per-link variances, or on many datasets'
+counts of one tree at once (information_rows).
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import pi_by_position, psi_to_xi, theta_to_xi, xi_by_position
+import numpy as np
+
+from .params import pi_by_position, pi_rows, psi_to_xi, theta_to_xi, xi_by_position, xi_rows
 from .statistics import InternalView, internal_states
-from .topology import GeneralNetwork
+from .topology import GeneralNetwork, MulticastTree
 
 
 @dataclass(frozen=True)
@@ -159,3 +162,30 @@ def information_by_position(theta: list[float], n1: list[int], n0: list[int],
         variances.append(1.0 / curvature if math.isfinite(curvature) and curvature > 0.0
                          else math.nan)
     return variances
+
+
+def information_rows(theta: np.ndarray, n1: np.ndarray, n0: np.ndarray,
+                     tree: MulticastTree) -> np.ndarray:
+    """information_by_position on (datasets x positions) arrays over tree.order,
+    nan for None in theta.
+
+    The recursions run one level of the tree's PaddedForm at a time: xi
+    leaf to root, then the carried sum root to leaf, each term in the scalar
+    loop's order.  A row whose likelihood is not finite is nan throughout.
+    """
+    form = tree.padded
+    xi = xi_rows(theta, form)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fine = (((n1 == 0) | ((0.0 < 1.0 - theta) & (1.0 - theta < math.inf)))
+                & ((n0 == 0) | ((0.0 < xi[:, :-1]) & (xi[:, :-1] < math.inf)))).all(axis=1)
+        sq = xi[:, :-1] * xi[:, :-1]
+        carried = np.where(n0 == 0, 0.0, np.where(sq != 0.0, n0 / sq, math.nan))
+        for at, parents, brothers in form.falls:
+            up = 1.0 - theta[:, parents]
+            for b in brothers:
+                up = up * xi[:, b]
+            carried[:, at] += up * up * carried[:, parents]
+        d = 1.0 - pi_rows(xi[:, :-1], form)
+        curvature = n1 / ((1.0 - theta) * (1.0 - theta)) + d * d * carried
+        curvature = np.where((0.0 < theta) & (theta < 1.0) & fine[:, None], curvature, math.nan)
+        return np.where(np.isfinite(curvature) & (curvature > 0.0), 1.0 / curvature, math.nan)

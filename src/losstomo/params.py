@@ -13,7 +13,10 @@ in one pass over the links, no iteration.  theta_to_xi and xi_to_theta are
 mutually inverse on the interior domain; xi_to_psi and psi_to_xi likewise.
 Beside the two leaf-to-root recursions (xi_by_position, psi_to_xi), every
 reader of pi_i, the product of link i's children's xi, takes it from
-pi_by_position, on lists over net.order.
+pi_by_position, on lists over net.order.  pi_rows, theta_rows and xi_rows
+are pi_by_position, theta_by_position and xi_by_position on (datasets x
+positions) arrays, with nan for None, over a structure's PaddedForm: every
+product keeps the scalar loop's order, and padding multiplies by 1.0.
 
 None marks a link the data say nothing about.  theta_to_xi and xi_to_theta
 pass it through: a link whose theta is None, or one of whose children has a
@@ -27,7 +30,9 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .topology import GeneralNetwork, token_lines
+import numpy as np
+
+from .topology import GeneralNetwork, PaddedForm, token_lines
 
 XI_BOUNDARY_TOL = 1e-12
 
@@ -112,6 +117,42 @@ def theta_by_position(xi: list[float | None], child_pos: tuple[tuple[int, ...], 
         else:
             theta.append((v - prod) / (1.0 - prod))
     return theta
+
+
+def _with_ones(rows: np.ndarray) -> np.ndarray:
+    """rows with PaddedForm's padding column of 1.0 after its last position."""
+    return np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
+
+
+def pi_rows(xi: np.ndarray, form: PaddedForm) -> np.ndarray:
+    """pi_by_position on each row of xi, nan for None."""
+    xi = _with_ones(xi)
+    prod = form.seed
+    for k in form.kids:
+        prod = prod * xi[:, k]
+    return np.broadcast_to(prod, (len(xi), len(form.seed)))
+
+
+def theta_rows(xi: np.ndarray, form: PaddedForm) -> np.ndarray:
+    """theta_by_position on each row of xi, nan for None both ways."""
+    prod = pi_rows(xi, form)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(prod >= 1.0, np.where(xi >= 1.0, 1.0, -math.inf),
+                         (xi - prod) / (1.0 - prod))
+    return np.where(np.isnan(xi), math.nan, np.where(np.isnan(prod), 1.0, theta))
+
+
+def xi_rows(theta: np.ndarray, form: PaddedForm) -> np.ndarray:
+    """xi_by_position on each row of theta, nan for None both ways, with the
+    padding column of 1.0 left on: one level of form.rises at a time."""
+    xi = _with_ones(theta)
+    for at, kids in form.rises:
+        prod = 1.0
+        for k in kids:
+            prod = prod * xi[:, k]
+        th = xi[:, at]
+        xi[:, at] = th + (1.0 - th) * prod
+    return xi
 
 
 def xi_to_theta(xi: dict[int, float | None], net: GeneralNetwork

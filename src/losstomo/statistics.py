@@ -24,6 +24,7 @@ internal_views is the one-table case of internal_views_replicates, which
 ORs up the patterns of many tables, side by side, once per tree.  Tables are
 checked where they are counted (internal_views) or leave the program
 (simulate, parse_data).  InternalView.counts is the one positional read.
+regularity_rows flags a tree's links on many datasets' counts at once.
 """
 
 from __future__ import annotations
@@ -317,6 +318,20 @@ def regularity_by_position(s: GeneralNetwork | MulticastTree, n1: list, n0: list
     brother_bad = frozenset(map(order.__getitem__, bad))
     return RegularityReport(n1_zero, n0_zero, no_info, brother_bad,
                             not (n1_zero or n0_zero or no_info or brother_bad))
+
+
+def regularity_rows(tree: MulticastTree, n1: np.ndarray, n0: np.ndarray) -> np.ndarray:
+    """regularity_by_position(tree, n1, n0).flagged() on (datasets x positions)
+    count arrays over tree.order, as a mask: a tree's brother set is fed by
+    its parent alone."""
+    form = tree.padded
+    padded = np.concatenate([n1, np.zeros((len(n1), 1), n1.dtype)], axis=1)
+    below = 0
+    for k in form.kids:
+        below = below + padded[:, k]
+    fails = (form.seed > 0.0) & (n1 > 0) & (n1 >= below)
+    fails = np.concatenate([fails, np.zeros((len(n1), 1), bool)], axis=1)
+    return (n1 == 0) | (n0 == 0) | fails[:, form.parent]
 
 
 def parse_data(text: str, net: GeneralNetwork) -> PatternTable:

@@ -17,7 +17,9 @@ leaf_pos, read by the simulator, internal_views, mvwa and nem.  Both carry
 their brother sets as position tuples (brother_pos), the positions of the
 links feeding each set (feed_pos) and of the root links (root_pos), read by
 statistics.regularity_by_position, le_xi and mvwa.  No other module builds
-a link-to-index map.
+a link-to-index map.  Each structure's padded property holds the same form
+as index arrays (PaddedForm), built on first use, for the estimators' array
+path over (datasets x positions).
 
 Only this module reads a network's link dicts (child_links, parent_links,
 brother_sets, source_links); the numeric layers read the positional form.
@@ -33,9 +35,12 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import eq
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class TopologyError(ValueError):
@@ -131,6 +136,10 @@ class MulticastTree:
         self.leaves = tuple(i for i, c in self.children.items() if not c)
         self.leaf_pos = tuple(map(pos.__getitem__, self.leaves))
 
+    @cached_property
+    def padded(self) -> PaddedForm:
+        return PaddedForm(self.child_pos, self.parent_pos)
+
     def __eq__(self, other):
         return (isinstance(other, MulticastTree)
                 and self.tree_id == other.tree_id
@@ -218,6 +227,10 @@ class GeneralNetwork:
         self.root_pos = tuple(map(self.pos.__getitem__, self.source_links))
         self.id_pos = tuple(map(self.pos.__getitem__, ups))
 
+    @cached_property
+    def padded(self) -> PaddedForm:
+        return PaddedForm(self.child_pos)
+
     def __eq__(self, other):
         return (isinstance(other, GeneralNetwork)
                 and self.name == other.name
@@ -230,6 +243,67 @@ class GeneralNetwork:
     def __repr__(self):
         return (f"GeneralNetwork({self.name!r}, m={len(self.links)}, "
                 f"trees={len(self.trees)})")
+
+
+class PaddedForm:
+    """A positional form's child_pos, and a tree's parent_pos, as index arrays
+    for products and recursions over (datasets x positions) arrays.
+
+    Index len(child_pos) names a padding column: a caller fills it with 1.0
+    for a product and with 0 or False for a sum, so a padded row adds its
+    real terms in the scalar loop's order and then exact no-ops.
+
+    kids:  (widest child set x positions), each position's children by
+           ascending id, as child_pos lists them;
+    seed:  1.0 where a position has children and 0.0 at a leaf, the start of
+           params.pi_by_position's product;
+    rises: (positions, their kids) of the links with children, one level per
+           height above the leaves, lowest first, so each level's children
+           are done before it: xi_by_position's leaf-to-root order.
+    A tree also has
+    parent: each position's parent, the padding index at the root;
+    falls: (positions, parents, brothers) per depth below the root,
+           shallowest first, where brothers lists each position's parent's
+           other children by ascending id: the root-to-leaf order.
+    """
+
+    def __init__(self, child_pos: tuple[tuple[int, ...], ...],
+                 parent_pos: tuple[int, ...] | None = None):
+        m = len(child_pos)
+        widths = np.fromiter(map(len, child_pos), np.intp, m)
+        self.kids = kids = np.full((widths.max(initial=0), m), m, np.intp)
+        # row-major over kids.T: each position's children in turn, as listed
+        kids.T[np.arange(len(kids)) < widths[:, None]] = list(chain.from_iterable(child_pos))
+        self.seed = (widths > 0).astype(float)
+        # height above the leaves: each pass lifts a link above its children
+        height = np.zeros(m + 1, np.intp)
+        height[m] = -1
+        while True:
+            lifted = height[kids].max(axis=0, initial=-1) + 1
+            if (lifted == height[:m]).all():
+                break
+            height[:m] = lifted
+        self.rises = tuple((at, kids[:, at]) for at in _levels(height[:m], 1))
+        if parent_pos is None:
+            return
+        self.parent = parent = np.array(parent_pos, np.intp)
+        parent[parent < 0] = m
+        up, depth, at = np.append(parent, m), np.zeros(m, np.intp), parent
+        while (at < m).any():
+            depth += at < m
+            at = up[at]
+        # each position's parent's children, itself moved last and dropped
+        family = np.concatenate([kids, np.full((len(kids), 1), m, np.intp)], axis=1)[:, parent]
+        last = np.argsort(family == np.arange(m), axis=0, kind="stable")
+        brothers = np.take_along_axis(family, last, axis=0)[:-1]
+        self.falls = tuple((at, parent[at], brothers[:, at]) for at in _levels(depth, 1))
+
+
+def _levels(level: np.ndarray, lowest: int) -> list[np.ndarray]:
+    """The positions at each level from lowest up, ascending within a level."""
+    by_level = np.argsort(level, kind="stable")
+    groups = np.split(by_level, np.cumsum(np.bincount(level))[:-1])
+    return [at for at in groups[lowest:] if len(at)]
 
 
 def _by_id(records: list[LinkRecord]) -> dict[int, LinkRecord]:

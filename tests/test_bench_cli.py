@@ -191,16 +191,42 @@ REFERENCE_CASES = {
 
 
 class TestBatchedGrid:
-    """run_grid batches each cell's replicates; its rows, apart from
-    runtime_ms, equal tests/bench_reference.py's, which runs them one by one."""
+    """run_grid batches each cell's replicates and pools le-xi and mvwa across
+    cells; its rows, apart from runtime_ms, equal tests/bench_reference.py's,
+    which runs them one by one."""
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-    def test_rows_equal_per_replicate_reference(self, case):
+    def test_rows_equal_per_replicate_reference(self, case, monkeypatch):
         make_net, text = REFERENCE_CASES[case]
         net, grid = make_net(), parse_grid(text, master_seed=4)
+        want = _strip(run_grid_reference(grid, net).rows)
+        # by the size rule, then with the estimators' array finish forced
+        for array in (estimators.ARRAY_MIN_POSITIONS, 0):
+            monkeypatch.setattr(estimators, "ARRAY_MIN_POSITIONS", array)
+            rows = run_grid(grid, net).rows
+            assert _strip(rows) == want
+            assert len(rows) == sum(c.replicates * len(c.methods) for c in grid.cells())
+
+    def test_pools_span_cells_up_to_one_block_per_tree(self, monkeypatch):
+        # per tree: 120, 150 and 120 probes pool together; each 4000-probe
+        # replicate of the last cell would take a pool past BLOCK_PROBES, so it
+        # closes the pool before it and is pooled alone.  The second cell
+        # lists no mvwa, the third nem.
+        net = fixtures.twotree12()
+        grid = parse_grid("cell 1 20 60 4 le-xi,mvwa\ncell 1 20 100 3 le-xi,pcem\n"
+                          "cell 2 60 80 3 nem,le-xi,mvwa\ncell 2 60 8000 2 le-xi,mvwa\n",
+                          master_seed=5)
+        sizes = {"le-xi": [], "mvwa": []}
+        for method, real in list(bench._BATCHED.items()):
+            monkeypatch.setitem(bench._BATCHED, method, lambda views, net, reports, m=method,
+                                real=real: sizes[m].append(len(views)) or real(views, net, reports))
         rows = run_grid(grid, net).rows
+        assert sizes == {"le-xi": [10, 1, 1], "mvwa": [7, 1, 1]}
         assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
-        assert len(rows) == sum(c.replicates * len(c.methods) for c in grid.cells())
+        assert not any("error" in r for r in rows)
+        # a pool's results share its call's time equally
+        first = [r["runtime_ms"] for r in rows if r["method"] == "le-xi" and r["n"] < 8000]
+        assert len(set(first)) == 1
 
     def test_pooled_sets_reach_the_batched_solve(self, monkeypatch):
         # no replicate alone has BATCH_MIN_SETS sets that need an interior root,
@@ -255,21 +281,32 @@ class TestBatchedGrid:
         assert 0 < len(errors) < 8
         assert all(r["error"].startswith("odd root count") for r in errors)
 
-    @pytest.mark.parametrize("beta_b", [1000, 100])
-    def test_peak_memory_stays_within_one_stacked_block(self, beta_b):
+    @pytest.mark.parametrize("text", [
+        pytest.param("cell 1 1000 8192 20 le-xi\n", id="1000"),
+        pytest.param("cell 1 100 8192 20 le-xi\n", id="100"),
+        # 24 cells of two 1500-probe replicates: a pool holds one cell's two
+        # datasets, where pooling all 48 tables and views would not fit
+        pytest.param("".join(f"cell 1 100 {1500 + q} 2 le-xi\n" for q in range(24)),
+                     id="100-cells"),
+        # cells of 100 small replicates, each a pool of its own: a batch kept
+        # alive while the next is drawn would put two pools' views in memory
+        pytest.param("".join(f"cell 1 100 {40 + q} 100 le-xi\n" for q in range(4)),
+                     id="100-small-cells"),
+    ])
+    def test_peak_memory_stays_within_one_stacked_block(self, text):
         # 20 replicates of two full blocks each: stacking every replicate's
         # words at once would hold 20 blocks of 8-byte words; at Beta(1,100)
         # nearly every probe has its own 256-leaf pattern, so holding all 20
         # tables and their views at once would too
         net = fixtures.kary_tree(4, 4)
-        grid = parse_grid(f"cell 1 {beta_b} 8192 20 le-xi\n", master_seed=1)
+        grid = parse_grid(text, master_seed=1)
         tracemalloc.start()
         try:
             rows = run_grid(grid, net).rows
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rows) == 20
+        assert len(rows) == sum(c.replicates for c in grid.cells())
         assert peak < 3 * BLOCK_PROBES * len(net.links) * 8
 
 

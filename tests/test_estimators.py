@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from losstomo import fixtures
 from losstomo.estimators import (FLAG_BOUNDARY, FLAG_NON_ESTIMABLE, FLAG_OK,
-                                 FLAG_REGULARITY, _solve_interior, le_xi, mvwa, nem,
-                                 pcem, project_to_theta_star)
+                                 FLAG_REGULARITY, _clamp_mean, _solve_interior, le_xi, mvwa,
+                                 nem, pcem, project_to_theta_star)
 from losstomo.likelihood import loglik_xi, observed_information
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import InternalView, PatternTable, internal_views, regularity_report
@@ -439,6 +439,17 @@ def test_project_to_theta_star():
     projected, clamped = project_to_theta_star(raw)
     assert projected == {1: 0.0, 2: 0.4, 3: 1.0, 4: None, 5: 0.0}
     assert clamped == {1, 3, 5}
+
+
+def test_combine_clamp_is_min_max_on_floats_and_arrays():
+    # min(1.0, max(0.0, est)): nan and -0.0 become 0.0, and est < 1.0 decides the top
+    edges = [math.nan, -0.0, 0.0, -1e-300, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0,
+             math.nextafter(1.0, 2.0), math.inf, -math.inf]
+    want = [min(1.0, max(0.0, e)) for e in edges]
+    assert [math.copysign(1.0, w) for w in want] == [1.0] * len(edges)
+    for got in ([_clamp_mean(e) for e in edges],
+                _clamp_mean(np.array(edges), np.where).tolist()):
+        assert [float(g).hex() for g in got] == [w.hex() for w in want]
 
 
 def test_em_reports_whether_tol_stopped_the_loop():

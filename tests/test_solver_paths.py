@@ -7,6 +7,9 @@ not depend on the path, so every comparison here is bit for bit: floats by
 float.hex, results by repr (which also keeps dict order and the sign of 0).
 mvwa hands every tree's sets to one _solve_interiors call, and must equal
 tests/mvwa_reference.py, which runs le_xi on each tree's sub-network.
+Both estimators finish per dataset or, from ARRAY_MIN_POSITIONS positions
+on, on (datasets x positions) arrays; every comparison runs with that
+constant forced each way (ARRAY_PATHS).
 """
 
 import math
@@ -34,6 +37,8 @@ if str(ROOT) not in sys.path:
 from perfbench.inputs import hub_network  # noqa: E402
 
 HI = 1.0 - 1e-9
+# ARRAY_MIN_POSITIONS forcing the array finish on and off
+ARRAY_PATHS = (0, 10**9)
 
 
 def _bits(values):
@@ -146,23 +151,36 @@ def _assert_same_result(a, b):
 
 
 def _both_paths(views, net, estimator):
-    """Run estimator with the threshold at 0 and out of reach; return batch sizes."""
-    calls = []
-    batched = estimators._solve_interior_rows
+    """Run estimator with the solver threshold at 0 and out of reach, each with
+    the array finish forced on and off; return the batched run's batch sizes."""
+    calls, finished = [], []
+    batched, finish_rows = estimators._solve_interior_rows, estimators._finish_rows
 
     def counted(rows, *args):
         calls.append(len(rows))
         return batched(rows, *args)
 
+    def finish_counted(xi, *args):
+        finished.append(len(xi))
+        return finish_rows(xi, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_solve_interior_rows", counted)
-        mp.setattr(estimators, "BATCH_MIN_SETS", 0)
-        on_batch = estimator(views, net)
-        batch_calls = list(calls)
-        mp.setattr(estimators, "BATCH_MIN_SETS", 10**9)
-        on_loop = estimator(views, net)
-    assert len(calls) == len(batch_calls)   # the loop path never batches
-    _assert_same_result(on_batch, on_loop)
+        mp.setattr(estimators, "_finish_rows", finish_counted)
+        results = []
+        for array in ARRAY_PATHS:
+            mp.setattr(estimators, "ARRAY_MIN_POSITIONS", array)
+            mp.setattr(estimators, "BATCH_MIN_SETS", 0)
+            del finished[:]
+            results.append(estimator(views, net))
+            assert bool(finished) == (array == 0)   # the forced path ran
+            batch_calls = list(calls)
+            mp.setattr(estimators, "BATCH_MIN_SETS", 10**9)
+            results.append(estimator(views, net))
+            assert len(calls) == len(batch_calls)   # the loop path never batches
+            del calls[:]
+    for other in results[1:]:
+        _assert_same_result(results[0], other)
     return batch_calls
 
 
@@ -192,12 +210,20 @@ def test_le_xi_and_mvwa_do_not_depend_on_the_path_large_nets(net, a, b, probes):
         assert batch_calls and max(batch_calls) > estimators.BATCH_MIN_SETS
 
 
+def _assert_mvwa_equals_reference(views, net, report):
+    want = mvwa_reference(views, net, report)
+    for array in ARRAY_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "ARRAY_MIN_POSITIONS", array)
+            _assert_same_result(mvwa(views, net, report=report), want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_simulated_small_nets())
 def test_mvwa_equals_per_tree_reference_small_nets(case):
     net, patterns = case
     views, report = internal_views(patterns, net)
-    _assert_same_result(mvwa(views, net, report=report), mvwa_reference(views, net, report))
+    _assert_mvwa_equals_reference(views, net, report)
 
 
 def _four_trees_one_hub():
@@ -223,8 +249,12 @@ def _four_trees_one_hub():
     pytest.param(HUB, 1, 1000, 80000, id="hub-beta1_1000"),
     # sums of four weighted estimates, whose order shows in the last bits
     pytest.param(_four_trees_one_hub(), 1, 20, 2000, id="four_trees_one_hub"),
+    # 20 probes: a tree estimate within XI_BOUNDARY_TOL of the boundary, and
+    # trees whose likelihood is not finite at their estimate (no variances)
+    pytest.param(_four_trees_one_hub(), 2, 18, 20, id="four_trees_one_hub-snapped"),
+    pytest.param(_four_trees_one_hub(), 1, 3, 20, id="four_trees_one_hub-no_variances"),
 ])
 def test_mvwa_equals_per_tree_reference_large_nets(net, a, b, probes):
     theta = sample_theta(a, b, net, np.random.default_rng(1)).theta
     views, report = internal_views(simulate(SimConfig(net, probes, 1), theta), net)
-    _assert_same_result(mvwa(views, net, report=report), mvwa_reference(views, net, report))
+    _assert_mvwa_equals_reference(views, net, report)
