@@ -42,7 +42,10 @@ alone in the other.  The commands:
 * estimate on each data file with le-xi, pcem and mvwa, and with nem on
   networks of at most NEM_MAX_LINKS links;
 * one pcem run stopped by --max-iter 2 (exit 3), every method on all-dark
-  star3 data, and bench on fixtures/table_grid.txt over layered49;
+  star3 data and on EXHAUSTION, the star kary_tree(4, 1) whose leaves' pass
+  counts exactly exhaust the root's, with pass fractions 0.56, 0.16, 0.18
+  and 0.1 (their float sum, left to right, is 1 + 2**-52), and bench on
+  fixtures/table_grid.txt over layered49;
 * bench on EDGE_GRIDS, cells at the edges of bench's per-cell batching: a
   tree with no probes, more than one simulator block per tree, several
   batches of replicates in a cell, nem, the split node in both numberings,
@@ -118,6 +121,8 @@ EDGE_GRIDS = (
 )
 WIDE_STARS = (64, 65)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
+EXHAUSTION = ("data exhaustion\nprobes 1 120\nreceivers 1 : 2 3 4 5\npattern 1 1000 56\n"
+              "pattern 1 0100 16\npattern 1 0010 18\npattern 1 0001 10\npattern 1 0000 20\n")
 SPLIT_NODE = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 3 1 2\nlink 4 1 3\n"
               "tree 1 1 : 1 3\ntree 2 2 : 2 3 4\n")
 SPLIT_NODE_SWAPPED = ("network split_node\nlink 1 10 1\nlink 2 20 1\nlink 4 1 2\nlink 3 1 3\n"
@@ -265,9 +270,12 @@ def run_matrix(log: list[str]) -> None:
          "--max-iter", "2", "--out", "layered49.pcem-max-iter-2.csv")
 
     Path("all-dark.data").write_text(ALL_DARK, encoding="utf-8")
-    for method in ("le-xi", "pcem", "mvwa", "nem"):
-        _run(log, "estimate", "--topology", "star3.topo", "--data", "all-dark.data",
-             "--method", method, "--out", f"all-dark.{method}.csv")
+    Path("star4.topo").write_text(serialize_topology(fixtures.kary_tree(4, 1)), encoding="utf-8")
+    Path("exhaustion.data").write_text(EXHAUSTION, encoding="utf-8")
+    for topo, stem in (("star3", "all-dark"), ("star4", "exhaustion")):
+        for method in ("le-xi", "pcem", "mvwa", "nem"):
+            _run(log, "estimate", "--topology", f"{topo}.topo", "--data", f"{stem}.data",
+                 "--method", method, "--out", f"{stem}.{method}.csv")
 
     grid = Path("table_grid.txt")
     grid.write_text((ROOT / "fixtures" / "table_grid.txt").read_text(encoding="utf-8"),

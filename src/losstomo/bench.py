@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import METHODS, estimator, le_xi_replicates, mvwa_replicates, nem
-from .params import rates_dict
+from .estimators import METHODS, estimator, le_xi_replicates, left_sum, mvwa_replicates, nem
 from .simulator import BLOCK_PROBES, SimConfig, sample_theta, simulate_replicates
 from .statistics import internal_views_replicates
 from .topology import GeneralNetwork, token_lines
@@ -150,7 +149,7 @@ class ExperimentReport:
         for key in sorted(cells, key=lambda k: (k[0], k[1], k[2])):
             rows = cells[key]
             mses = [r["mse"] for r in rows if r["mse"] is not None]
-            mean_mse = sum(mses) / len(mses) if mses else float("nan")
+            mean_mse = left_sum(mses) / len(mses) if mses else float("nan")
             mean_ms = sum(r["runtime_ms"] for r in rows) / len(rows)
             viol = sum(r["violations"] for r in rows if "error" not in r)
             lines.append(f"{key[0]:<18}{key[1]:>6}{key[2]:>8}{mean_mse:>14.4e}"
@@ -158,13 +157,12 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def mse(theta_hat: dict[int, float | None], theta_true) -> float:
+def mse(theta_hat: dict[int, float | None], theta_true: dict[int, float]) -> float:
     """Mean squared error over the links estimated on both sides."""
-    truth = rates_dict(theta_true)
-    common = [i for i, v in theta_hat.items() if v is not None and i in truth]
+    common = [i for i, v in theta_hat.items() if v is not None and i in theta_true]
     if not common:
         raise ValueError("no estimable links in common")
-    return sum((theta_hat[i] - truth[i]) ** 2 for i in common) / len(common)
+    return left_sum((theta_hat[i] - theta_true[i]) ** 2 for i in common) / len(common)
 
 
 def _theta_seed(master: int, cell: GridCell, replicate: int) -> np.random.SeedSequence:

@@ -53,7 +53,7 @@ def _cmd_simulate(args) -> int:
             raise CliError(f"--beta expects 'a,b', got {args.beta!r}") from None
         rng = np.random.Generator(np.random.Philox(
             seed=np.random.SeedSequence((args.seed, args.replicate, 0xA11CE))))
-        theta = sample_theta(a, b, net, rng).theta
+        theta = sample_theta(a, b, net, rng)
     else:
         kind, theta = parse_rates(Path(args.theta).read_text(encoding="utf-8"))
         if kind != "theta":

@@ -78,6 +78,16 @@ _SOLVER_DELTA = 1e-9
 METHODS = ("le-xi", "pcem", "nem", "mvwa")
 
 
+def left_sum(values) -> float:
+    """The floats added left to right.  From Python 3.12 sum() of floats is
+    compensated; a sum that picks a branch or reaches an output must not
+    depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _residual_and_slope(rs: list[float], x: float) -> tuple[float, float]:
     """g(x) = prod_j[(1 - r_j) + r_j x] - x and g'(x), both summed left to right."""
     prod = 1.0
@@ -86,8 +96,7 @@ def _residual_and_slope(rs: list[float], x: float) -> tuple[float, float]:
         f = (1.0 - r) + r * x
         factors.append(f)
         prod *= f
-    # an explicit loop, not sum(): from Python 3.12 sum() of floats is
-    # compensated, and the batched solve must add in this same order
+    # summed left to right (see left_sum), in the batched solve's order
     slope = 0.0
     for r, f in zip(rs, factors):
         slope += r * prod / f
@@ -303,7 +312,7 @@ def _solve_node(brothers: tuple[int, ...], r: list[float | None],
         for j in mid:
             xi[j] = 1.0 - r[j]
         return []
-    if sum(r[j] for j in mid) > 1.0:
+    if left_sum(r[j] for j in mid) > 1.0:
         return mid
     # pass counts below the brothers exactly exhaust the parent's: the fixed
     # point degenerates to 1 and the parent's rate collapses to 0 downstream
@@ -671,13 +680,9 @@ def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
         else:
             usable = entries
             weights = [float(views.probes[k]) for k, _, _, _ in usable]
-        # explicit loops, not sum(), which is compensated from Python 3.12:
-        # _combine_rows adds in this same order
-        total = num = 0.0
-        for w, (_, e, _, _) in zip(weights, usable):
-            total += w
-            num += w * e
-        theta_hat[i] = _clamp_mean(num / total)
+        # left to right, the order _combine_rows adds in
+        num = left_sum(w * e for w, (_, e, _, _) in zip(weights, usable))
+        theta_hat[i] = _clamp_mean(num / left_sum(weights))
         flags[i] = max((f for _, _, _, f in usable), key=_FLAG_RANK.__getitem__)
     return theta_hat, theta_to_xi(theta_hat, net), flags
 

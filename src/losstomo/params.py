@@ -8,9 +8,10 @@ psi:    natural parameters of the exponential-family form of the
         likelihood; for an internal link this is the log probability that
         the probe passed the link given the whole subtree went dark.
 
-Every map takes and returns a plain {link_id: value} dict and is evaluated
-in one pass over the links, no iteration.  theta_to_xi and xi_to_theta are
-mutually inverse on the interior domain; xi_to_psi and psi_to_xi likewise.
+Every map takes and returns a plain {link_id: value} dict, the form
+sample_theta draws, in one pass over the links, no iteration.  theta_to_xi
+and xi_to_theta are mutually inverse on the interior domain; xi_to_psi and
+psi_to_xi likewise.
 Beside the two leaf-to-root recursions (xi_by_position, psi_to_xi), every
 reader of pi_i, the product of link i's children's xi, takes it from
 pi_by_position, on lists over net.order.  pi_rows, theta_rows and xi_rows
@@ -27,7 +28,6 @@ None child gets theta 1.0, because an estimator pins that link's xi at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -35,24 +35,6 @@ import numpy as np
 from .topology import GeneralNetwork, PaddedForm, token_lines
 
 XI_BOUNDARY_TOL = 1e-12
-
-
-@dataclass
-class LossRates:
-    """Per-link loss rates. Interior means every value in (0, 1)."""
-
-    theta: dict[int, float]
-
-    def __getitem__(self, link_id: int) -> float:
-        return self.theta[link_id]
-
-    def is_interior(self) -> bool:
-        return all(0.0 < v < 1.0 for v in self.theta.values())
-
-
-def rates_dict(theta: dict[int, float] | LossRates) -> dict[int, float]:
-    """The {link_id: rate} dict of either a plain dict or a LossRates."""
-    return theta.theta if isinstance(theta, LossRates) else theta
 
 
 def xi_by_position(theta: list[float | None], child_pos: tuple[tuple[int, ...], ...]

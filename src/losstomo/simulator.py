@@ -1,7 +1,8 @@
 """Ideal-model probe simulator.
 
 Probes propagate root-to-leaf through each tree with independent Bernoulli
-losses per link, and each tree's probes are counted by receiver pattern.
+losses at per-link rates, a plain {link_id: rate} dict, and each tree's
+probes are counted by receiver pattern.
 Randomness is addressed by (seed, replicate, tree, block): probes are
 generated in fixed-size blocks with an independent counter-based stream per
 block, and only one block's draws are held at a time.
@@ -20,9 +21,8 @@ pattern is the AND of its lost links' masks, one bitwise_and.reduceat per
 block.  theta = 1 links are folded into a base mask that every lossy
 pattern is ANDed with and every lossless probe gets.  Patterns are counted
 as bytes, in the order first seen, and only each tree's distinct ones are
-decoded to '0'/'1'.
-simulate is simulate_replicates on one config, its table checked as it
-leaves the program; run_grid's are checked where internal_views counts them.
+decoded to '0'/'1'.  simulate is simulate_replicates on one config, its table
+checked as it leaves; run_grid's are checked where internal_views counts them.
 simulate_replicates stacks the configs' blocks of one index for one compare
 and one reduceat, each config with its own stream, base mask and counts;
 run_grid hands it at most one block of probes per tree in all, or one config.
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LossRates, rates_dict
 from .statistics import PatternTable
 from .topology import GeneralNetwork
 
@@ -64,14 +63,14 @@ class SimConfig:
 
 
 def sample_theta(a: float, b: float, net: GeneralNetwork,
-                 rng: np.random.Generator) -> LossRates:
-    """Draw i.i.d. Beta(a, b) loss rates per link, ascending link-id order."""
+                 rng: np.random.Generator) -> dict[int, float]:
+    """A {link_id: rate} dict of i.i.d. Beta(a, b) draws, in ascending link-id order."""
     if not all(math.isfinite(v) and v > 0 for v in (a, b)):
         raise ValueError(f"Beta parameters must be finite and > 0, got ({a:g}, {b:g})")
     ids = sorted(net.links)
     draws = rng.beta(a, b, size=len(ids))
     clipped = np.clip(draws, THETA_CLAMP, 1.0 - THETA_CLAMP)
-    return LossRates({i: float(v) for i, v in zip(ids, clipped)})
+    return {i: float(v) for i, v in zip(ids, clipped)}
 
 
 def _tree_counts(cfgs: list[SimConfig], ths: list[dict[int, float]], tree_id: int,
@@ -141,7 +140,7 @@ def _tree_counts(cfgs: list[SimConfig], ths: list[dict[int, float]], tree_id: in
     return [dict(zip(map(decode, counts), counts.values())) for counts in keys]
 
 
-def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
+def simulate(cfg: SimConfig, theta: dict[int, float], workers: int = 1) -> PatternTable:
     """Collapsed receiver observations of one experiment: simulate_replicates
     on cfg, checked.  workers is ignored; blocks run on the calling thread."""
     table = simulate_replicates([cfg], [theta])[0]
@@ -149,22 +148,22 @@ def simulate(cfg: SimConfig, theta, workers: int = 1) -> PatternTable:
     return table
 
 
-def simulate_replicates(cfgs: list[SimConfig], thetas: list) -> list[PatternTable]:
+def simulate_replicates(cfgs: list[SimConfig], thetas: list[dict[int, float]]
+                        ) -> list[PatternTable]:
     """One pattern table per config, cfgs[r] run under thetas[r], unchecked;
     the configs share a network and a probe count, so each tree's blocks
     stack, and a stack holds len(cfgs) times a block's rows."""
-    ths = [rates_dict(theta) for theta in thetas]
     net, probes = cfgs[0].net, cfgs[0].probes
     if any(c.net is not net or c.probes != probes for c in cfgs):
         raise ValueError("replicates must share a network and a probe count")
     if probes < 0:
         raise ValueError(f"probe count must be >= 0, got {probes}")
-    for th in ths:
+    for th in thetas:
         bad = sorted(i for i in net.links if not 0.0 <= th.get(i, math.nan) <= 1.0)
         if bad:
             raise ValueError(f"links {bad} lack a loss rate in [0, 1]")
     split = dict(sorted(cfgs[0].tree_probes().items()))
-    per_tree = {k: _tree_counts(cfgs, ths, k, n) for k, n in split.items()}
+    per_tree = {k: _tree_counts(cfgs, thetas, k, n) for k, n in split.items()}
     return [PatternTable(f"sim-seed{c.seed}-rep{c.replicate}", dict(split),
                          {k: net.tree_by_id[k].leaves for k in split},
                          {k: per_tree[k][r] for k in split})

@@ -1,8 +1,8 @@
 """Observation handling: pattern tables, internal states and internal views.
 
 Receiver observations are kept collapsed: per tree, a map from the receiver
-bit pattern to the number of probes that produced it.  Everything the
-estimators consume is derived from those counts.
+bit pattern to the number of probes that produced it, read by parse_data or
+drawn by simulate.  The estimators derive all they consume from those counts.
 
 The internal state of a link for one probe is 1 when some receiver below
 the link saw the probe, which proves the probe passed the link.  Summing
@@ -30,8 +30,6 @@ regularity_rows flags a tree's links on many datasets' counts at once.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -147,38 +145,6 @@ def internal_states(bits: str, tree: MulticastTree) -> InternalStateVector:
         else:
             unknown.append(i)
     return InternalStateVector(y, tuple(confirmed), tuple(dark_tops), tuple(unknown))
-
-
-def collapse_patterns(records: dict[int, Iterable[str]], net: GeneralNetwork,
-                      name: str = "data") -> PatternTable:
-    """Count per-probe bit strings, any iterable of them per tree, into a pattern
-    table.  Each tree's rows are counted first, and patterns keep the order in
-    which they were first seen; then the distinct patterns are checked at once,
-    on their joined bytes.  When that check fails, _check_records checks them
-    one by one, in that order, so the error names the first bad row read.
-    It serves callers that hold one string per probe; simulate counts its
-    packed patterns itself."""
-    probes, receivers, counts = {}, {}, {}
-    for k, rows in sorted(records.items()):
-        if k not in net.tree_by_id:
-            raise DataError(f"unknown tree {k}")
-        tree = net.tree_by_id[k]
-        width = len(tree.leaves)
-        table = dict(Counter(rows))
-        raw = _ascii_keys(table, width)
-        if raw is None or raw.translate(None, b"01"):
-            _check_records(k, table, width)
-        probes[k] = sum(table.values())
-        receivers[k] = tree.leaves
-        counts[k] = table
-    return PatternTable(name, probes, receivers, counts)
-
-
-def _check_records(k: int, table: dict[str, int], width: int):
-    """Check tree k's distinct records one by one, in table order; name the first bad one."""
-    for bits in table:
-        if not isinstance(bits, str) or len(bits) != width or set(bits) - {"0", "1"}:
-            raise DataError(f"tree {k}: bad record {bits!r}")
 
 
 @dataclass

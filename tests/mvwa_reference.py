@@ -75,8 +75,12 @@ def mvwa_reference(views, net, report=None) -> EstimateResult:
         else:
             usable = entries
             weights = [float(views.probes[k]) for k, _, _, _ in usable]
-        total = sum(weights)
-        est = sum(w * e for w, (_, e, _, _) in zip(weights, usable)) / total
+        # left to right: sum() of floats is compensated from Python 3.12
+        total = num = 0.0
+        for w, (_, e, _, _) in zip(weights, usable):
+            total += w
+            num += w * e
+        est = num / total
         theta_hat[i] = min(1.0, max(0.0, est))
         flags[i] = max((f for _, _, _, f in usable), key=_FLAG_RANK.__getitem__)
 

@@ -1,5 +1,4 @@
-"""Reference simulator: the row-sort collapse simulate used before it handed
-its rows to collapse_patterns.
+"""Reference simulator: the row-sort collapse an earlier simulate used.
 
 Each (seed, replicate, tree, block) stream is drawn exactly as simulate draws
 it and walked probe-major, one link column at a time; each block's receiver
@@ -11,7 +10,6 @@ each tree's counts.
 
 import numpy as np
 
-from losstomo.params import rates_dict
 from losstomo.simulator import BLOCK_PROBES, SimConfig
 from losstomo.statistics import PatternTable
 
@@ -34,7 +32,6 @@ def _block_patterns(cfg: SimConfig, theta: dict[int, float], tree_id: int,
 
 def simulate_reference(cfg: SimConfig, theta) -> PatternTable:
     """simulate's table for valid input, built block by block with np.unique."""
-    th = rates_dict(theta)
     split = cfg.tree_probes()
     counts: dict[int, dict[str, int]] = {k: {} for k in split}
     for k in sorted(split):
@@ -42,7 +39,7 @@ def simulate_reference(cfg: SimConfig, theta) -> PatternTable:
         for block in range(0, max(1, (n_k + BLOCK_PROBES - 1) // BLOCK_PROBES)):
             rows = min(BLOCK_PROBES, n_k - block * BLOCK_PROBES)
             if rows > 0:
-                for bits, c in _block_patterns(cfg, th, k, rows, block).items():
+                for bits, c in _block_patterns(cfg, theta, k, rows, block).items():
                     counts[k][bits] = counts[k].get(bits, 0) + c
     receivers = {k: cfg.net.tree_by_id[k].leaves for k in split}
     return PatternTable(f"sim-seed{cfg.seed}-rep{cfg.replicate}", split, receivers, counts)

@@ -105,7 +105,7 @@ def test_rule_matches_dict_reference_small_nets(case):
 @pytest.mark.parametrize("a,b,probes", [(1, 100, 8000), (1, 1000, 80000)],
                          ids=["beta1_100", "beta1_1000"])
 def test_rule_matches_dict_reference_hub(a, b, probes):
-    theta = sample_theta(a, b, HUB, np.random.default_rng(1)).theta
+    theta = sample_theta(a, b, HUB, np.random.default_rng(1))
     views, _ = internal_views(simulate(SimConfig(HUB, probes, 1), theta), HUB)
     _assert_rule_matches_references(views, HUB)
 
@@ -183,7 +183,7 @@ def _assert_le_xi_equals_mvwa(views, net):
 @pytest.mark.parametrize("a,b,probes", [(1, 100, 2000), (1, 10, 200), (5, 1000, 30)],
                          ids=["beta1_100", "beta1_10", "beta5_1000"])
 def test_le_xi_is_mvwa_on_single_trees_fixed(net, a, b, probes):
-    theta = sample_theta(a, b, net, np.random.default_rng(3)).theta
+    theta = sample_theta(a, b, net, np.random.default_rng(3))
     views, _ = internal_views(simulate(SimConfig(net, probes, 3), theta), net)
     _assert_le_xi_equals_mvwa(views, net)
 

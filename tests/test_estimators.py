@@ -1,12 +1,16 @@
+import builtins
 import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from losstomo import fixtures
+from losstomo import bench, estimators, fixtures
+from losstomo.bench import mse
 from losstomo.estimators import (FLAG_BOUNDARY, FLAG_NON_ESTIMABLE, FLAG_OK,
                                  FLAG_REGULARITY, _clamp_mean, _solve_interior, le_xi, mvwa,
                                  nem, pcem, project_to_theta_star)
@@ -529,3 +533,39 @@ def test_split_node_views_with_reversed_dicts_estimate_alike(text, seed):
     net = parse_topology(text)
     theta = sample_theta(1, 10, net, np.random.default_rng(seed))
     _assert_key_order_free(simulate(SimConfig(net, 400, seed=seed), theta), net)
+
+
+def compensated_sum(values, start=0):
+    """sum() as Python 3.12 computes it: Neumaier-compensated once a float comes."""
+    values = list(values)
+    if not any(isinstance(v, float) for v in values):
+        return builtins.sum(values, start)
+    total, comp = float(start), 0.0
+    for v in map(float, values):
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # the leaves' pass fractions 0.56, 0.16, 0.18 and 0.1 add to 1 + 2**-52
+    # left to right and to 1.0 compensated, either side of _solve_node's branch
+    fractions = [0.56, 0.16, 0.18, 0.1]
+    assert compensated_sum(fractions) == 1.0 < 0.56 + 0.16 + 0.18 + 0.1
+    net = fixtures.kary_tree(4, 1)
+    counts = {"1000": 56, "0100": 16, "0010": 18, "0001": 10, "0000": 20}
+    views, report = internal_views(PatternTable("t", {1: 120}, {1: (2, 3, 4, 5)}, {1: counts}),
+                                   net)
+    hat, truth = {1: 0.5, 2: 0.6, 3: 0.9, 4: 0.5}, {1: 0.28, 2: 0.76, 3: 0.62, 4: 0.25}
+    squares = [(hat[i] - truth[i]) ** 2 for i in hat]
+    assert compensated_sum(squares) != functools.reduce(operator.add, squares)
+
+    def outputs():
+        fits = [f(views, net, report=report) for f in (le_xi, mvwa)]
+        return [(r.theta_hat, r.xi_hat, r.flags, r.iterations) for r in fits], mse(hat, truth)
+
+    expected = outputs()
+    monkeypatch.setattr(estimators, "sum", compensated_sum, raising=False)
+    monkeypatch.setattr(bench, "sum", compensated_sum, raising=False)
+    assert outputs() == expected

@@ -285,7 +285,7 @@ def test_observed_information_rejects_multi_parent_links():
 def test_observed_information_one_likelihood_pass(monkeypatch):
     net = fixtures.kary_tree(4, 5)
     gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(29)))
-    theta = sample_theta(1, 100, net, gen).theta
+    theta = sample_theta(1, 100, net, gen)
     views, _ = internal_views(simulate(SimConfig(net, 300, seed=3), theta), net)
     calls = []
 

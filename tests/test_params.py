@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from losstomo import fixtures
-from losstomo.params import (LossRates, parse_rates, psi_to_xi, serialize_rates,
-                             theta_to_xi, xi_membership, xi_to_psi, xi_to_theta)
+from losstomo.params import (parse_rates, psi_to_xi, serialize_rates, theta_to_xi,
+                             xi_membership, xi_to_psi, xi_to_theta)
 
 from test_statistics import _networks
 
@@ -176,11 +176,6 @@ def test_rates_file_roundtrip():
 def test_rates_file_errors(text):
     with pytest.raises(ValueError):
         parse_rates(text)
-
-
-def test_loss_rates_interior_check():
-    assert LossRates({1: 0.5}).is_interior()
-    assert not LossRates({1: 0.0}).is_interior()
 
 
 def test_none_child_xi_gives_none_parent_xi():

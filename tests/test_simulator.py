@@ -35,6 +35,14 @@ def test_dead_root_all_zeros():
     assert patterns.counts[1] == {"00": 40}
 
 
+def test_simulated_tables_pass_their_check_at_uniform_rates():
+    # simulate checks its table as it leaves (PatternTable.validate)
+    for net in (STAR, fixtures.toy7(), fixtures.twotree12(), fixtures.layered49()):
+        for rate in (0.0, 0.3, 1.0):
+            table = simulate(SimConfig(net, 300, seed=2), dict.fromkeys(net.links, rate))
+            assert sum(table.probes.values()) == 300
+
+
 def test_fixed_seed_reproducible():
     theta = {i: 0.2 for i in STAR.links}
     a = simulate(SimConfig(STAR, 300, seed=12, replicate=2), theta)
@@ -61,7 +69,7 @@ def test_beta_sampler_moments_and_clamp():
     rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(0)))
     draws = []
     for _ in range(2000):
-        draws.extend(sample_theta(1.0, 999.0, net, rng).theta.values())
+        draws.extend(sample_theta(1.0, 999.0, net, rng).values())
     mean = sum(draws) / len(draws)
     expected = 1.0 / 1000.0
     se = math.sqrt(expected * (1 - expected) / len(draws))  # conservative

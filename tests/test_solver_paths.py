@@ -202,7 +202,7 @@ HUB = parse_topology(hub_network(1).topology_text())
     pytest.param(HUB, 1, 10, 2000, id="hub-beta1_10"),
 ])
 def test_le_xi_and_mvwa_do_not_depend_on_the_path_large_nets(net, a, b, probes):
-    theta = sample_theta(a, b, net, np.random.default_rng(1)).theta
+    theta = sample_theta(a, b, net, np.random.default_rng(1))
     views, _ = internal_views(simulate(SimConfig(net, probes, 1), theta), net)
     for estimator in (le_xi, mvwa):
         batch_calls = _both_paths(views, net, estimator)
@@ -255,6 +255,6 @@ def _four_trees_one_hub():
     pytest.param(_four_trees_one_hub(), 1, 3, 20, id="four_trees_one_hub-no_variances"),
 ])
 def test_mvwa_equals_per_tree_reference_large_nets(net, a, b, probes):
-    theta = sample_theta(a, b, net, np.random.default_rng(1)).theta
+    theta = sample_theta(a, b, net, np.random.default_rng(1))
     views, report = internal_views(simulate(SimConfig(net, probes, 1), theta), net)
     _assert_mvwa_equals_reference(views, net, report)

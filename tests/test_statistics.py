@@ -1,18 +1,18 @@
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from losstomo import fixtures, statistics
+from losstomo import fixtures
 from losstomo.likelihood import per_probe_loglik
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import (DataError, InternalView, PatternTable,
-                                 collapse_patterns, internal_states, internal_views,
-                                 internal_views_replicates, parse_data,
+from losstomo.statistics import (DataError, InternalView, PatternTable, internal_states,
+                                 internal_views, internal_views_replicates, parse_data,
                                  regularity_report, serialize_data)
 from losstomo.topology import GeneralNetwork, LinkRecord, MulticastTree
 
@@ -25,69 +25,6 @@ TOY = fixtures.toy7()
 def star_table(counts):
     n = sum(counts.values())
     return PatternTable("t", {1: n}, {1: (2, 3)}, {1: counts})
-
-
-def test_collapse_counts():
-    table = collapse_patterns({1: ["11", "10", "11"]}, STAR)
-    assert table.counts[1] == {"11": 2, "10": 1}
-    assert table.probes[1] == 3
-    assert table.receivers[1] == (2, 3)
-
-
-def test_collapse_all_zero():
-    table = collapse_patterns({1: ["00"] * 5}, STAR)
-    assert table.counts[1] == {"00": 5}
-
-
-def test_collapse_rejects_bad_records():
-    with pytest.raises(DataError):
-        collapse_patterns({1: ["111"]}, STAR)
-    with pytest.raises(DataError):
-        collapse_patterns({1: ["1x"]}, STAR)
-
-
-def test_collapse_names_an_unknown_tree():
-    with pytest.raises(DataError, match="^unknown tree 99$"):
-        collapse_patterns({99: ["1"]}, STAR)
-
-
-@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
-@pytest.mark.parametrize("rows,bad", [
-    (["11", "10"] * 500 + ["1x", "00", "x1"], "1x"),
-    (["11", "0x", "10", "x0", "0x"], "0x"),
-    (["11", "111", "00", "111", "1"], "111"),
-    (["01", "٠1", "01", "٠1", "0", "٠1"], "٠1"),
-    (["11", "12", "10"], "12"),
-    (["11", "1 ", "10"], "1 "),
-    (["11", "1١", "10"], "1١"),
-    (["11", "10"] * 500 + ["111"], "111"),
-    ([b"11", b"10"], b"11"),
-    ([("1", "1"), ("1", "0")], ("1", "1")),
-], ids=["after-duplicates", "two-bad", "bad-repeats", "bad-repeats-unicode-digit",
-        "digit-2", "blank", "unicode-digit", "wide-after-1000", "bytes", "tuples"])
-def test_collapse_names_first_bad_row_read(rows, bad, as_generator, monkeypatch):
-    entered = []
-    real = statistics._check_records
-    monkeypatch.setattr(statistics, "_check_records",
-                        lambda *args: entered.append(args[0]) or real(*args))
-    records = (r for r in rows) if as_generator else rows
-    with pytest.raises(DataError) as exc:
-        collapse_patterns({1: records}, STAR)
-    assert str(exc.value) == f"tree 1: bad record {bad!r}"
-    assert entered == [1]
-
-
-def test_collapse_checks_valid_rows_in_bulk(monkeypatch):
-    # valid rows never reach the per-row loop, which only names a bad row
-    def refuse(*args):
-        raise AssertionError("per-row check entered on valid rows")
-
-    monkeypatch.setattr(statistics, "_check_records", refuse)
-    assert collapse_patterns({1: ["11", "10", "01", "00", "11"]}, STAR).probes == {1: 5}
-    assert collapse_patterns({1: []}, STAR).counts == {1: {}}
-    for net in (STAR, TOY, fixtures.twotree12(), fixtures.layered49()):
-        for rate in (0.0, 0.3, 1.0):
-            simulate(SimConfig(net, 300, seed=2), dict.fromkeys(net.links, rate))
 
 
 def test_internal_views_peak_memory_stays_below_an_int64_copy():
@@ -104,13 +41,6 @@ def test_internal_views_peak_memory_stays_below_an_int64_copy():
     finally:
         tracemalloc.stop()
     assert peak < 8 * len(net.links) * width
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.permutations(["11", "10", "01", "00", "11", "10", "11"]))
-def test_collapse_order_independent(records):
-    table = collapse_patterns({1: list(records)}, STAR)
-    assert table.counts[1] == {"11": 3, "10": 2, "01": 1, "00": 1}
 
 
 def test_internal_states_monotone_along_paths():
@@ -175,7 +105,8 @@ def test_conservation_on_simulated_data():
 def test_collapse_is_lossless_for_views():
     rng = random.Random(7)
     records = ["".join(rng.choice("01") for _ in range(4)) for _ in range(60)]
-    table = collapse_patterns({1: records}, TOY)
+    table = PatternTable("t", {1: len(records)}, {1: TOY.trees[0].leaves},
+                         {1: dict(Counter(records))})
     views, _ = internal_views(table, TOY)
     # second route: one table entry per probe
     n1 = {i: 0 for i in TOY.links}
