@@ -4,10 +4,11 @@ Per setting and replicate, one true rate vector is drawn and reused for
 every sample size, so MSE comparisons across sizes are paired.  All seeds
 derive from the master seed plus the cell coordinates; reruns are
 byte-identical apart from the runtime column.
-A cell's replicates are simulated and counted together, in batches.  le-xi
-and mvwa estimate the datasets of consecutive batches, across cells, in one
-call per method, up to BLOCK_PROBES probes per tree; their runtime_ms is an
-equal share of that call.  The rows are those of running each alone.
+A cell's replicates are simulated and counted together, in batches, pooled
+across cells up to BLOCK_PROBES probes per tree.  Every method reads the
+pool: le-xi and mvwa run once on it, each row timed at an equal share of that
+call; pcem and nem rows keep their own times.  The rows are those of running
+each alone.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class GridCell:
 
     def check(self) -> None:
         """Raise GridError unless the cell can be run."""
+        bad = [m for m in self.methods if m not in METHODS]
+        if bad:
+            raise GridError(f"unknown methods {bad}")
         if not all(math.isfinite(v) and v > 0 for v in (self.beta_a, self.beta_b)):
             raise GridError(f"Beta parameters must be finite and > 0, got "
                             f"({self.beta_a:g}, {self.beta_b:g})")
@@ -110,11 +114,7 @@ def parse_grid(text: str, master_seed: int = 0) -> ExperimentGrid:
             n, reps = int(tok[3]), int(tok[4])
         except ValueError:
             raise GridError(f"line {lineno}: malformed number") from None
-        methods = tuple(tok[5].split(","))
-        bad = [m for m in methods if m not in METHODS]
-        if bad:
-            raise GridError(f"line {lineno}: unknown methods {bad}")
-        cell = GridCell(a, b, n, reps, methods)
+        cell = GridCell(a, b, n, reps, tuple(tok[5].split(",")))
         try:
             cell.check()
         except GridError as exc:
@@ -179,33 +179,36 @@ def _data_seed(master: int, cell: GridCell, replicate: int) -> int:
 _BATCHED = {"le-xi": le_xi_replicates, "mvwa": mvwa_replicates}
 
 
-def _method_rows(net: GeneralNetwork, method: str, datasets: list[tuple]) -> list[dict]:
-    """One row per (cell, replicate, table, (views, report), truth) dataset.
-    le-xi and mvwa run on all of them in one call, each result timed at an
-    equal share of it; pcem, nem, and a batched call that raised run one
-    dataset at a time, so each error row is its own."""
-    results = None
-    if method in _BATCHED:
-        try:
-            results = _BATCHED[method]([v for _, _, _, (v, _), _ in datasets], net,
-                                       [r for _, _, _, (_, r), _ in datasets])
-        except ValueError:
-            pass
+def _pool_rows(net: GeneralNetwork, pool: list[tuple]) -> list[dict]:
+    """One row per method of each pooled (cell, replicate, table, (views,
+    report), truth) dataset whose cell lists it.  le-xi and mvwa run on all of
+    theirs in one call, each result timed at an equal share of it; pcem, nem,
+    and a batched call that raised run one dataset at a time, so each error
+    row is its own."""
     rows = []
-    for (cell, rep, patterns, (view, report), truth), done in zip(
-            datasets, results or [None] * len(datasets)):
-        row = {"setting": cell.setting, "beta_a": cell.beta_a, "beta_b": cell.beta_b,
-               "n": cell.probes, "replicate": rep, "method": method}
-        t0 = time.perf_counter()
-        try:
-            res = done or (nem(patterns, net) if method == "nem"
-                           else estimator(method)(view, net, report=report))
-            row.update(mse=mse(res.theta_hat, truth), iterations=res.iterations,
-                       violations=res.violations())
-        except ValueError as exc:
-            row.update(mse=None, iterations=0, violations=-1, error=str(exc))
-        row["runtime_ms"] = (done.wall_time if done else time.perf_counter() - t0) * 1e3
-        rows.append(row)
+    for method in METHODS:
+        datasets = [d for d in pool if method in d[0].methods]
+        results = None
+        if datasets and method in _BATCHED:
+            try:
+                results = _BATCHED[method]([v for _, _, _, (v, _), _ in datasets], net,
+                                           [r for _, _, _, (_, r), _ in datasets])
+            except ValueError:
+                pass
+        for (cell, rep, patterns, (view, report), truth), done in zip(
+                datasets, results or [None] * len(datasets)):
+            row = {"setting": cell.setting, "beta_a": cell.beta_a, "beta_b": cell.beta_b,
+                   "n": cell.probes, "replicate": rep, "method": method}
+            t0 = time.perf_counter()
+            try:
+                res = done or (nem(patterns, net) if method == "nem"
+                               else estimator(method)(view, net, report=report))
+                row.update(mse=mse(res.theta_hat, truth), iterations=res.iterations,
+                           violations=res.violations())
+            except ValueError as exc:
+                row.update(mse=None, iterations=0, violations=-1, error=str(exc))
+            row["runtime_ms"] = (done.wall_time if done else time.perf_counter() - t0) * 1e3
+            rows.append(row)
     return rows
 
 
@@ -215,48 +218,32 @@ def run_grid(grid: ExperimentGrid, net: GeneralNetwork,
 
     A cell's replicates run in batches of at most BLOCK_PROBES probes per
     tree in all, or of one replicate whose tree alone gets more, so a
-    batch's draws, tables and views stay within one block per tree.  pcem
-    and nem run on each batch.  le-xi and mvwa datasets are pooled across
-    batches and cells until the next batch would take the pool past
-    BLOCK_PROBES probes per tree; then each method runs once on the pool's
-    datasets whose cell lists it, and each row's runtime_ms is an equal
-    share of that call.
+    batch's draws, tables and views stay within one block per tree.  The
+    batches' datasets are pooled across cells until the next batch would
+    take the pool past BLOCK_PROBES probes per tree; then every method runs
+    on the pool's datasets whose cell lists it (_pool_rows).
     workers is accepted and ignored: the replicates run on the calling thread.
     """
-    rows = []
-    pool: dict[str, list[tuple]] = {m: [] for m in _BATCHED}
+    rows, pool = [], []
     held = 0   # probes per tree of the pooled batches
-
-    def flush():
-        for method, datasets in pool.items():
-            if datasets:
-                rows.extend(_method_rows(net, method, datasets))
-                datasets.clear()
-
     for cell in grid.cells():
         tree_probes = -(-cell.probes // len(net.trees))   # the first tree's share
         step = max(1, BLOCK_PROBES // max(tree_probes, 1))
         for start in range(0, cell.replicates, step):
             reps = range(start, min(start + step, cell.replicates))
             if held + len(reps) * tree_probes > BLOCK_PROBES:
-                flush()
-                held = 0
+                rows += _pool_rows(net, pool)
+                pool, held = [], 0
             truths = [sample_theta(cell.beta_a, cell.beta_b, net, np.random.Generator(
                 np.random.Philox(seed=_theta_seed(grid.master_seed, cell, rep)))) for rep in reps]
             tables = simulate_replicates(
                 [SimConfig(net, cell.probes, _data_seed(grid.master_seed, cell, rep),
                            replicate=rep) for rep in reps], truths)
-            datasets = list(zip([cell] * len(reps), reps, tables,
-                                internal_views_replicates(tables, net), truths))
-            for method in cell.methods:
-                if method in pool:
-                    pool[method] += datasets
-                else:
-                    rows += _method_rows(net, method, datasets)
-            if any(method in pool for method in cell.methods):
-                held += len(reps) * tree_probes
+            pool += zip([cell] * len(reps), reps, tables,
+                        internal_views_replicates(tables, net), truths)
+            held += len(reps) * tree_probes
             # only the pool may keep a batch alive while the next one is drawn
-            del truths, tables, datasets
-    flush()
+            del truths, tables
+    rows += _pool_rows(net, pool)
     rows.sort(key=lambda r: (r["setting"], r["n"], r["replicate"], r["method"]))
     return ExperimentReport(rows)

@@ -109,6 +109,15 @@ class TestGrid:
         with pytest.raises(GridError, match="cell 1: le-xi .* already runs on cell 1"):
             ExperimentGrid([(1, 100)], [50], methods=("le-xi", "le-xi"))
 
+    def test_product_grid_rejects_unknown_methods(self):
+        # the one cell rule both constructors share
+        with pytest.raises(GridError) as exc:
+            ExperimentGrid([(1, 100)], [50], methods=("bogus",))
+        assert str(exc.value) == "unknown methods ['bogus']"
+        with pytest.raises(GridError) as exc:
+            ExperimentGrid([], [50])
+        assert str(exc.value) == "grid needs at least one setting and one probe count"
+
     def test_product_grid_expands(self):
         grid = ExperimentGrid([(1, 100), (1, 1000)], [50, 100], replicates=7,
                               methods=("le-xi",))
@@ -191,8 +200,8 @@ REFERENCE_CASES = {
 
 
 class TestBatchedGrid:
-    """run_grid batches each cell's replicates and pools le-xi and mvwa across
-    cells; its rows, apart from runtime_ms, equal tests/bench_reference.py's,
+    """run_grid batches each cell's replicates and pools them across cells for
+    every method; its rows, apart from runtime_ms, equal tests/bench_reference.py's,
     which runs them one by one."""
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -227,6 +236,21 @@ class TestBatchedGrid:
         # a pool's results share its call's time equally
         first = [r["runtime_ms"] for r in rows if r["method"] == "le-xi" and r["n"] < 8000]
         assert len(set(first)) == 1
+
+    def test_every_method_fills_the_one_pool(self, monkeypatch):
+        # per tree: 120 probes of le-xi and mvwa, then 2000 of pcem alone; the
+        # pcem cell counts towards the pool, so the last cell's 2000 more close
+        # it and are pooled alone
+        net = fixtures.twotree12()
+        grid = parse_grid("cell 1 20 60 4 le-xi,mvwa\ncell 1 20 4000 1 pcem\n"
+                          "cell 2 60 4000 1 nem,le-xi,mvwa\n", master_seed=5)
+        sizes = {"le-xi": [], "mvwa": []}
+        for method, real in list(bench._BATCHED.items()):
+            monkeypatch.setitem(bench._BATCHED, method, lambda views, net, reports, m=method,
+                                real=real: sizes[m].append(len(views)) or real(views, net, reports))
+        rows = run_grid(grid, net).rows
+        assert sizes == {"le-xi": [4, 1], "mvwa": [4, 1]}
+        assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
 
     def test_pooled_sets_reach_the_batched_solve(self, monkeypatch):
         # no replicate alone has BATCH_MIN_SETS sets that need an interior root,
@@ -292,6 +316,9 @@ class TestBatchedGrid:
         # alive while the next is drawn would put two pools' views in memory
         pytest.param("".join(f"cell 1 100 {40 + q} 100 le-xi\n" for q in range(4)),
                      id="100-small-cells"),
+        # pcem alone reads the pool too, which holds all 80 datasets
+        pytest.param("".join(f"cell 1 100 {40 + q} 20 pcem\n" for q in range(4)),
+                     id="pcem-small-cells"),
     ])
     def test_peak_memory_stays_within_one_stacked_block(self, text):
         # 20 replicates of two full blocks each: stacking every replicate's
@@ -396,6 +423,24 @@ class TestCli:
                      "--method", "pcem", "--out", str(tmp_path / "o.csv")]) == 2
         assert main(["simulate", "--topology", str(topo), "--probes", "5",
                      "--seed", "1", "--out", str(tmp_path / "x.data")]) == 2
+
+    def test_simulate_and_estimate_error_text(self, star_files, tmp_path, capsys):
+        topo, data = star_files
+        out = str(tmp_path / "sim.data")
+        assert main(["simulate", "--topology", str(topo), "--beta", "1",
+                     "--probes", "5", "--seed", "1", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: --beta expects 'a,b', got '1'\n")
+        rates = tmp_path / "xi.rates"
+        rates.write_text("xi 1 0.9\nxi 2 0.9\nxi 3 0.9\n")
+        assert main(["simulate", "--topology", str(topo), "--theta", str(rates),
+                     "--probes", "5", "--seed", "1", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --theta file carries 'xi' rates, expected theta\n")
+        # a file that cannot be read is an OSError: exit 1
+        assert main(["estimate", "--topology", str(tmp_path / "missing.topo"),
+                     "--data", str(data), "--method", "pcem", "--out", out]) == 1
+        assert "missing.topo" in capsys.readouterr().err
+        assert not (tmp_path / "sim.data").exists()
 
     def test_parser_built_once_per_process(self, star_files, tmp_path, capsys, monkeypatch):
         topo, data = star_files

@@ -569,3 +569,9 @@ def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
     monkeypatch.setattr(estimators, "sum", compensated_sum, raising=False)
     monkeypatch.setattr(bench, "sum", compensated_sum, raising=False)
     assert outputs() == expected
+
+
+def test_unknown_method_names_itself():
+    with pytest.raises(ValueError) as exc:
+        estimators.estimator("bogus")
+    assert str(exc.value) == "unknown method 'bogus'"

@@ -186,6 +186,12 @@ def test_data_error_text_is_exact(net, text, msg):
     assert str(exc.value) == msg
 
 
+def test_probes_line_needs_a_tree_and_a_count():
+    with pytest.raises(DataError) as exc:
+        parse_data("data x\nprobes 1\n", STAR)
+    assert str(exc.value) == "line 2: 'probes' takes <tree_id> <count>"
+
+
 @pytest.mark.parametrize("text,msg", TOPOLOGY_ERRORS)
 def test_topology_error_text_is_exact(text, msg):
     with pytest.raises(TopologyError) as exc:

@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from losstomo import estimators, fixtures
 from losstomo.estimators import (_brother_columns, _residual_and_slope,
                                  _residuals_and_slopes, _solve_interior,
-                                 _solve_interior_rows, le_xi, mvwa)
+                                 _solve_interior_rows, le_xi, mvwa, mvwa_replicates)
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import internal_views
+from losstomo.statistics import PatternTable, internal_views, internal_views_replicates
 from losstomo.topology import parse_topology
 
 from mvwa_reference import mvwa_reference
@@ -241,6 +241,26 @@ def _four_trees_one_hub():
     return parse_topology("network hub4\n"
                           + "".join(f"link {i} {u} {d}\n" for i, (u, d) in enumerate(links, 1))
                           + "\n".join(trees))
+
+
+def test_mvwa_replicates_on_tables_of_one_tree_equal_reference():
+    # twotree12 tables that name tree 1 only: tree 2 has no entry in any
+    # dataset, and the array combine skips it
+    net = fixtures.twotree12()
+    tables = []
+    for seed in range(5):
+        full = simulate(SimConfig(net, 200, seed), sample_theta(1, 20, net,
+                                                                np.random.default_rng(seed)))
+        tables.append(PatternTable(full.name, {1: full.probes[1]}, {1: full.receivers[1]},
+                                   {1: full.counts[1]}))
+    pairs = internal_views_replicates(tables, net)
+    want = [mvwa_reference(views, net, report) for views, report in pairs]
+    for array in ARRAY_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "ARRAY_MIN_POSITIONS", array)
+            got = mvwa_replicates([v for v, _ in pairs], net, [r for _, r in pairs])
+        for a, b in zip(got, want, strict=True):
+            _assert_same_result(a, b)
 
 
 @pytest.mark.parametrize("net,a,b,probes", [

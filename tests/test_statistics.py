@@ -510,3 +510,9 @@ def test_views_check_each_tree_once(monkeypatch):
                         lambda table, k: seen.append(k) or real(table, k))
     internal_views(patterns, net)
     assert seen == [1, 2]
+
+
+def test_internal_states_rejects_a_pattern_of_the_wrong_width():
+    with pytest.raises(DataError) as exc:
+        internal_states("1", fixtures.star3().trees[0])
+    assert str(exc.value) == "pattern '1' has 1 bits, tree 1 has 2 receivers"

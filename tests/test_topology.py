@@ -269,3 +269,12 @@ def test_structure_matches_brute_force_derivation(data):
     for t in net.trees:
         ups = {i: (t.parent[i],) if i in t.parent else () for i in t.links}
         assert t.pos == {i: q for q, i in enumerate(_ascending_ready_order(t.links, ups))}
+
+
+def test_rejects_empty_tree_and_treeless_network():
+    with pytest.raises(TopologyError) as exc:
+        MulticastTree(1, 1, [], {})
+    assert str(exc.value) == "tree 1 has no links"
+    with pytest.raises(TopologyError) as exc:
+        GeneralNetwork("x", [LinkRecord(1, 0, 1)], [])
+    assert str(exc.value) == "network has no trees"
