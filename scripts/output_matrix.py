@@ -52,7 +52,8 @@ alone in the other.  The commands:
   and brother sets that reach BATCH_MIN_SETS only across a cell's
   replicates; and at the edges of its pools across cells: consecutive
   cells whose probes per tree sum to exactly BLOCK_PROBES, a cell one
-  probe past it, and cells with differing method lists;
+  probe past it, cells with differing method lists, and pcem cells that
+  fill a pool up to POOL_POSITIONS positions and one dataset past it;
 * one estimate per BAD_TOPOLOGIES file, each malformed in a different way
   (exit 2), so the log pins every topology error message;
 * one le-xi estimate on star3 per BAD_DATA file, each malformed in a
@@ -118,6 +119,12 @@ EDGE_GRIDS = (
                   "cell 1 40 300 12 le-xi,mvwa,nem\n"),
     ("layered49", "cell 2 1000 100 6 le-xi\ncell 2 1000 200 6 mvwa,pcem\n"
                   "cell 2 1000 300 6 le-xi,mvwa\n"),
+    # at 56 positions a dataset, 27 + 13 + 33 datasets fill a pool up to its
+    # last whole dataset below POOL_POSITIONS, and the next one opens another;
+    # pcem's datasets stop at different sweeps, on arrays in the first pool
+    # and one by one in the second, below ARRAY_MIN_POSITIONS
+    ("layered49", "cell 1 100 300 40 le-xi,pcem,mvwa\ncell 1 1000 150 33 pcem,mvwa\n"
+                  "cell 2 1000 80 1 le-xi,pcem\ncell 5 1000 400 20 pcem\n"),
 )
 WIDE_STARS = (64, 65)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"

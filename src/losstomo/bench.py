@@ -4,11 +4,12 @@ Per setting and replicate, one true rate vector is drawn and reused for
 every sample size, so MSE comparisons across sizes are paired.  All seeds
 derive from the master seed plus the cell coordinates; reruns are
 byte-identical apart from the runtime column.
-A cell's replicates are simulated and counted together, in batches, pooled
-across cells up to BLOCK_PROBES probes per tree.  Every method reads the
-pool: le-xi and mvwa run once on it, each row timed at an equal share of that
-call; pcem and nem rows keep their own times.  The rows are those of running
-each alone.
+A cell's replicates are simulated and counted together, in batches of at
+most BLOCK_PROBES probes per tree.  nem, the one reader of a pattern table,
+runs on each batch's tables as they are made; the batches' views, reports
+and true rates are pooled across cells up to POOL_POSITIONS positions, and
+le-xi, pcem and mvwa run once on each pool, each row timed at an equal
+share of that call.  The rows are those of running each alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import METHODS, estimator, le_xi_replicates, left_sum, mvwa_replicates, nem
+from .estimators import (METHODS, estimator, le_xi_replicates, left_sum, mvwa_replicates, nem,
+                         pcem_replicates)
 from .simulator import BLOCK_PROBES, SimConfig, sample_theta, simulate_replicates
 from .statistics import internal_views_replicates
 from .topology import GeneralNetwork, token_lines
@@ -27,6 +29,13 @@ from .topology import GeneralNetwork, token_lines
 CSV_HEADER = "setting,beta_a,beta_b,n,replicate,method,mse,runtime_ms,iterations,violations"
 
 DEFAULT_METHODS = tuple(m for m in METHODS if m != "nem")
+
+# A pool closes before the batch that would take it past this many positions
+# (datasets times the trees' positions): about 73 datasets of the 48-link
+# layered49 network, four times estimators.ARRAY_MIN_POSITIONS, so its pooled
+# calls take the array path.  Pooling the whole benchmark grid was no faster
+# in measurement and held about 3 MB more.
+POOL_POSITIONS = 4096
 
 
 class GridError(ValueError):
@@ -176,39 +185,47 @@ def _data_seed(master: int, cell: GridCell, replicate: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-_BATCHED = {"le-xi": le_xi_replicates, "mvwa": mvwa_replicates}
+_BATCHED = {"le-xi": le_xi_replicates, "pcem": pcem_replicates, "mvwa": mvwa_replicates}
+
+
+def _row(cell: GridCell, rep: int, method: str, truth: dict[int, float], estimate) -> dict:
+    """The CSV row of one dataset and method.  estimate() returns its result,
+    and the row takes the result's wall_time; when it, or mse, raises
+    ValueError, the row is an error row timed from the call."""
+    row = {"setting": cell.setting, "beta_a": cell.beta_a, "beta_b": cell.beta_b,
+           "n": cell.probes, "replicate": rep, "method": method}
+    res = None
+    t0 = time.perf_counter()
+    try:
+        res = estimate()
+        row.update(mse=mse(res.theta_hat, truth), iterations=res.iterations,
+                   violations=res.violations())
+    except ValueError as exc:
+        row.update(mse=None, iterations=0, violations=-1, error=str(exc))
+    row["runtime_ms"] = (time.perf_counter() - t0 if res is None else res.wall_time) * 1e3
+    return row
 
 
 def _pool_rows(net: GeneralNetwork, pool: list[tuple]) -> list[dict]:
-    """One row per method of each pooled (cell, replicate, table, (views,
-    report), truth) dataset whose cell lists it.  le-xi and mvwa run on all of
-    theirs in one call, each result timed at an equal share of it; pcem, nem,
-    and a batched call that raised run one dataset at a time, so each error
+    """One row per _BATCHED method (le-xi, pcem, mvwa) of each pooled (cell,
+    replicate, (views, report), truth) dataset whose cell lists it.  Each
+    method runs on all of its datasets in one _BATCHED call, whose results
+    share its time equally (pcem's below the size rule are run and timed one
+    by one); a call that raises is rerun one dataset at a time, so each error
     row is its own."""
     rows = []
-    for method in METHODS:
+    for method, batched in _BATCHED.items():
         datasets = [d for d in pool if method in d[0].methods]
-        results = None
-        if datasets and method in _BATCHED:
-            try:
-                results = _BATCHED[method]([v for _, _, _, (v, _), _ in datasets], net,
-                                           [r for _, _, _, (_, r), _ in datasets])
-            except ValueError:
-                pass
-        for (cell, rep, patterns, (view, report), truth), done in zip(
-                datasets, results or [None] * len(datasets)):
-            row = {"setting": cell.setting, "beta_a": cell.beta_a, "beta_b": cell.beta_b,
-                   "n": cell.probes, "replicate": rep, "method": method}
-            t0 = time.perf_counter()
-            try:
-                res = done or (nem(patterns, net) if method == "nem"
-                               else estimator(method)(view, net, report=report))
-                row.update(mse=mse(res.theta_hat, truth), iterations=res.iterations,
-                           violations=res.violations())
-            except ValueError as exc:
-                row.update(mse=None, iterations=0, violations=-1, error=str(exc))
-            row["runtime_ms"] = (done.wall_time if done else time.perf_counter() - t0) * 1e3
-            rows.append(row)
+        if not datasets:
+            continue
+        try:
+            results = batched([v for _, _, (v, _), _ in datasets], net,
+                              [r for _, _, (_, r), _ in datasets])
+        except ValueError:
+            results = [None] * len(datasets)
+        for (cell, rep, (views, report), truth), done in zip(datasets, results):
+            rows.append(_row(cell, rep, method, truth, lambda: done or estimator(method)(
+                views, net, report=report)))
     return rows
 
 
@@ -218,31 +235,39 @@ def run_grid(grid: ExperimentGrid, net: GeneralNetwork,
 
     A cell's replicates run in batches of at most BLOCK_PROBES probes per
     tree in all, or of one replicate whose tree alone gets more, so a
-    batch's draws, tables and views stay within one block per tree.  The
-    batches' datasets are pooled across cells until the next batch would
-    take the pool past BLOCK_PROBES probes per tree; then every method runs
-    on the pool's datasets whose cell lists it (_pool_rows).
+    batch's draws, tables and views stay within one block per tree.  nem
+    runs on each batch's tables as they are made, and no table outlives its
+    batch.  The views, reports and true rates of the batches whose cell lists
+    le-xi, pcem or mvwa are pooled across cells until the next such batch
+    would take the pool past POOL_POSITIONS positions, counted as datasets
+    times the sum of the trees' positions (a batch past it alone is a pool of
+    its own); then each of those methods runs on the pool's datasets whose
+    cell lists it (_pool_rows).
     workers is accepted and ignored: the replicates run on the calling thread.
     """
     rows, pool = [], []
-    held = 0   # probes per tree of the pooled batches
+    size = sum(len(tree.order) for tree in net.trees)   # positions per dataset
     for cell in grid.cells():
         tree_probes = -(-cell.probes // len(net.trees))   # the first tree's share
         step = max(1, BLOCK_PROBES // max(tree_probes, 1))
+        pooled = any(m in _BATCHED for m in cell.methods)   # not nem alone
         for start in range(0, cell.replicates, step):
             reps = range(start, min(start + step, cell.replicates))
-            if held + len(reps) * tree_probes > BLOCK_PROBES:
+            if pooled and (len(pool) + len(reps)) * size > POOL_POSITIONS:
                 rows += _pool_rows(net, pool)
-                pool, held = [], 0
+                pool = []
             truths = [sample_theta(cell.beta_a, cell.beta_b, net, np.random.Generator(
                 np.random.Philox(seed=_theta_seed(grid.master_seed, cell, rep)))) for rep in reps]
             tables = simulate_replicates(
                 [SimConfig(net, cell.probes, _data_seed(grid.master_seed, cell, rep),
                            replicate=rep) for rep in reps], truths)
-            pool += zip([cell] * len(reps), reps, tables,
-                        internal_views_replicates(tables, net), truths)
-            held += len(reps) * tree_probes
-            # only the pool may keep a batch alive while the next one is drawn
+            if "nem" in cell.methods:
+                rows += [_row(cell, rep, "nem", truth, lambda: nem(table, net))
+                         for rep, table, truth in zip(reps, tables, truths)]
+            if pooled:
+                pool += zip([cell] * len(reps), reps, internal_views_replicates(tables, net),
+                            truths)
+            # only the pool may keep a batch's views alive while the next one is drawn
             del truths, tables
     rows += _pool_rows(net, pool)
     rows.sort(key=lambda r: (r["setting"], r["n"], r["replicate"], r["method"]))

@@ -18,6 +18,11 @@ through InternalView.counts, with pass fractions from pass_fractions:
   information of each tree's likelihood; contributions without a usable
   variance are dropped from the average.
 * pcem: EM driven entirely by the collapsed statistics; O(links) a sweep.
+  pcem_replicates runs it on many datasets: from ARRAY_MIN_POSITIONS
+  positions in one call (datasets times the network's), every sweep runs on
+  (datasets x positions) arrays, one depth level of the network's padded
+  parent table at a time, and each dataset leaves the sweeps once it meets
+  tol; below it, pcem per dataset.
 * nem: the brute-force EM that enumerates, per distinct receiver pattern,
   every feasible assignment of link states; an oracle refused above 20 links.
 
@@ -36,10 +41,11 @@ the measured break-even of a call on a freshly parsed network, between one
 and two datasets of the 764-link hub network for mvwa.  The array
 recursions take each tree level by level over the padded tables, so every
 product and sum keeps the scalar loop's order, and both paths give the
-same bits.  pcem and nem run the one EM
-driver, _em.  _flag is the one flag rule of all four, _clamp the one
-projection onto [0, 1], shared with project_to_theta_star, and _clamp_mean
-the one clamp of mvwa's averages.  Links whose data fail the regularity
+same bits.  pcem and nem run the one EM driver, _em, whose sweeps
+pcem_replicates repeats on arrays in the scalar order, to the same bits.
+_flag is the one flag rule of all four (_flag_rows on arrays), _clamp the
+one projection onto [0, 1], shared with project_to_theta_star, and
+_clamp_mean the one clamp of mvwa's averages.  Links whose data fail the regularity
 conditions are still estimated but flagged; links with no information at
 all come back as None.
 """
@@ -375,10 +381,22 @@ def _finish_rows(xi: np.ndarray, s: GeneralNetwork | MulticastTree, bad: np.ndar
     theta = theta_rows(xi, s.padded)
     theta = np.where(np.abs(theta) <= XI_BOUNDARY_TOL, 0.0,
                      np.where(np.abs(theta - 1.0) <= XI_BOUNDARY_TOL, 1.0, theta))
+    return np.where(theta < 0.0, 0.0, np.where(theta > 1.0, 1.0, theta)), _flag_rows(theta, bad)
+
+
+def _flag_rows(theta: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """_flag on arrays, nan for None: each flag as its rank in _FLAGS."""
     # _flag's order: non_estimable, regularity, boundary, ok
-    rank = np.where(np.isnan(theta), 3,
+    return np.where(np.isnan(theta), 3,
                     np.where(bad, 2, np.where((theta <= 0.0) | (theta >= 1.0), 1, 0)))
-    return np.where(theta < 0.0, 0.0, np.where(theta > 1.0, 1.0, theta)), rank
+
+
+def _marks(id_sets: list[frozenset[int]], net: GeneralNetwork) -> np.ndarray:
+    """(datasets x positions over net.order): True at each dataset's link ids."""
+    marks = np.zeros((len(id_sets), len(net.order)), bool)
+    for row, ids in zip(marks, id_sets):
+        row[[net.pos[i] for i in ids]] = True
+    return marks
 
 
 def _on_arrays(xis: list[list[float | None]]) -> bool:
@@ -424,10 +442,7 @@ def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
     xis, iterations = _solve_xi([(net, pass_fractions(*v.counts(net))) for v in views_list])
     flagged = [report.flagged() for report in reports]
     if _on_arrays(xis):
-        bad = np.zeros((len(xis), len(net.order)), bool)
-        for row, ids in zip(bad, flagged):
-            row[[net.pos[i] for i in ids]] = True
-        theta, rank = _finish_rows(np.array(xis, dtype=float), net, bad)
+        theta, rank = _finish_rows(np.array(xis, dtype=float), net, _marks(flagged, net))
         finished = zip(_values(theta), _FLAG_NAMES[rank].tolist())
     else:
         finished = map(_finish, xis, itertools.repeat(net), flagged)
@@ -438,6 +453,13 @@ def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
                                   {i: xi[q] for i, q in ids},
                                   {i: flags[q] for i, q in ids}, its, report, 0.0))
     return _timed(out, t0)
+
+
+def _start(theta0, net: GeneralNetwork) -> list[float]:
+    """EM's starting rates over net.order: theta0 per link id, or one float for all."""
+    if isinstance(theta0, dict):
+        return [float(theta0[i]) for i in net.order]
+    return [float(theta0)] * len(net.order)
 
 
 def _em(method: str, views: InternalView, net: GeneralNetwork, report: RegularityReport,
@@ -452,10 +474,7 @@ def _em(method: str, views: InternalView, net: GeneralNetwork, report: Regularit
     """
     order = net.order
     m = len(order)
-    if isinstance(theta0, dict):
-        theta = [float(theta0[i]) for i in order]
-    else:
-        theta = [float(theta0)] * m
+    theta = _start(theta0, net)
     loglik_path: list[float] = []
     theta_path: list[dict[int, float]] = []
     iterations = 0
@@ -531,6 +550,82 @@ def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-
 
     return _em("pcem", views, net, report, estep, t0, theta0, tol, max_iter,
                track_loglik, keep_history)
+
+
+def pcem_replicates(views_list: list[InternalView], net: GeneralNetwork,
+                    reports: list[RegularityReport | None], theta0=0.03, tol: float = 1e-6,
+                    max_iter: int = 10000) -> list[EstimateResult]:
+    """pcem on each dataset's views and report (None: computed here).
+
+    By the size rule on datasets times net's positions: below
+    ARRAY_MIN_POSITIONS, pcem per dataset, each result timed alone.  From
+    there on, _em's sweeps on (datasets x positions) arrays: xi_rows
+    leaf-to-root, then pcem's E-step one level of net.padded.drops at a time,
+    parents first, each parent set padded by a column of om1 held at 0.0, so
+    u adds its parents in parent_pos order and then exact no-ops; the M-step
+    is elementwise.  Every product and sum keeps the scalar sweep's order,
+    and each dataset's rates are pcem's bits.  A dataset leaves the sweeps
+    once its max|theta change| <= tol, with its own iterations and
+    converged; tol <= 0 runs every dataset max_iter sweeps.  The finish runs
+    on arrays too: theta nan for no_information, xi from xi_rows, flags by
+    _flag_rows; the keys keep pcem's order.  Each result gets an equal share
+    of the call's time.
+    """
+    if len(views_list) * len(net.order) < ARRAY_MIN_POSITIONS:
+        return [pcem(views, net, theta0, tol, max_iter, report=report)
+                for views, report in zip(views_list, reports)]
+    t0 = time.perf_counter()
+    reports = [regularity_report(v, net) if r is None else r
+               for v, r in zip(views_list, reports)]
+    form, m = net.padded, len(net.order)
+    n1, n0 = np.array([views.counts(net) for views in views_list], dtype=float).transpose(1, 0, 2)
+    theta = np.tile(_start(theta0, net), (len(views_list), 1))
+    iterations = np.zeros(len(views_list), np.intp)
+    converged = np.zeros(len(views_list), bool)
+    live = np.arange(len(views_list))   # the datasets still sweeping, rows of th
+    th, c1, c0 = theta, n1, n0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(1, max_iter + 1):
+            xi = xi_rows(th, form)
+            om1 = np.zeros((len(live), m + 1))   # the padding column stays 0.0
+            om0 = np.empty((len(live), m))
+            for depth, (at, ups) in enumerate(form.drops):
+                if depth:
+                    u = -c1[:, at]
+                    for a in ups:
+                        u = u + om1[:, a]
+                    u = np.where(u < 0.0, 0.0, u)
+                else:
+                    u = c0[:, at]
+                v, t, c = xi[:, at], th[:, at], c1[:, at]
+                p = (v - t) / v
+                gains = v > t   # v >= t for theta in [0, 1]; v == t (p = 0) at every leaf
+                om1[:, at] = np.where(gains, c + u * p, c)
+                om0[:, at] = np.where(gains, u * (1.0 - p), u)
+            denom = om0 + om1[:, :m]
+            new = np.where(denom > 0.0, om0 / denom, th)
+            # a nan change never raises the scalar loop's delta
+            delta = np.fmax.reduce(np.abs(new - th), axis=1, initial=0.0)
+            iterations[live] = sweep
+            done = delta <= tol if tol > 0.0 else np.zeros(len(live), bool)
+            theta[live[done]] = new[done]
+            converged[live[done]] = True
+            keep = ~done
+            live, th, c1, c0 = live[keep], new[keep], c1[keep], c0[keep]
+            if not len(live):
+                break
+    theta[live] = th
+    theta[_marks([r.no_information for r in reports], net)] = math.nan
+    xi = xi_rows(theta, form)[:, net.id_pos]
+    rank = _flag_rows(theta, _marks([r.flagged() for r in reports], net))
+    links = [(i, net.pos[i]) for i in net.links]
+    ids = [net.order[q] for q in net.id_pos]
+    out = [EstimateResult("pcem", {i: rates[q] for i, q in links}, dict(zip(ids, x)),
+                          {i: flags[q] for i, q in links}, its, report, 0.0, converged=conv)
+           for report, rates, x, flags, its, conv in zip(
+               reports, _values(theta), _values(xi), _FLAG_NAMES[rank].tolist(),
+               iterations.tolist(), converged.tolist())]
+    return _timed(out, t0)
 
 
 def nem(patterns: PatternTable, net: GeneralNetwork, theta0=0.03, tol: float = 1e-6,

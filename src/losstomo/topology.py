@@ -138,7 +138,7 @@ class MulticastTree:
 
     @cached_property
     def padded(self) -> PaddedForm:
-        return PaddedForm(self.child_pos, self.parent_pos)
+        return PaddedForm(self.child_pos, tuple(() if p < 0 else (p,) for p in self.parent_pos))
 
     def __eq__(self, other):
         return (isinstance(other, MulticastTree)
@@ -229,7 +229,7 @@ class GeneralNetwork:
 
     @cached_property
     def padded(self) -> PaddedForm:
-        return PaddedForm(self.child_pos)
+        return PaddedForm(self.child_pos, self.parent_pos)
 
     def __eq__(self, other):
         return (isinstance(other, GeneralNetwork)
@@ -246,8 +246,8 @@ class GeneralNetwork:
 
 
 class PaddedForm:
-    """A positional form's child_pos, and a tree's parent_pos, as index arrays
-    for products and recursions over (datasets x positions) arrays.
+    """A positional form's child sets and parent sets, as index arrays for
+    products, sums and recursions over (datasets x positions) arrays.
 
     Index len(child_pos) names a padding column: a caller fills it with 1.0
     for a product and with 0 or False for a sum, so a padded row adds its
@@ -260,43 +260,60 @@ class PaddedForm:
     rises: (positions, their kids) of the links with children, one level per
            height above the leaves, lowest first, so each level's children
            are done before it: xi_by_position's leaf-to-root order.
-    A tree also has
-    parent: each position's parent, the padding index at the root;
-    falls: (positions, parents, brothers) per depth below the root,
+    drops: (positions, their parents) one level per depth below the roots
+           (the longest chain of parent links), roots first, each position's
+           parents in the given order, padded to the widest parent set:
+           pcem's parents-first order.
+    A form whose links have one parent at most, as every tree's, also has
+    parent: each position's parent, the padding index at a root;
+    falls: (positions, parents, brothers) per depth below the roots,
            shallowest first, where brothers lists each position's parent's
            other children by ascending id: the root-to-leaf order.
     """
 
     def __init__(self, child_pos: tuple[tuple[int, ...], ...],
-                 parent_pos: tuple[int, ...] | None = None):
+                 parent_pos: tuple[tuple[int, ...], ...]):
         m = len(child_pos)
-        widths = np.fromiter(map(len, child_pos), np.intp, m)
-        self.kids = kids = np.full((widths.max(initial=0), m), m, np.intp)
-        # row-major over kids.T: each position's children in turn, as listed
-        kids.T[np.arange(len(kids)) < widths[:, None]] = list(chain.from_iterable(child_pos))
-        self.seed = (widths > 0).astype(float)
-        # height above the leaves: each pass lifts a link above its children
-        height = np.zeros(m + 1, np.intp)
-        height[m] = -1
-        while True:
-            lifted = height[kids].max(axis=0, initial=-1) + 1
-            if (lifted == height[:m]).all():
-                break
-            height[:m] = lifted
-        self.rises = tuple((at, kids[:, at]) for at in _levels(height[:m], 1))
-        if parent_pos is None:
+        self.kids = kids = _padded_table(child_pos)
+        self.seed = (kids < m).any(axis=0).astype(float)
+        self.rises = tuple((at, kids[:, at]) for at in _levels(_chain_lengths(kids), 1))
+        ups = _padded_table(parent_pos)
+        depths = _levels(_chain_lengths(ups), 0)
+        self.drops = tuple((at, ups[:, at]) for at in depths)
+        if len(ups) > 1:
             return
-        self.parent = parent = np.array(parent_pos, np.intp)
-        parent[parent < 0] = m
-        up, depth, at = np.append(parent, m), np.zeros(m, np.intp), parent
-        while (at < m).any():
-            depth += at < m
-            at = up[at]
+        self.parent = parent = ups[0] if len(ups) else np.full(m, m, np.intp)
         # each position's parent's children, itself moved last and dropped
         family = np.concatenate([kids, np.full((len(kids), 1), m, np.intp)], axis=1)[:, parent]
         last = np.argsort(family == np.arange(m), axis=0, kind="stable")
         brothers = np.take_along_axis(family, last, axis=0)[:-1]
-        self.falls = tuple((at, parent[at], brothers[:, at]) for at in _levels(depth, 1))
+        self.falls = tuple((at, parent[at], brothers[:, at]) for at in depths[1:])
+
+
+def _padded_table(sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """(widest set x positions): each position's set as listed, then the
+    padding index len(sets)."""
+    m = len(sets)
+    widths = np.fromiter(map(len, sets), np.intp, m)
+    table = np.full((widths.max(initial=0), m), m, np.intp)
+    # row-major over table.T: each position's set in turn
+    table.T[np.arange(len(table)) < widths[:, None]] = list(chain.from_iterable(sets))
+    return table
+
+
+def _chain_lengths(table: np.ndarray) -> np.ndarray:
+    """Per position, the longest chain of links through the padded table's
+    entries (children: the height above the leaves; parents: the depth below
+    the roots); 0 at a position whose entries are all padding."""
+    m = table.shape[1]
+    length = np.zeros(m + 1, np.intp)
+    length[m] = -1
+    while True:
+        # each pass lifts a position one above its longest entry
+        lifted = length[table].max(axis=0, initial=-1) + 1
+        if (lifted == length[:m]).all():
+            return length[:m]
+        length[:m] = lifted
 
 
 def _levels(level: np.ndarray, lowest: int) -> list[np.ndarray]:

@@ -3,6 +3,7 @@ import math
 import random
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +200,15 @@ REFERENCE_CASES = {
 }
 
 
+def _record_sizes(monkeypatch) -> dict[str, list[int]]:
+    """Patch bench._BATCHED to record each pooled call's dataset count, per method."""
+    sizes = {method: [] for method in bench._BATCHED}
+    for method, real in list(bench._BATCHED.items()):
+        monkeypatch.setitem(bench._BATCHED, method, lambda views, net, reports, m=method,
+                            real=real: sizes[m].append(len(views)) or real(views, net, reports))
+    return sizes
+
+
 class TestBatchedGrid:
     """run_grid batches each cell's replicates and pools them across cells for
     every method; its rows, apart from runtime_ms, equal tests/bench_reference.py's,
@@ -216,40 +226,73 @@ class TestBatchedGrid:
             assert _strip(rows) == want
             assert len(rows) == sum(c.replicates * len(c.methods) for c in grid.cells())
 
-    def test_pools_span_cells_up_to_one_block_per_tree(self, monkeypatch):
-        # per tree: 120, 150 and 120 probes pool together; each 4000-probe
-        # replicate of the last cell would take a pool past BLOCK_PROBES, so it
-        # closes the pool before it and is pooled alone.  The second cell
-        # lists no mvwa, the third nem.
-        net = fixtures.twotree12()
-        grid = parse_grid("cell 1 20 60 4 le-xi,mvwa\ncell 1 20 100 3 le-xi,pcem\n"
-                          "cell 2 60 80 3 nem,le-xi,mvwa\ncell 2 60 8000 2 le-xi,mvwa\n",
+    def test_pools_span_cells_up_to_pool_positions(self, monkeypatch):
+        # kary_tree(63, 1) holds 64 positions a dataset, so 64 datasets fill a
+        # pool exactly: the first two cells do, and the third cell's one
+        # dataset closes it.  The 8000-probe replicates of the last cell run
+        # one batch each and join that dataset's pool: probes do not close it.
+        net = fixtures.kary_tree(63, 1)
+        fill = bench.POOL_POSITIONS // len(net.order)
+        assert fill * len(net.order) == bench.POOL_POSITIONS
+        grid = parse_grid(f"cell 1 20 60 {fill - 24} le-xi,mvwa\ncell 1 20 100 24 le-xi,pcem\n"
+                          "cell 2 60 80 1 le-xi,mvwa\ncell 2 60 8000 2 pcem,mvwa\n",
                           master_seed=5)
-        sizes = {"le-xi": [], "mvwa": []}
-        for method, real in list(bench._BATCHED.items()):
-            monkeypatch.setitem(bench._BATCHED, method, lambda views, net, reports, m=method,
-                                real=real: sizes[m].append(len(views)) or real(views, net, reports))
+        sizes = _record_sizes(monkeypatch)
         rows = run_grid(grid, net).rows
-        assert sizes == {"le-xi": [10, 1, 1], "mvwa": [7, 1, 1]}
+        assert sizes == {"le-xi": [fill, 1], "pcem": [24, 2], "mvwa": [fill - 24, 3]}
         assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
         assert not any("error" in r for r in rows)
-        # a pool's results share its call's time equally
-        first = [r["runtime_ms"] for r in rows if r["method"] == "le-xi" and r["n"] < 8000]
-        assert len(set(first)) == 1
+        # a pool's results share its call's time equally, pcem's too once the
+        # call reaches ARRAY_MIN_POSITIONS
+        for method in ("le-xi", "pcem"):
+            first = [r["runtime_ms"] for r in rows
+                     if r["method"] == method and r["setting"] == "Beta(1,20)"]
+            assert len(set(first)) == 1
 
     def test_every_method_fills_the_one_pool(self, monkeypatch):
-        # per tree: 120 probes of le-xi and mvwa, then 2000 of pcem alone; the
-        # pcem cell counts towards the pool, so the last cell's 2000 more close
-        # it and are pooled alone
-        net = fixtures.twotree12()
-        grid = parse_grid("cell 1 20 60 4 le-xi,mvwa\ncell 1 20 4000 1 pcem\n"
-                          "cell 2 60 4000 1 nem,le-xi,mvwa\n", master_seed=5)
-        sizes = {"le-xi": [], "mvwa": []}
-        for method, real in list(bench._BATCHED.items()):
-            monkeypatch.setitem(bench._BATCHED, method, lambda views, net, reports, m=method,
-                                real=real: sizes[m].append(len(views)) or real(views, net, reports))
+        # kary_tree(7, 1) holds 8 positions a dataset: le-xi and mvwa datasets,
+        # then pcem's alone, fill one pool exactly; a cell of nem alone is run
+        # on its tables and not pooled, so the pool stays open until the last
+        # cell's one dataset closes it
+        net = fixtures.kary_tree(7, 1)
+        fill = bench.POOL_POSITIONS // len(net.order)
+        assert fill * len(net.order) == bench.POOL_POSITIONS
+        grid = parse_grid(f"cell 1 20 8 {fill - 12} le-xi,mvwa\ncell 1 20 8 12 pcem\n"
+                          "cell 2 60 8 3 nem\ncell 2 60 8 1 le-xi,mvwa\n", master_seed=5)
+        sizes = _record_sizes(monkeypatch)
         rows = run_grid(grid, net).rows
-        assert sizes == {"le-xi": [4, 1], "mvwa": [4, 1]}
+        assert sizes == {"le-xi": [fill - 12, 1], "pcem": [12], "mvwa": [fill - 12, 1]}
+        assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
+        assert sum(r["method"] == "nem" for r in rows) == 3
+
+    def test_no_table_outlives_its_batch(self, monkeypatch):
+        # the pool holds views, reports and true rates; nem, the one reader of
+        # a table, runs on each batch's tables as they are made.  Every table
+        # of an earlier batch is gone, without a garbage collection, when the
+        # next batch is drawn and when a pool is estimated.
+        net = fixtures.twotree12()
+        grid = parse_grid("cell 1 20 3000 5 le-xi,pcem\ncell 1 20 60 4 nem,mvwa\n"
+                          "cell 2 60 80 3 nem\ncell 2 60 9000 2 le-xi,mvwa\n", master_seed=5)
+        made, checks = [], []
+
+        def assert_tables_gone():
+            checks.append(len(made))
+            assert all(ref() is None for ref in made)
+
+        real = bench.simulate_replicates
+
+        def simulate_replicates(configs, truths):
+            assert_tables_gone()
+            tables = real(configs, truths)
+            made.extend(map(weakref.ref, tables))
+            return tables
+        monkeypatch.setattr(bench, "simulate_replicates", simulate_replicates)
+        for method, batched in list(bench._BATCHED.items()):
+            monkeypatch.setitem(bench._BATCHED, method, lambda views, net, reports, b=batched:
+                                assert_tables_gone() or b(views, net, reports))
+        rows = run_grid(grid, net).rows
+        assert len(made) == sum(c.replicates for c in grid.cells())
+        assert checks and max(checks) == len(made)
         assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
 
     def test_pooled_sets_reach_the_batched_solve(self, monkeypatch):

@@ -9,7 +9,9 @@ mvwa hands every tree's sets to one _solve_interiors call, and must equal
 tests/mvwa_reference.py, which runs le_xi on each tree's sub-network.
 Both estimators finish per dataset or, from ARRAY_MIN_POSITIONS positions
 on, on (datasets x positions) arrays; every comparison runs with that
-constant forced each way (ARRAY_PATHS).
+constant forced each way (ARRAY_PATHS).  pcem_replicates, by the same size
+rule, runs pcem per dataset or sweeps every dataset at once on arrays, and
+must equal pcem on each dataset, field for field and in key order.
 """
 
 import math
@@ -18,18 +20,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from losstomo import estimators, fixtures
 from losstomo.estimators import (_brother_columns, _residual_and_slope,
                                  _residuals_and_slopes, _solve_interior,
-                                 _solve_interior_rows, le_xi, mvwa, mvwa_replicates)
+                                 _solve_interior_rows, le_xi, mvwa, mvwa_replicates, pcem,
+                                 pcem_replicates)
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import PatternTable, internal_views, internal_views_replicates
+from losstomo.statistics import (InternalView, PatternTable, internal_views,
+                                 internal_views_replicates)
 from losstomo.topology import parse_topology
 
 from mvwa_reference import mvwa_reference
+from test_bench_cli import SPLIT_NODE, SPLIT_NODE_SWAPPED
 from test_estimators import _simulated_small_nets
+from test_statistics import _networks
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -278,3 +284,113 @@ def test_mvwa_equals_per_tree_reference_large_nets(net, a, b, probes):
     theta = sample_theta(a, b, net, np.random.default_rng(1))
     views, report = internal_views(simulate(SimConfig(net, probes, 1), theta), net)
     _assert_mvwa_equals_reference(views, net, report)
+
+
+def _assert_pcem_replicates_equal_pcem(pairs, net, **kwargs):
+    """pcem_replicates on (views, report) pairs equals pcem on each, on both
+    paths: every field by repr, flags in key order, iterations and converged.
+    Returns pcem's results."""
+    views, reports = [v for v, _ in pairs], [r for _, r in pairs]
+    want = [pcem(v, net, report=r, **kwargs) for v, r in pairs]
+    for array in ARRAY_PATHS:
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "ARRAY_MIN_POSITIONS", array)
+            mp.setattr(estimators, "pcem", lambda *a, **k: calls.append(1) or pcem(*a, **k))
+            got = pcem_replicates(views, net, reports, **kwargs)
+        assert len(calls) == (0 if array == 0 else len(pairs))   # the forced path ran
+        for a, b in zip(got, want, strict=True):
+            assert repr(a.theta_hat) == repr(b.theta_hat)
+            assert repr(a.xi_hat) == repr(b.xi_hat)
+            assert list(a.flags.items()) == list(b.flags.items())
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    return want
+
+
+# pcem's default stop, a cap that some datasets meet first, a tight tol, and
+# tol <= 0, which runs every dataset exactly max_iter sweeps
+PCEM_STOPS = ({}, {"max_iter": 3}, {"tol": 1e-10}, {"tol": 0.0, "max_iter": 4})
+
+
+@st.composite
+def _pcem_datasets(draw):
+    """A _networks() draw, one to five tables simulated on it at one Beta
+    setting and differing probe counts, and a PCEM_STOPS entry."""
+    net = draw(_networks())
+    a, b = draw(st.sampled_from([(1, 100), (1, 10), (2, 18), (5, 1000)]))
+    tables = []
+    for _ in range(draw(st.integers(1, 5))):
+        seed = draw(st.integers(0, 2**16))
+        theta = sample_theta(a, b, net, np.random.default_rng(seed))
+        tables.append(simulate(SimConfig(net, draw(st.integers(1, 300)), seed), theta))
+    return net, tables, draw(st.sampled_from(PCEM_STOPS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pcem_datasets())
+def test_pcem_replicates_equal_pcem_small_nets(case):
+    net, tables, stop = case
+    _assert_pcem_replicates_equal_pcem(internal_views_replicates(tables, net), net, **stop)
+
+
+def _tables(net, a, b, probe_counts):
+    return [simulate(SimConfig(net, probes, seed), sample_theta(a, b, net,
+                                                                np.random.default_rng(seed)))
+            for seed, probes in enumerate(probe_counts)]
+
+
+def _pairs(net, a, b, probe_counts):
+    return internal_views_replicates(_tables(net, a, b, probe_counts), net)
+
+
+@pytest.mark.parametrize("stop", PCEM_STOPS, ids=["default", "max_iter", "tight", "tol0"])
+@pytest.mark.parametrize("make_net,a,b,probe_counts", [
+    pytest.param(lambda: parse_topology(SPLIT_NODE), 1, 10, [400, 40, 4000], id="split_node"),
+    pytest.param(lambda: parse_topology(SPLIT_NODE_SWAPPED), 1, 10, [400, 40, 4000],
+                 id="split_node_swapped"),
+    # a probe count of 1 leaves tree 2 without probes
+    pytest.param(fixtures.twotree12, 1, 20, [1, 200, 1, 30], id="twotree12-one-probe"),
+    pytest.param(fixtures.layered49, 1, 100, [50, 100, 200, 500] * 5, id="layered49"),
+    pytest.param(lambda: HUB, 1, 100, [1000, 8000], id="hub"),
+])
+def test_pcem_replicates_equal_pcem(make_net, a, b, probe_counts, stop):
+    net = make_net()
+    want = _assert_pcem_replicates_equal_pcem(_pairs(net, a, b, probe_counts), net, **stop)
+    if stop.get("tol", 1.0) <= 0.0:
+        assert all(r.iterations == stop["max_iter"] and not r.converged for r in want)
+
+
+def test_pcem_replicates_mask_each_dataset_at_its_own_sweep():
+    # the tables converge at different sweeps, and a cap between them leaves
+    # some datasets unconverged while the others stop on tol
+    net = fixtures.twotree12()
+    pairs = _pairs(net, 1, 10, [30, 300, 3000, 30, 300, 3000])
+    sweeps = [r.iterations for r in _assert_pcem_replicates_equal_pcem(pairs, net)]
+    assert len(set(sweeps)) > 2
+    cap = sorted(sweeps)[len(sweeps) // 2]
+    capped = _assert_pcem_replicates_equal_pcem(pairs, net, max_iter=cap)
+    assert {r.converged for r in capped} == {True, False}
+
+
+def test_pcem_replicates_on_tables_of_one_tree():
+    # twotree12 tables that name tree 1 only: tree 2's private links 2, 8 and
+    # 9 get no information
+    net = fixtures.twotree12()
+    tables = []
+    for full in _tables(net, 1, 20, [200] * 5):
+        tables.append(PatternTable(full.name, {1: full.probes[1]}, {1: full.receivers[1]},
+                                   {1: full.counts[1]}))
+    want = _assert_pcem_replicates_equal_pcem(internal_views_replicates(tables, net), net)
+    assert all(r.flags[i] == "non_estimable" and r.theta_hat[i] is r.xi_hat[i] is None
+               for r in want for i in (2, 8, 9))
+
+
+def test_pcem_replicates_clamp_the_unseen_count():
+    # tests/test_estimators.py's inconsistent views on shared_pair: link 2
+    # claims 30 passes below parent links that confirm 10, so its unseen count
+    # is negative until the clamp; the reports are computed in the call
+    n1 = {1: 5, 2: 30, 3: 2, 4: 5}
+    n0 = {1: 5, 2: 1, 3: 8, 4: 5}
+    views = InternalView({}, {}, n1, n0, {i: n1[i] / (n1[i] + n0[i]) for i in n1}, {1: 10, 2: 10})
+    want = _assert_pcem_replicates_equal_pcem([(views, None)] * 3, fixtures.shared_pair())
+    assert all(r.theta_hat[2] == 0.0 for r in want)
