@@ -121,8 +121,7 @@ EDGE_GRIDS = (
                   "cell 2 1000 300 6 le-xi,mvwa\n"),
     # at 56 positions a dataset, 27 + 13 + 33 datasets fill a pool up to its
     # last whole dataset below POOL_POSITIONS, and the next one opens another;
-    # pcem's datasets stop at different sweeps, on arrays in the first pool
-    # and one by one in the second, below ARRAY_MIN_POSITIONS
+    # pcem's datasets stop at different sweeps in both pools
     ("layered49", "cell 1 100 300 40 le-xi,pcem,mvwa\ncell 1 1000 150 33 pcem,mvwa\n"
                   "cell 2 1000 80 1 le-xi,pcem\ncell 5 1000 400 20 pcem\n"),
 )

@@ -190,8 +190,9 @@ _BATCHED = {"le-xi": le_xi_replicates, "pcem": pcem_replicates, "mvwa": mvwa_rep
 
 def _row(cell: GridCell, rep: int, method: str, truth: dict[int, float], estimate) -> dict:
     """The CSV row of one dataset and method.  estimate() returns its result,
-    and the row takes the result's wall_time; when it, or mse, raises
-    ValueError, the row is an error row timed from the call."""
+    and the row takes the result's wall_time.  When estimate() raises
+    ValueError, the row is an error row timed from the call; when only mse
+    raises, the error row keeps the result's wall_time."""
     row = {"setting": cell.setting, "beta_a": cell.beta_a, "beta_b": cell.beta_b,
            "n": cell.probes, "replicate": rep, "method": method}
     res = None
@@ -210,9 +211,8 @@ def _pool_rows(net: GeneralNetwork, pool: list[tuple]) -> list[dict]:
     """One row per _BATCHED method (le-xi, pcem, mvwa) of each pooled (cell,
     replicate, (views, report), truth) dataset whose cell lists it.  Each
     method runs on all of its datasets in one _BATCHED call, whose results
-    share its time equally (pcem's below the size rule are run and timed one
-    by one); a call that raises is rerun one dataset at a time, so each error
-    row is its own."""
+    share its time equally; a call that raises is rerun one dataset at a
+    time, so each error row is its own."""
     rows = []
     for method, batched in _BATCHED.items():
         datasets = [d for d in pool if method in d[0].methods]

@@ -18,11 +18,9 @@ through InternalView.counts, with pass fractions from pass_fractions:
   information of each tree's likelihood; contributions without a usable
   variance are dropped from the average.
 * pcem: EM driven entirely by the collapsed statistics; O(links) a sweep.
-  pcem_replicates runs it on many datasets: from ARRAY_MIN_POSITIONS
-  positions in one call (datasets times the network's), every sweep runs on
-  (datasets x positions) arrays, one depth level of the network's padded
-  parent table at a time, and each dataset leaves the sweeps once it meets
-  tol; below it, pcem per dataset.
+  pcem_replicates runs it on many datasets, every sweep on (datasets x
+  positions) arrays, one depth level of the network's padded parent table
+  at a time; each dataset leaves the sweeps once it meets tol.
 * nem: the brute-force EM that enumerates, per distinct receiver pattern,
   every feasible assignment of link states; an oracle refused above 20 links.
 
@@ -455,13 +453,6 @@ def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
     return _timed(out, t0)
 
 
-def _start(theta0, net: GeneralNetwork) -> list[float]:
-    """EM's starting rates over net.order: theta0 per link id, or one float for all."""
-    if isinstance(theta0, dict):
-        return [float(theta0[i]) for i in net.order]
-    return [float(theta0)] * len(net.order)
-
-
 def _em(method: str, views: InternalView, net: GeneralNetwork, report: RegularityReport,
         estep, t0: float, theta0, tol: float, max_iter: int, track_loglik: bool,
         keep_history: bool) -> EstimateResult:
@@ -474,7 +465,10 @@ def _em(method: str, views: InternalView, net: GeneralNetwork, report: Regularit
     """
     order = net.order
     m = len(order)
-    theta = _start(theta0, net)
+    if isinstance(theta0, dict):
+        theta = [float(theta0[i]) for i in order]
+    else:
+        theta = [float(theta0)] * m
     loglik_path: list[float] = []
     theta_path: list[dict[int, float]] = []
     iterations = 0
@@ -553,17 +547,16 @@ def pcem(views: InternalView, net: GeneralNetwork, theta0=0.03, tol: float = 1e-
 
 
 def pcem_replicates(views_list: list[InternalView], net: GeneralNetwork,
-                    reports: list[RegularityReport | None], theta0=0.03, tol: float = 1e-6,
+                    reports: list[RegularityReport | None], tol: float = 1e-6,
                     max_iter: int = 10000) -> list[EstimateResult]:
-    """pcem on each dataset's views and report (None: computed here).
+    """pcem on each dataset's views and report (None: computed here), from
+    pcem's default start.
 
-    By the size rule on datasets times net's positions: below
-    ARRAY_MIN_POSITIONS, pcem per dataset, each result timed alone.  From
-    there on, _em's sweeps on (datasets x positions) arrays: xi_rows
-    leaf-to-root, then pcem's E-step one level of net.padded.drops at a time,
-    parents first, each parent set padded by a column of om1 held at 0.0, so
-    u adds its parents in parent_pos order and then exact no-ops; the M-step
-    is elementwise.  Every product and sum keeps the scalar sweep's order,
+    _em's sweeps on (datasets x positions) arrays, whatever their number:
+    xi_rows leaf-to-root, then pcem's E-step one level of net.padded.drops at
+    a time, parents first, each parent set padded by a column of om1 held at
+    0.0, so u adds its parents in parent_pos order and then exact no-ops; the
+    M-step is elementwise.  Every product and sum keeps the scalar sweep's order,
     and each dataset's rates are pcem's bits.  A dataset leaves the sweeps
     once its max|theta change| <= tol, with its own iterations and
     converged; tol <= 0 runs every dataset max_iter sweeps.  The finish runs
@@ -571,15 +564,12 @@ def pcem_replicates(views_list: list[InternalView], net: GeneralNetwork,
     _flag_rows; the keys keep pcem's order.  Each result gets an equal share
     of the call's time.
     """
-    if len(views_list) * len(net.order) < ARRAY_MIN_POSITIONS:
-        return [pcem(views, net, theta0, tol, max_iter, report=report)
-                for views, report in zip(views_list, reports)]
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
     form, m = net.padded, len(net.order)
     n1, n0 = np.array([views.counts(net) for views in views_list], dtype=float).transpose(1, 0, 2)
-    theta = np.tile(_start(theta0, net), (len(views_list), 1))
+    theta = np.full((len(views_list), m), 0.03)   # pcem's default start
     iterations = np.zeros(len(views_list), np.intp)
     converged = np.zeros(len(views_list), bool)
     live = np.arange(len(views_list))   # the datasets still sweeping, rows of th

@@ -242,8 +242,7 @@ class TestBatchedGrid:
         assert sizes == {"le-xi": [fill, 1], "pcem": [24, 2], "mvwa": [fill - 24, 3]}
         assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
         assert not any("error" in r for r in rows)
-        # a pool's results share its call's time equally, pcem's too once the
-        # call reaches ARRAY_MIN_POSITIONS
+        # a pool's results share its call's time equally
         for method in ("le-xi", "pcem"):
             first = [r["runtime_ms"] for r in rows
                      if r["method"] == method and r["setting"] == "Beta(1,20)"]

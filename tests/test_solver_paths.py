@@ -9,9 +9,9 @@ mvwa hands every tree's sets to one _solve_interiors call, and must equal
 tests/mvwa_reference.py, which runs le_xi on each tree's sub-network.
 Both estimators finish per dataset or, from ARRAY_MIN_POSITIONS positions
 on, on (datasets x positions) arrays; every comparison runs with that
-constant forced each way (ARRAY_PATHS).  pcem_replicates, by the same size
-rule, runs pcem per dataset or sweeps every dataset at once on arrays, and
-must equal pcem on each dataset, field for field and in key order.
+constant forced each way (ARRAY_PATHS).  pcem_replicates sweeps every
+dataset at once on arrays and must equal pcem on each dataset, field for
+field and in key order.
 """
 
 import math
@@ -287,23 +287,21 @@ def test_mvwa_equals_per_tree_reference_large_nets(net, a, b, probes):
 
 
 def _assert_pcem_replicates_equal_pcem(pairs, net, **kwargs):
-    """pcem_replicates on (views, report) pairs equals pcem on each, on both
-    paths: every field by repr, flags in key order, iterations and converged.
-    Returns pcem's results."""
+    """pcem_replicates on (views, report) pairs equals pcem on each: every
+    field by repr, flags in key order, iterations and converged.  Returns
+    pcem's results."""
     views, reports = [v for v, _ in pairs], [r for _, r in pairs]
     want = [pcem(v, net, report=r, **kwargs) for v, r in pairs]
-    for array in ARRAY_PATHS:
-        calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators, "ARRAY_MIN_POSITIONS", array)
-            mp.setattr(estimators, "pcem", lambda *a, **k: calls.append(1) or pcem(*a, **k))
-            got = pcem_replicates(views, net, reports, **kwargs)
-        assert len(calls) == (0 if array == 0 else len(pairs))   # the forced path ran
-        for a, b in zip(got, want, strict=True):
-            assert repr(a.theta_hat) == repr(b.theta_hat)
-            assert repr(a.xi_hat) == repr(b.xi_hat)
-            assert list(a.flags.items()) == list(b.flags.items())
-            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "pcem", lambda *a, **k: calls.append(1) or pcem(*a, **k))
+        got = pcem_replicates(views, net, reports, **kwargs)
+    assert not calls   # the array sweeps ran, not pcem
+    for a, b in zip(got, want, strict=True):
+        assert repr(a.theta_hat) == repr(b.theta_hat)
+        assert repr(a.xi_hat) == repr(b.xi_hat)
+        assert list(a.flags.items()) == list(b.flags.items())
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
     return want
 
 
