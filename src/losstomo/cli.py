@@ -71,7 +71,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     net = _load_topology(args.topology)
-    patterns = parse_data(Path(args.data).read_text(encoding="utf-8"), net)
+    # internal_views checks the table as it counts it; nem first refuses a
+    # large network, so its table is checked here
+    patterns = parse_data(Path(args.data).read_text(encoding="utf-8"), net,
+                          check=args.method == "nem")
     em = {"theta0": args.init, "tol": args.tol, "max_iter": args.max_iter}
     if args.method == "nem":
         result = nem(patterns, net, **em)

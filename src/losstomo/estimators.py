@@ -1,19 +1,22 @@
 """Loss-rate estimators.
 
 Four procedures over the same internal-view statistics, read by position
-through InternalView.counts, with pass fractions from pass_fractions:
+through InternalView.counts or count_rows, with pass fractions from
+pass_fractions (_pass_rows on arrays):
 
 * le_xi: solves the likelihood equations in the subtree-loss
-  parametrization on the network's positional form.  _solve_xi gives the
-  links at root_pos their closed form, settles every set of brother_pos
-  that needs no root, and hands the rest to one _solve_interiors call, on
+  parametrization on the network's positional form.  _solve_xi (or
+  _solve_rows) gives the links at root_pos their closed form, settles
+  every set of brother_pos that needs no root, and hands the rest to one
+  _solve_interiors call, on
   the calling thread by a size rule: below BATCH_MIN_SETS sets, a
   pure-Python Newton loop per set; from there on, one numpy Newton pass
   over all of them, masked per set once it meets SOLVER_TOL.  Both paths
   take the same iterates, so the estimates do not depend on the path.
 * mvwa: the same steps on every tree at once, each on its slice of the
   views and its own positional form, with one joint _solve_interiors call
-  and flags from statistics.regularity_by_position.  Shared links are
+  and flags from statistics.regularity_by_position (regularity_rows on
+  arrays).  Shared links are
   combined by inverse-variance weights, the exact diagonal observed
   information of each tree's likelihood; contributions without a usable
   variance are dropped from the average.
@@ -25,25 +28,27 @@ through InternalView.counts, with pass fractions from pass_fractions:
   every feasible assignment of link states; an oracle refused above 20 links.
 
 le_xi and mvwa are le_xi_replicates and mvwa_replicates on one dataset.
-Both end in _finish, which turns xi into theta and flags as lists over the
-order of the network or of one tree; link ids key an estimate only where
-its EstimateResult is built.  A second size rule picks the path of that
-finish: from ARRAY_MIN_POSITIONS positions in one call (datasets times
-the network's positions for le_xi, times the observed trees' positions for
-mvwa), _finish_rows runs it on (datasets x positions) arrays, nan for None,
-and mvwa's regularity flags, variances and average follow on arrays too
-(_combine_rows).  Below it, numpy's per-call overhead and the first
-build of a structure's padded child tables (topology.PaddedForm) outweigh
-the per-dataset saving, and the scalar finish runs per dataset: 1024 is
-the measured break-even of a call on a freshly parsed network, between one
-and two datasets of the 764-link hub network for mvwa.  The array
-recursions take each tree level by level over the padded tables, so every
-product and sum keeps the scalar loop's order, and both paths give the
-same bits.  pcem and nem run the one EM driver, _em, whose sweeps
-pcem_replicates repeats on arrays in the scalar order, to the same bits.
-_flag is the one flag rule of all four (_flag_rows on arrays), _clamp the
-one projection onto [0, 1], shared with project_to_theta_star, and
-_clamp_mean the one clamp of mvwa's averages.  Links whose data fail the regularity
+A size rule picks their path before the solve: from ARRAY_MIN_POSITIONS
+positions in one call (datasets times the network's positions for le_xi,
+times the observed trees' positions for mvwa), they read the views as
+(datasets x positions) arrays (statistics.count_rows), _solve_rows sorts
+every brother set on (datasets x sets) arrays as _solve_node does, and
+_finish_rows turns xi into theta and flags, nan for None; mvwa's regularity
+flags, variances and average follow on arrays too (_combine_rows).  Below
+it, numpy's per-call overhead and the first build of a structure's padded
+tables (topology.PaddedForm) outweigh the per-dataset saving:
+_solve_xi settles each set per dataset with _solve_node and _finish runs
+on lists over the order of the network or of one tree.  1024 is the
+measured break-even of a call on a freshly parsed network, between one and
+two datasets of the 764-link hub network for mvwa.  Link ids key an
+estimate only where its EstimateResult is built.  The array recursions take
+each tree level by level over the padded tables, and the sorts add and
+multiply in the scalar loops' order, so both paths give the same bits.
+pcem and nem run the one EM driver, _em, whose sweeps pcem_replicates
+repeats on arrays in the scalar order, to the same bits.  _flag is the one
+flag rule of all four (_flag_rows on arrays), _clamp the one projection
+onto [0, 1], shared with project_to_theta_star, and _clamp_mean the one
+clamp of mvwa's averages.  Links whose data fail the regularity
 conditions are still estimated but flagged; links with no information at
 all come back as None.
 """
@@ -60,9 +65,9 @@ import numpy as np
 from .likelihood import information_by_position, information_rows, loglik_theta
 from .params import (XI_BOUNDARY_TOL, theta_by_position, theta_rows, theta_to_xi,
                      xi_by_position, xi_rows)
-from .statistics import (InternalView, PatternTable, RegularityReport, internal_views,
-                         pass_fractions, regularity_by_position, regularity_report,
-                         regularity_rows)
+from .statistics import (InternalView, PatternTable, RegularityReport, count_rows,
+                         internal_views, pass_fractions, regularity_by_position,
+                         regularity_report, regularity_rows)
 from .topology import GeneralNetwork, MulticastTree
 
 FLAG_OK = "ok"
@@ -164,12 +169,15 @@ def _residuals_and_slopes(r: np.ndarray, keep: np.ndarray, x: np.ndarray
     return prod - x, slope - 1.0
 
 
-def _brother_columns(rows: list[list[float]]) -> np.ndarray:
+def _brother_columns(rows: list[list[float]] | np.ndarray) -> np.ndarray:
     """Rows of pass fractions as the columns of one (brothers x sets) array.
 
     Short rows are padded with r = 0 after their own brothers, which
     _residuals_and_slopes turns into the factor 1.0 and the slope term 0.0.
+    A (sets x brothers) array comes padded so already.
     """
+    if isinstance(rows, np.ndarray):
+        return np.ascontiguousarray(rows.T)
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     padded = np.zeros((len(rows), int(widths.max())))
     padded[np.arange(padded.shape[1]) < widths[:, None]] = list(
@@ -177,7 +185,7 @@ def _brother_columns(rows: list[list[float]]) -> np.ndarray:
     return np.ascontiguousarray(padded.T)
 
 
-def _solve_interior_rows(rows: list[list[float]], max_iter: int = 200
+def _solve_interior_rows(rows: list[list[float]] | np.ndarray, max_iter: int = 200
                          ) -> tuple[list[float], list[int]]:
     """_solve_interior on every row at once; each row takes the same iterates.
 
@@ -212,15 +220,18 @@ def _solve_interior_rows(rows: list[list[float]], max_iter: int = 200
     return x.tolist(), iters.tolist()
 
 
-def _solve_interiors(rows: list[list[float]]) -> tuple[list[float], list[int]]:
-    """Roots and iteration counts of many brother sets, by the size rule.
+def _solve_interiors(rows: list[list[float]] | np.ndarray) -> tuple[list[float], list[int]]:
+    """Roots and iteration counts of many brother sets, by the size rule: rows
+    as _brother_columns takes them.
 
     From BATCH_MIN_SETS sets on, one batched pass; below it, the scalar
-    loop, which costs less than numpy's per-call overhead on few sets.
+    loop, which costs less than numpy's per-call overhead on few sets.  A
+    padded brother (r = 0) changes no bit of the scalar loop either.
     """
-    if rows and len(rows) >= BATCH_MIN_SETS:
+    if len(rows) >= max(BATCH_MIN_SETS, 1):
         return _solve_interior_rows(rows)
-    solved = [_solve_interior(rs) for rs in rows]
+    solved = [_solve_interior(rs) for rs in (rows.tolist() if isinstance(rows, np.ndarray)
+                                             else rows)]
     return [x for x, _ in solved], [it for _, it in solved]
 
 
@@ -353,6 +364,56 @@ def _solve_xi(problems) -> tuple[list[list[float | None]], list[int]]:
     return xis, most
 
 
+def _solve_rows(problems) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """_solve_xi on arrays: each (structure, r) problem holds r as one row per
+    dataset over its order, nan for None.  Returns each problem's xi rows,
+    nan for None, and each row's largest solver iteration count.
+
+    The sets of brother_pos are sorted on (datasets x sets) arrays, one slot
+    per brother, as _solve_node sorts them: a None brother leaves the set
+    None; r = 0 gives xi = 1 and r = 1 gives xi = 0; beside an r = 1 brother,
+    a mid brother's rate is 1 - r; without one, the mid fractions summed left
+    to right, with an exact 0.0 in every other slot, decide between an
+    interior root and exhaustion (xi = 1).  The sets that wait on a root go,
+    0.0 slots included, to one _solve_interiors call.
+    """
+    sorted_sets = []
+    for s, r in problems:
+        # the padding column is a brother with r = 0.0, which settles at 1.0
+        # and adds 0.0; a set's slots follow brother_pos
+        fr = np.concatenate([r, np.zeros((len(r), 1))], axis=1)[:, s.padded.brothers.T]
+        mid, one = (fr > 0.0) & (fr < 1.0), fr >= 1.0
+        fr_mid = np.where(mid, fr, 0.0)
+        total = 0.0
+        for slot in fr_mid.transpose(2, 0, 1):
+            total = total + slot
+        has_one, none = one.any(axis=2), np.isnan(fr).any(axis=2)
+        waits = ~none & ~has_one & mid.any(axis=2) & (total > 1.0)
+        settled = np.where(mid, np.where(has_one[..., None], 1.0 - fr, 1.0),
+                           np.where(one, 0.0, 1.0))
+        settled[none] = math.nan
+        sorted_sets.append((fr, mid, waits, settled, fr_mid[waits]))
+    pending = [rows for *_, rows in sorted_sets]
+    ends = list(itertools.accumulate(map(len, pending), initial=0))
+    stacked = np.zeros((ends[-1], max((rows.shape[1] for rows in pending), default=0)))
+    for rows, a, b in zip(pending, ends, ends[1:]):
+        stacked[a:b, :rows.shape[1]] = rows
+    pis, iters = _solve_interiors(stacked)
+    pis, iters = np.array(pis, float), np.array(iters, np.int64)
+    xis, most = [], []
+    for (s, r), (fr, mid, waits, settled, _), a, b in zip(problems, sorted_sets, ends, ends[1:]):
+        pi, its = np.zeros(waits.shape), np.zeros(waits.shape, np.int64)
+        pi[waits], its[waits] = pis[a:b], iters[a:b]
+        xi = np.full((len(r), r.shape[1] + 1), math.nan)
+        xi[:, s.padded.brothers.T] = np.where(waits[..., None] & mid,
+                                            (1.0 - fr) + fr * pi[..., None], settled)
+        roots = list(s.root_pos)
+        xi[:, roots] = 1.0 - r[:, roots]
+        xis.append(xi[:, :-1])
+        most.append(its.max(axis=1, initial=0))
+    return xis, most
+
+
 def _finish(xi: list[float | None], s: GeneralNetwork | MulticastTree,
             bad: frozenset[int]) -> tuple[list[float | None], list[str]]:
     """theta_hat and flags from xi, solved on the network or tree s, as lists
@@ -397,10 +458,17 @@ def _marks(id_sets: list[frozenset[int]], net: GeneralNetwork) -> np.ndarray:
     return marks
 
 
-def _on_arrays(xis: list[list[float | None]]) -> bool:
-    """The size rule: finish on arrays from ARRAY_MIN_POSITIONS positions in all,
-    summed over the datasets and the networks or trees of one call."""
-    return sum(map(len, xis)) >= ARRAY_MIN_POSITIONS
+def _on_arrays(positions: int) -> bool:
+    """The size rule: solve and finish on arrays from ARRAY_MIN_POSITIONS
+    positions in all, summed over the datasets and the networks or trees of
+    one call."""
+    return positions >= ARRAY_MIN_POSITIONS
+
+
+def _pass_rows(counts: np.ndarray) -> np.ndarray:
+    """pass_fractions on count_rows' (datasets x 2 x positions), nan for None."""
+    with np.errstate(invalid="ignore"):
+        return counts[:, 0] / (counts[:, 0] + counts[:, 1])
 
 
 def _values(rows: np.ndarray) -> list[list[float | None]]:
@@ -429,27 +497,30 @@ def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
                      reports: list[RegularityReport | None]) -> list[EstimateResult]:
     """le_xi on each dataset's views and report (None: computed here).
 
-    mvwa's two steps on net alone: _solve_xi on every dataset at once, then
-    the finish (xi to theta, boundary snap, projection, flags): _finish per
-    dataset, or _finish_rows on all of them by the size rule.  A result's
-    iterations is its own largest solver iteration count.
+    mvwa's two steps on net alone, for every dataset at once: by the size
+    rule, _solve_xi and a _finish per dataset, or _solve_rows and
+    _finish_rows on (datasets x positions) arrays.  A result's iterations
+    is its own largest solver iteration count.
     """
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
-    xis, iterations = _solve_xi([(net, pass_fractions(*v.counts(net))) for v in views_list])
     flagged = [report.flagged() for report in reports]
-    if _on_arrays(xis):
-        theta, rank = _finish_rows(np.array(xis, dtype=float), net, _marks(flagged, net))
-        finished = zip(_values(theta), _FLAG_NAMES[rank].tolist())
+    if _on_arrays(len(views_list) * len(net.order)):
+        (xi,), (iterations,) = _solve_rows([(net, _pass_rows(count_rows(views_list, net)))])
+        theta, rank = _finish_rows(xi, net, _marks(flagged, net))
+        at = list(net.id_pos)
+        finished = zip(_values(theta[:, at]), _values(xi[:, at]),
+                       _FLAG_NAMES[rank[:, at]].tolist(), iterations.tolist())
     else:
-        finished = map(_finish, xis, itertools.repeat(net), flagged)
-    ids = [(net.order[q], q) for q in net.id_pos]
-    out = []
-    for report, xi, its, (theta, flags) in zip(reports, xis, iterations, finished):
-        out.append(EstimateResult("le-xi", {i: theta[q] for i, q in ids},
-                                  {i: xi[q] for i, q in ids},
-                                  {i: flags[q] for i, q in ids}, its, report, 0.0))
+        xis, iterations = _solve_xi([(net, pass_fractions(*v.counts(net))) for v in views_list])
+        finished = ([[rows[q] for q in net.id_pos] for rows in (theta, xi, flags)] + [its]
+                    for xi, its, (theta, flags) in zip(
+                        xis, iterations, map(_finish, xis, itertools.repeat(net), flagged)))
+    ids = [net.order[q] for q in net.id_pos]
+    out = [EstimateResult("le-xi", dict(zip(ids, theta)), dict(zip(ids, xi)),
+                          dict(zip(ids, flags)), its, report, 0.0)
+           for report, (theta, xi, flags, its) in zip(reports, finished)]
     return _timed(out, t0)
 
 
@@ -568,7 +639,7 @@ def pcem_replicates(views_list: list[InternalView], net: GeneralNetwork,
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
     form, m = net.padded, len(net.order)
-    n1, n0 = np.array([views.counts(net) for views in views_list], dtype=float).transpose(1, 0, 2)
+    n1, n0 = count_rows(views_list, net).astype(float).transpose(1, 0, 2)
     theta = np.full((len(views_list), m), 0.03)   # pcem's default start
     iterations = np.zeros(len(views_list), np.intp)
     converged = np.zeros(len(views_list), bool)
@@ -711,27 +782,28 @@ def mvwa_replicates(views_list: list[InternalView], net: GeneralNetwork,
     exact diagonal observed information of the tree's likelihood; without a
     usable variance (boundary point, flat curvature) an estimate gets zero
     weight, and when no tree has one the link falls back to probe-count
-    weights.  A result's iterations is the largest of its own trees'.  The
-    finish and the average run per dataset (_combine) or, by the size rule,
-    on all of them at once (_combine_rows).
+    weights.  A result's iterations is the largest of its own trees'.  By
+    the size rule, the solve, the finish and the average run per dataset
+    (_solve_xi, _combine) or on all of them at once, one tree's datasets at
+    a time (_solve_rows, _combine_rows).
     """
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
-    per_view = [[(tree, *views.counts(tree))
-                 for tree in map(net.tree_by_id.__getitem__, sorted(views.per_tree_n1))]
-                for views in views_list]
-    xis, iterations = _solve_xi([(tree, pass_fractions(n1, n0))
-                                 for per_tree in per_view for tree, n1, n0 in per_tree])
-    ends = list(itertools.accumulate(map(len, per_view), initial=0))
-    if _on_arrays(xis):
-        combined = _combine_rows(views_list, net, per_view, xis)
+    observed = [views.tree_ids() for views in views_list]
+    if _on_arrays(sum(len(net.tree_by_id[k].order) for ids in observed for k in ids)):
+        combined, iterations = _combine_rows(views_list, net, observed)
     else:
+        per_view = [[(tree, *views.counts(tree)) for tree in map(net.tree_by_id.__getitem__, ids)]
+                    for views, ids in zip(views_list, observed)]
+        xis, its = _solve_xi([(tree, pass_fractions(n1, n0))
+                              for per_tree in per_view for tree, n1, n0 in per_tree])
+        ends = list(itertools.accumulate(map(len, per_view), initial=0))
         combined = [_combine(views, net, per_tree, xis[a:b])
                     for views, per_tree, a, b in zip(views_list, per_view, ends, ends[1:])]
-    out = [EstimateResult("mvwa", theta_hat, xi_hat, flags, max(iterations[a:b], default=0),
-                          report, 0.0)
-           for report, (theta_hat, xi_hat, flags), a, b in zip(reports, combined, ends, ends[1:])]
+        iterations = [max(its[a:b], default=0) for a, b in zip(ends, ends[1:])]
+    out = [EstimateResult("mvwa", theta_hat, xi_hat, flags, its, report, 0.0)
+           for report, (theta_hat, xi_hat, flags), its in zip(reports, combined, iterations)]
     return _timed(out, t0)
 
 
@@ -772,37 +844,42 @@ def _combine(views: InternalView, net: GeneralNetwork, per_tree, xis
     return theta_hat, theta_to_xi(theta_hat, net), flags
 
 
-def _combine_rows(views_list: list[InternalView], net: GeneralNetwork, per_view, xis
-                  ) -> list[tuple[dict[int, float | None], dict[int, float | None],
-                                  dict[int, str]]]:
-    """_combine on every dataset at once.
+def _combine_rows(views_list: list[InternalView], net: GeneralNetwork,
+                  observed: list[list[int]]
+                  ) -> tuple[list[tuple[dict[int, float | None], dict[int, float | None],
+                                        dict[int, str]]], list[int]]:
+    """_combine on every dataset at once, observed[d] listing dataset d's trees,
+    with each dataset's largest solver iteration count.
 
-    Per tree, _finish_rows, regularity_rows and information_rows run on the
+    Per tree, count_rows, _solve_rows (one joint _solve_interiors call),
+    then _finish_rows, regularity_rows and information_rows run on the
     (datasets x positions) arrays of the datasets that observed the tree.
     The average runs on (trees x datasets x links) arrays, links by ascending
     id: a tree without an entry adds exact zeros, and the trees add in
     ascending id, as _combine does.  xi_hat comes from xi_rows on net.
     """
+    by_tree: dict[int, list[int]] = {}
+    for d, ids in enumerate(observed):
+        for k in ids:
+            by_tree.setdefault(k, []).append(d)
+    per_tree = [(t, tree, by_tree[tree.tree_id],
+                 count_rows([views_list[d] for d in by_tree[tree.tree_id]], tree))
+                for t, tree in enumerate(net.trees) if tree.tree_id in by_tree]
+    xis, most = _solve_rows([(tree, _pass_rows(counts)) for _, tree, _, counts in per_tree])
     links = sorted(net.links)
     column = dict(zip(links, range(len(links))))
     shape = (len(net.trees), len(views_list), len(links))
     est, var, rank = np.full(shape, math.nan), np.full(shape, math.nan), np.full(shape, -1)
     probes = np.zeros(shape[:2] + (1,))
-    by_tree: dict[int, list] = {}
-    entries = [(d, *entry) for d, per_tree in enumerate(per_view) for entry in per_tree]
-    for (d, tree, n1, n0), xi in zip(entries, xis):
-        by_tree.setdefault(tree.tree_id, []).append((d, n1, n0, xi))
-    for t, tree in enumerate(net.trees):
-        if tree.tree_id not in by_tree:
-            continue
-        ds, n1, n0, xi = zip(*by_tree[tree.tree_id])
-        n1, n0 = np.array(n1), np.array(n0)
-        theta, flags = _finish_rows(np.array(xi, dtype=float), tree,
-                                    regularity_rows(tree, n1, n0))
+    iterations = np.zeros(len(views_list), np.int64)
+    for (t, tree, ds, counts), xi, its in zip(per_tree, xis, most):
+        n1, n0 = counts[:, 0], counts[:, 1]
+        theta, flags = _finish_rows(xi, tree, regularity_rows(tree, n1, n0))
         at = np.ix_(ds, [column[i] for i in tree.order])
         est[t][at], rank[t][at] = theta, flags
         var[t][at] = information_rows(theta, n1, n0, tree)
-        probes[t, list(ds), 0] = [views_list[d].probes[tree.tree_id] for d in ds]
+        probes[t, ds, 0] = [views_list[d].probes[tree.tree_id] for d in ds]
+        iterations[ds] = np.maximum(iterations[ds], its)
 
     present = ~np.isnan(est)
     usable = present & np.isfinite(var) & (var > 0.0)
@@ -824,7 +901,7 @@ def _combine_rows(views_list: list[InternalView], net: GeneralNetwork, per_view,
     xi = xi_rows(on_net, net.padded)[:, net.id_pos]
     flags = _FLAG_NAMES[np.where(none, 3, np.where(chosen, rank, -1).max(axis=0))].tolist()
     return [(dict(zip(links, th)), dict(zip(links, v)), dict(zip(links, fl)))
-            for th, v, fl in zip(_values(theta), _values(xi), flags)]
+            for th, v, fl in zip(_values(theta), _values(xi), flags)], iterations.tolist()
 
 
 def estimator(method: str):

@@ -21,16 +21,21 @@ parent's row, bottom-up, and n_i(1) is the count-weighted sum of link i's
 row, one einsum for all rows.  Bit column j is the j-th ascending leaf link
 id, which internal_views checks against the network before it counts.
 internal_views is the one-table case of internal_views_replicates, which
-ORs up the patterns of many tables, side by side, once per tree.  Tables are
-checked where they are counted (internal_views) or leave the program
-(simulate, parse_data).  InternalView.counts is the one positional read.
-regularity_rows flags a tree's links on many datasets' counts at once.
+ORs up the patterns of many tables, side by side, once per tree, and keeps
+every count by position: each view holds its trees' and its network's
+n1 and n0 as (2 x positions) rows (_CountedView), and builds its link-keyed
+dicts only when something reads them.  InternalView.counts (lists) and
+InternalView.rows, stacked by count_rows, are the positional reads.  Tables
+are checked where they are counted (internal_views) or leave the program
+(simulate, parse_data).  regularity_rows flags a tree's links on many
+datasets' counts at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -152,7 +157,9 @@ class InternalView:
     """Per-link pass/unseen counts, per tree and aggregated across trees.
 
     r is the per-link confirmed pass fraction n1/(n1+n0), or None when the
-    link received no information at all.
+    link received no information at all.  A view built from these dicts
+    reads them by link id; internal_views builds a _CountedView, which
+    keeps the counts by position.
     """
 
     per_tree_n1: dict[int, dict[int, int]]
@@ -167,6 +174,63 @@ class InternalView:
         n1, n0 = ((self.per_tree_n1[s.tree_id], self.per_tree_n0[s.tree_id])
                   if isinstance(s, MulticastTree) else (self.n1, self.n0))
         return list(map(n1.__getitem__, s.order)), list(map(n0.__getitem__, s.order))
+
+    def rows(self, s: GeneralNetwork | MulticastTree) -> np.ndarray:
+        """counts(s) as one (2 x positions) array, n1 above n0."""
+        return np.array(self.counts(s))
+
+    def tree_ids(self) -> list[int]:
+        """The ids of the trees with counts, ascending."""
+        return sorted(self.per_tree_n1)
+
+
+class _CountedView(InternalView):
+    """An InternalView as internal_views_replicates counts it: per tree, and
+    aggregated over the network, n1 above n0 in one (2 x positions) int
+    array over the structure's order (rows, counts).  The link-keyed fields
+    are built from those rows when first read, in the key order and with the
+    plain ints a view from dicts would hold."""
+
+    def __init__(self, net: GeneralNetwork, by_tree: dict[int, np.ndarray],
+                 total: np.ndarray, probes: dict[int, int]):
+        self._net, self._by_tree, self._total, self.probes = net, by_tree, total, probes
+
+    def rows(self, s: GeneralNetwork | MulticastTree) -> np.ndarray:
+        if s is self._net:
+            return self._total
+        if isinstance(s, MulticastTree) and self._net.tree_by_id.get(s.tree_id) is s:
+            return self._by_tree[s.tree_id]
+        return np.array(InternalView.counts(self, s))   # another structure: by link id
+
+    def counts(self, s: GeneralNetwork | MulticastTree) -> tuple[list[int], list[int]]:
+        return tuple(self.rows(s).tolist())
+
+    def tree_ids(self) -> list[int]:
+        return sorted(self._by_tree)
+
+    def _per_tree(self, row: int) -> dict[int, dict[int, int]]:
+        out = {}
+        for k, rows in self._by_tree.items():
+            tree, counts = self._net.tree_by_id[k], rows[row].tolist()
+            out[k] = {i: counts[tree.pos[i]] for i in tree.links}
+        return out
+
+    def _aggregated(self, row: int) -> dict[int, int]:
+        counts, pos = self._total[row].tolist(), self._net.pos
+        return {i: counts[pos[i]] for i in self._net.links}
+
+    per_tree_n1 = cached_property(lambda self: self._per_tree(0))
+    per_tree_n0 = cached_property(lambda self: self._per_tree(1))
+    n1 = cached_property(lambda self: self._aggregated(0))
+    n0 = cached_property(lambda self: self._aggregated(1))
+    r = cached_property(lambda self: dict(zip(self.n1, pass_fractions(
+        list(self.n1.values()), list(self.n0.values())))))
+
+
+def count_rows(views_list: list[InternalView], s: GeneralNetwork | MulticastTree
+               ) -> np.ndarray:
+    """Each view's rows(s) stacked: (datasets x 2 x positions over s.order)."""
+    return np.stack([views.rows(s) for views in views_list])
 
 
 def pass_fractions(n1: list, n0: list) -> list[float | None]:
@@ -207,13 +271,16 @@ def internal_views_replicates(tables: list[PatternTable], net: GeneralNetwork
     (len(tree.order) x patterns) array; row q is ORed into row parent_pos[q],
     children first, and a table's n_i(1) is its own columns of the row
     dotted with its counts, one einsum per table.  n_i(0) is the parent's
-    n(1), or the tree's probes at the root, less n_i(1).  Bits are read by
-    position, so check_fits first rejects a table that does not fit net.
+    n(1), or the tree's probes at the root, less n_i(1), for every table at
+    once, and the tables' counts add into their rows over net.order.  Bits
+    are read by position, so check_fits first rejects a table that does not
+    fit net.
     """
     for patterns in tables:
         check_fits(patterns, net)
     bits = [{k: t.bit_matrix(k) for k in t.probes} for t in tables]
-    seen_n1 = {}   # (table, tree id) -> n_i(1) per position of tree.order
+    total = np.zeros((len(tables), 2, len(net.order)), np.int64)
+    by_tree = [{} for _ in tables]   # per table: tree id -> (2 x positions) over tree.order
     for k in dict.fromkeys(k for t in tables for k in t.counts):
         tree = net.tree_by_id[k]
         up, leaves = tree.parent_pos, list(tree.leaf_pos)
@@ -221,31 +288,26 @@ def internal_views_replicates(tables: list[PatternTable], net: GeneralNetwork
         ends = list(itertools.accumulate((len(tables[r].counts[k]) for r in reps), initial=0))
         counts = np.fromiter(itertools.chain.from_iterable(
             tables[r].counts[k].values() for r in reps), np.int64, ends[-1])
-        seen = np.zeros((len(tree.order), ends[-1]), bool)
+        seen = np.zeros((len(up), ends[-1]), bool)
         for r, a, b in zip(reps, ends, ends[1:]):
             seen[leaves, a:b] = bits[r][k].T
         for q in range(len(up) - 1, 0, -1):
             seen[up[q]] |= seen[q]
+        # per table, n1 above n0; all zeros for a table that does not name tree k
+        rows = np.zeros((len(tables), 2, len(up)), np.int64)
         for r, a, b in zip(reps, ends, ends[1:]):
             # einsum casts its bool operand in buffered chunks; seen @ counts
             # would cast the whole of it to int64 first
-            seen_n1[r, k] = np.einsum("qp,p->q", seen[:, a:b], counts[a:b]).tolist()
-    out = []
-    for r, patterns in enumerate(tables):
-        per_tree_n1, per_tree_n0 = {}, {}
-        agg1, agg0 = dict.fromkeys(net.links, 0), dict.fromkeys(net.links, 0)
-        for k in patterns.counts:
-            tree, n1, n_k = net.tree_by_id[k], seen_n1[r, k], patterns.probes[k]
-            n0 = [(n1[u] if u >= 0 else n_k) - v for u, v in zip(tree.parent_pos, n1)]
-            per_tree_n1[k] = {i: n1[tree.pos[i]] for i in tree.links}
-            per_tree_n0[k] = {i: n0[tree.pos[i]] for i in tree.links}
-            for i, c1, c0 in zip(tree.order, n1, n0):
-                agg1[i] += c1
-                agg0[i] += c0
-        rates = dict(zip(agg1, pass_fractions(list(agg1.values()), list(agg0.values()))))
-        view = InternalView(per_tree_n1, per_tree_n0, agg1, agg0, rates, dict(patterns.probes))
-        out.append((view, regularity_report(view, net)))
-    return out
+            rows[r, 0] = np.einsum("qp,p->q", seen[:, a:b], counts[a:b])
+        n1 = rows[:, 0]
+        rows[:, 1, 0] = [t.probes.get(k, 0) for t in tables] - n1[:, 0]   # the root, position 0
+        rows[:, 1, 1:] = n1[:, up[1:]] - n1[:, 1:]
+        total[:, :, [net.pos[i] for i in tree.order]] += rows
+        for r in reps:
+            by_tree[r][k] = rows[r]
+    return [(_CountedView(net, {k: trees[k] for k in t.counts}, rows, dict(t.probes)),
+             regularity_by_position(net, *counts))
+            for t, trees, rows, counts in zip(tables, by_tree, total, total.tolist())]
 
 
 def check_fits(patterns: PatternTable, net: GeneralNetwork):
@@ -300,7 +362,7 @@ def regularity_rows(tree: MulticastTree, n1: np.ndarray, n0: np.ndarray) -> np.n
     return (n1 == 0) | (n0 == 0) | fails[:, form.parent]
 
 
-def parse_data(text: str, net: GeneralNetwork) -> PatternTable:
+def parse_data(text: str, net: GeneralNetwork, check: bool = True) -> PatternTable:
     """Parse the line-oriented observation format.
 
     Grammar (tokens whitespace separated, '#' starts a comment)::
@@ -312,7 +374,10 @@ def parse_data(text: str, net: GeneralNetwork) -> PatternTable:
 
     The pattern lines are split and checked in bulk, and the loop below reads
     the other lines; it reads them all when a bulk check fails, so that an
-    error names the first bad line.
+    error names the first bad line.  The table then goes through check_fits
+    and PatternTable.validate, unless check is False: internal_views makes
+    the same two checks, in that order, as it counts, so a caller that counts
+    the table next gets the same errors with one build of its bit matrices.
     """
     others, counts = keyword_block(text, "pattern", 4, _pattern_counts)
     name = None
@@ -361,8 +426,9 @@ def parse_data(text: str, net: GeneralNetwork) -> PatternTable:
             raise DataError(f"missing receivers line for tree {k}")
         counts.setdefault(k, {})
     table = PatternTable(name, probes, receivers, counts)
-    check_fits(table, net)
-    table.validate()
+    if check:
+        check_fits(table, net)
+        table.validate()
     return table
 
 

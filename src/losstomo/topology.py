@@ -138,7 +138,8 @@ class MulticastTree:
 
     @cached_property
     def padded(self) -> PaddedForm:
-        return PaddedForm(self.child_pos, tuple(() if p < 0 else (p,) for p in self.parent_pos))
+        return PaddedForm(self.child_pos, tuple(() if p < 0 else (p,) for p in self.parent_pos),
+                          self.brother_pos)
 
     def __eq__(self, other):
         return (isinstance(other, MulticastTree)
@@ -229,7 +230,7 @@ class GeneralNetwork:
 
     @cached_property
     def padded(self) -> PaddedForm:
-        return PaddedForm(self.child_pos, self.parent_pos)
+        return PaddedForm(self.child_pos, self.parent_pos, self.brother_pos)
 
     def __eq__(self, other):
         return (isinstance(other, GeneralNetwork)
@@ -246,8 +247,9 @@ class GeneralNetwork:
 
 
 class PaddedForm:
-    """A positional form's child sets and parent sets, as index arrays for
-    products, sums and recursions over (datasets x positions) arrays.
+    """A positional form's child sets, parent sets and brother sets, as index
+    arrays for products, sums and recursions over (datasets x positions)
+    arrays.
 
     Index len(child_pos) names a padding column: a caller fills it with 1.0
     for a product and with 0 or False for a sum, so a padded row adds its
@@ -264,6 +266,10 @@ class PaddedForm:
            (the longest chain of parent links), roots first, each position's
            parents in the given order, padded to the widest parent set:
            pcem's parents-first order.
+    brothers: (widest brother set x sets), each set of brother_pos as
+           listed, then the padding index: the slots of le_xi's and mvwa's
+           array sort.  On a network these sets group links by the node
+           they hang from, which may differ from the child sets of kids.
     A form whose links have one parent at most, as every tree's, also has
     parent: each position's parent, the padding index at a root;
     falls: (positions, parents, brothers) per depth below the roots,
@@ -272,9 +278,11 @@ class PaddedForm:
     """
 
     def __init__(self, child_pos: tuple[tuple[int, ...], ...],
-                 parent_pos: tuple[tuple[int, ...], ...]):
+                 parent_pos: tuple[tuple[int, ...], ...],
+                 brother_pos: tuple[tuple[int, ...], ...]):
         m = len(child_pos)
         self.kids = kids = _padded_table(child_pos)
+        self.brothers = _padded_table(brother_pos, m)
         self.seed = (kids < m).any(axis=0).astype(float)
         self.rises = tuple((at, kids[:, at]) for at in _levels(_chain_lengths(kids), 1))
         ups = _padded_table(parent_pos)
@@ -290,12 +298,12 @@ class PaddedForm:
         self.falls = tuple((at, parent[at], brothers[:, at]) for at in depths[1:])
 
 
-def _padded_table(sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """(widest set x positions): each position's set as listed, then the
-    padding index len(sets)."""
+def _padded_table(sets: tuple[tuple[int, ...], ...], pad: int | None = None) -> np.ndarray:
+    """(widest set x sets): each set as listed, then the padding index pad,
+    by default len(sets), the position count of a table over positions."""
     m = len(sets)
     widths = np.fromiter(map(len, sets), np.intp, m)
-    table = np.full((widths.max(initial=0), m), m, np.intp)
+    table = np.full((widths.max(initial=0), m), m if pad is None else pad, np.intp)
     # row-major over table.T: each position's set in turn
     table.T[np.arange(len(table)) < widths[:, None]] = list(chain.from_iterable(sets))
     return table

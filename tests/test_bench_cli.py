@@ -294,6 +294,42 @@ class TestBatchedGrid:
         assert checks and max(checks) == len(made)
         assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
 
+    def test_grid_builds_no_link_keyed_view_dict(self, monkeypatch):
+        # the estimators read the pooled views by position: no view of the
+        # benchmark's layered49 grid builds its link-keyed fields, r included
+        net = fixtures.layered49()
+        grid = parse_grid("".join(f"cell {a} {b} {n} 10 le-xi,pcem,mvwa\n"
+                                  for a, b in [(1, 100), (5, 1000), (2, 1000), (1, 1000)]
+                                  for n in (50, 100, 200, 500)), master_seed=1)
+        made = []
+        real = bench.internal_views_replicates
+        monkeypatch.setattr(bench, "internal_views_replicates", lambda tables, net: [
+            made.append(pair[0]) or pair for pair in real(tables, net)])
+        rows = run_grid(grid, net).rows
+        fields = {"per_tree_n1", "per_tree_n0", "n1", "n0", "r"}
+        assert len(made) == 160 and len(rows) == 480
+        assert [sorted(fields & vars(views).keys()) for views in made] == [[]] * len(made)
+        # a read builds the field, as the scan above would see
+        assert made[0].r and "r" in vars(made[0])
+
+    def test_pools_past_the_size_rule_solve_on_arrays(self, monkeypatch):
+        # the benchmark's layered49 grid pools 70, 70 and 20 datasets; le-xi's
+        # last pool (960 positions) is below ARRAY_MIN_POSITIONS and settles
+        # its brother sets per dataset, every other pooled call on arrays
+        net = fixtures.layered49()
+        grid = parse_grid("".join(f"cell {a} {b} {n} 10 le-xi,pcem,mvwa\n"
+                                  for a, b in [(1, 100), (5, 1000), (2, 1000), (1, 1000)]
+                                  for n in (50, 100, 200, 500)), master_seed=1)
+        solves = []
+        solve_xi, solve_rows = estimators._solve_xi, estimators._solve_rows
+        monkeypatch.setattr(estimators, "_solve_xi", lambda problems: solves.append(
+            ("scalar", len(problems))) or solve_xi(problems))
+        monkeypatch.setattr(estimators, "_solve_rows", lambda problems: solves.append(
+            ("rows", [len(r) for _, r in problems])) or solve_rows(problems))
+        run_grid(grid, net)
+        assert solves == [("rows", [70]), ("rows", [70, 70])] * 2 + [
+            ("scalar", 20), ("rows", [20, 20])]
+
     def test_pooled_sets_reach_the_batched_solve(self, monkeypatch):
         # no replicate alone has BATCH_MIN_SETS sets that need an interior root,
         # the ten of a batch do; the batched solve must count each one's iterations

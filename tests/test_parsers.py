@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from losstomo import fixtures, statistics, topology
+from losstomo import cli, fixtures, statistics, topology
 from losstomo.bench import GridError, parse_grid
 from losstomo.params import parse_rates
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import DataError, parse_data, serialize_data
+from losstomo.estimators import METHODS
+from losstomo.statistics import DataError, PatternTable, parse_data, serialize_data
 from losstomo.topology import (TopologyError, keyword_block, parse_topology,
                                serialize_topology)
 
@@ -184,6 +185,39 @@ def test_data_error_text_is_exact(net, text, msg):
     with pytest.raises(DataError) as exc:
         parse_data(text, net)
     assert str(exc.value) == msg
+
+
+def _estimate(tmp_path, net, text, method) -> int:
+    topo, data = tmp_path / "net.topo", tmp_path / "probes.data"
+    topo.write_text(serialize_topology(net))
+    data.write_text(text)
+    return cli.main(["estimate", "--topology", str(topo), "--data", str(data),
+                     "--method", method, "--out", str(tmp_path / "out.csv")])
+
+
+@pytest.mark.parametrize("net,text,msg", DATA_ERRORS)
+def test_estimate_reports_the_data_error_text(net, text, msg, tmp_path, capsys):
+    # estimate leaves a table's closing checks to internal_views, and nem,
+    # which refuses a large network first, to parse_data: every method
+    # prints parse_data's message and exits 2
+    for method in METHODS:
+        assert _estimate(tmp_path, net, text, method) == 2
+        assert capsys.readouterr().err.startswith(f"error: {msg}\n"), method
+
+
+def test_estimate_builds_each_bit_matrix_once(tmp_path, monkeypatch):
+    net = fixtures.twotree12()
+    text = serialize_data(simulate(SimConfig(net, 200, 1),
+                                   sample_theta(1, 10, net, np.random.default_rng(1))))
+    built = []
+    real = PatternTable.bit_matrix
+    monkeypatch.setattr(PatternTable, "bit_matrix",
+                        lambda table, k: built.append(k) or real(table, k))
+    for method in METHODS:
+        del built[:]
+        assert _estimate(tmp_path, net, text, method) == 0
+        # nem's table is checked by parse_data, then counted by internal_views
+        assert built == [1, 2] * (2 if method == "nem" else 1), method
 
 
 def test_probes_line_needs_a_tree_and_a_count():

@@ -9,11 +9,15 @@ mvwa hands every tree's sets to one _solve_interiors call, and must equal
 tests/mvwa_reference.py, which runs le_xi on each tree's sub-network.
 Both estimators finish per dataset or, from ARRAY_MIN_POSITIONS positions
 on, on (datasets x positions) arrays; every comparison runs with that
-constant forced each way (ARRAY_PATHS).  pcem_replicates sweeps every
-dataset at once on arrays and must equal pcem on each dataset, field for
-field and in key order.
+constant forced each way (ARRAY_PATHS).  That rule also picks the
+brother-set solve: from ARRAY_MIN_POSITIONS on, _solve_rows sorts every set
+on (datasets x sets) arrays, where _solve_xi runs _solve_node per set and
+dataset; the two must give the same results on sets of every kind.
+pcem_replicates sweeps every dataset at once on arrays and must equal pcem
+on each dataset, field for field and in key order.
 """
 
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -25,11 +29,11 @@ from hypothesis import given, settings, strategies as st
 from losstomo import estimators, fixtures
 from losstomo.estimators import (_brother_columns, _residual_and_slope,
                                  _residuals_and_slopes, _solve_interior,
-                                 _solve_interior_rows, le_xi, mvwa, mvwa_replicates, pcem,
-                                 pcem_replicates)
+                                 _solve_interior_rows, le_xi, le_xi_replicates, left_sum, mvwa,
+                                 mvwa_replicates, pcem, pcem_replicates)
 from losstomo.simulator import SimConfig, sample_theta, simulate
 from losstomo.statistics import (InternalView, PatternTable, internal_views,
-                                 internal_views_replicates)
+                                 internal_views_replicates, pass_fractions)
 from losstomo.topology import parse_topology
 
 from mvwa_reference import mvwa_reference
@@ -392,3 +396,165 @@ def test_pcem_replicates_clamp_the_unseen_count():
     views = InternalView({}, {}, n1, n0, {i: n1[i] / (n1[i] + n0[i]) for i in n1}, {1: 10, 2: 10})
     want = _assert_pcem_replicates_equal_pcem([(views, None)] * 3, fixtures.shared_pair())
     assert all(r.theta_hat[2] == 0.0 for r in want)
+
+
+# the kinds of brother set _solve_node tells apart
+SET_KINDS = {"none", "zero", "one", "exhausted", "interior"}
+
+
+def _set_kinds(pairs, net):
+    """The SET_KINDS that the brother sets of these views reach, on the
+    network (le_xi) and on each tree with counts (mvwa)."""
+    kinds = set()
+    for views, _ in pairs:
+        for s in [net, *map(net.tree_by_id.__getitem__, views.tree_ids())]:
+            r = pass_fractions(*views.counts(s))
+            for rs in ([r[j] for j in b] for b in s.brother_pos):
+                if None in rs:
+                    kinds.add("none")
+                    continue
+                kinds |= {"zero"} if 0.0 in rs else set()
+                kinds |= {"one"} if 1.0 in rs else set()
+                mid = [v for v in rs if 0.0 < v < 1.0]
+                if mid and 1.0 not in rs:
+                    kinds.add("interior" if left_sum(mid) > 1.0 else "exhausted")
+    return kinds
+
+
+def _assert_array_solve_matches_scalar(pairs, net):
+    """le_xi and mvwa on each dataset alone, and le_xi_replicates and
+    mvwa_replicates on all of them, give the same theta_hat, xi_hat, flags
+    and iterations, by repr, with ARRAY_MIN_POSITIONS forced to 0 (the array
+    solve, _solve_rows) and to 10**9 (_solve_node per set), each under
+    BATCH_MIN_SETS 0 and 10**9.  Returns the results of the scalar runs."""
+    views, reports = [v for v, _ in pairs], [r for _, r in pairs]
+    runs, calls = {}, []
+    solve_rows = estimators._solve_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_solve_rows", lambda *a: calls.append(1) or solve_rows(*a))
+        for array, batch in itertools.product(ARRAY_PATHS, (0, 10**9)):
+            mp.setattr(estimators, "ARRAY_MIN_POSITIONS", array)
+            mp.setattr(estimators, "BATCH_MIN_SETS", batch)
+            del calls[:]
+            results = [f(v, net, report=r) for f in (le_xi, mvwa) for v, r in pairs]
+            results += le_xi_replicates(views, net, reports) + mvwa_replicates(views, net, reports)
+            assert bool(calls) == (array == 0)   # the forced path ran
+            runs[array, batch] = results
+    want = runs[ARRAY_PATHS[1], 0]
+    for key, got in runs.items():
+        for a, b in zip(got, want, strict=True):
+            assert ((repr(a.theta_hat), repr(a.xi_hat), repr(a.flags), repr(a.iterations))
+                    == (repr(b.theta_hat), repr(b.xi_hat), repr(b.flags), repr(b.iterations))), key
+    return want
+
+
+@st.composite
+def _edge_datasets(draw):
+    """A _networks() draw and one to four tables simulated on it from
+    Beta(1, 10) rates, some links set to 0 or 1, so that brother sets see
+    r = 0 and r = 1; one probe leaves every tree but the first without any,
+    and its rows None."""
+    net = draw(_networks())
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        seed = draw(st.integers(0, 2**16))
+        theta = sample_theta(1, 10, net, np.random.default_rng(seed))
+        edges = draw(st.lists(st.sampled_from([None, None, None, 0.0, 1.0]),
+                              min_size=len(theta), max_size=len(theta)))
+        theta = {i: v if e is None else e for (i, v), e in zip(theta.items(), edges)}
+        probes = draw(st.sampled_from([1, 2, 5, 40, 300]))
+        tables.append(simulate(SimConfig(net, probes, seed), theta))
+    return net, tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_datasets())
+def test_array_solve_equals_scalar_solve_small_nets(case):
+    net, tables = case
+    _assert_array_solve_matches_scalar(internal_views_replicates(tables, net), net)
+
+
+def _star_views(counts):
+    """Views of kary_tree(4, 1), root link 1 above leaves 2 to 5, from one
+    table of the given pattern counts."""
+    net = fixtures.kary_tree(4, 1)
+    table = PatternTable("star", {1: sum(counts.values())}, {1: (2, 3, 4, 5)}, {1: counts})
+    return net, internal_views_replicates([table], net)
+
+
+# the leaves' pass fractions 0.56, 0.16, 0.18 and 0.1 add to 1 + 2**-52 left
+# to right, and to 1.0 right to left: the set waits on an interior root
+EXHAUSTION = {"1000": 56, "0100": 16, "0010": 18, "0001": 10, "0000": 20}
+# fractions 0.5, 0.25, 0.25 add to exactly 1.0: the set is exhausted
+EXACT_ONE = {"1000": 50, "0100": 25, "0010": 25, "0000": 20}
+
+
+@pytest.mark.parametrize("counts,kinds", [(EXHAUSTION, {"interior"}),
+                                          (EXACT_ONE, {"exhausted", "zero"})],
+                         ids=["exhaustion", "exact_one"])
+def test_array_solve_keeps_the_exhaustion_decision(counts, kinds):
+    net, pairs = _star_views(counts)
+    assert _set_kinds(pairs, net) == kinds
+    xi = _assert_array_solve_matches_scalar(pairs, net)[0].xi_hat
+    # the mid brothers: an exhausted set pins them at 1, a root leaves them below
+    assert [xi[i] == 1.0 for i in (2, 3, 4)] == ["exhausted" in kinds] * 3
+
+
+def _edge_tables(net, probe_counts, seed=0):
+    """Beta(1, 10) tables on net with every third link lossless and every
+    seventh link losing every probe."""
+    theta = sample_theta(1, 10, net, np.random.default_rng(seed))
+    for q, i in enumerate(sorted(theta)):
+        theta[i] = 0.0 if q % 3 == 0 else 1.0 if q % 7 == 6 else theta[i]
+    return [simulate(SimConfig(net, probes, seed + j), theta)
+            for j, probes in enumerate(probe_counts)]
+
+
+@pytest.mark.parametrize("make_net,probe_counts", [
+    pytest.param(lambda: parse_topology(SPLIT_NODE), [1, 40, 400], id="split_node"),
+    pytest.param(lambda: parse_topology(SPLIT_NODE_SWAPPED), [1, 40, 400],
+                 id="split_node_swapped"),
+    pytest.param(fixtures.twotree12, [1, 30, 300], id="twotree12"),
+    pytest.param(fixtures.layered49, [1, 50, 500] * 3, id="layered49"),
+    pytest.param(lambda: HUB, [1, 2000], id="hub"),
+])
+def test_array_solve_equals_scalar_solve(make_net, probe_counts):
+    net = make_net()
+    pairs = internal_views_replicates(_edge_tables(net, probe_counts), net)
+    pairs += internal_views_replicates(_tables(net, 1, 100, probe_counts[1:]), net)
+    kinds = _set_kinds(pairs, net)
+    # a one-probe table leaves a tree without probes, and lossless links give r = 1
+    assert {"none", "one"} <= kinds
+    _assert_array_solve_matches_scalar(pairs, net)
+
+
+def test_array_solve_cases_cover_every_kind_of_set():
+    kinds = set()
+    for make_net, probe_counts in [(fixtures.layered49, [1, 50, 500]), (lambda: HUB, [1, 2000])]:
+        net = make_net()
+        kinds |= _set_kinds(internal_views_replicates(_edge_tables(net, probe_counts), net), net)
+    for counts in (EXHAUSTION, EXACT_ONE):
+        net, pairs = _star_views(counts)
+        kinds |= _set_kinds(pairs, net)
+    assert kinds == SET_KINDS
+
+
+# node 1 is reached by link 1 (tree 1) and link 2 (tree 2); links 3 and 5
+# hang from it in both trees, link 4 in tree 2 alone
+SPLIT_THREE = ("network split_three\nlink 1 10 1\nlink 2 20 1\nlink 3 1 2\nlink 4 1 3\n"
+               "link 5 1 4\ntree 1 1 : 1 3 5\ntree 2 2 : 2 3 4 5\n")
+
+
+def test_array_solve_leaves_a_set_with_a_none_brother_none():
+    # without tree 2's probes, link 4 has no information, while its brothers
+    # 3 and 5 pass nearly every probe of tree 1: their fractions add past 1,
+    # and the set still stays None
+    net = parse_topology(SPLIT_THREE)
+    full = simulate(SimConfig(net, 800, 1), sample_theta(1, 100, net, np.random.default_rng(1)))
+    table = PatternTable(full.name, {1: full.probes[1], 2: 0}, full.receivers,
+                         {1: full.counts[1], 2: {}})
+    pairs = internal_views_replicates([table, full], net)
+    r = dict(zip(net.order, pass_fractions(*pairs[0][0].counts(net))))
+    assert r[4] is None and r[3] + r[5] > 1.0 and 0.0 < min(r[3], r[5]) < 1.0
+    alone = _assert_array_solve_matches_scalar(pairs, net)[0]
+    assert [alone.xi_hat[i] for i in (3, 4, 5)] == [None] * 3
