@@ -53,7 +53,11 @@ alone in the other.  The commands:
   replicates; and at the edges of its pools across cells: consecutive
   cells whose probes per tree sum to exactly BLOCK_PROBES, a cell one
   probe past it, cells with differing method lists, and pcem cells that
-  fill a pool up to POOL_POSITIONS positions and one dataset past it;
+  fill a pool up to POOL_POSITIONS positions and one dataset past it; and
+  at the edges of its true rates, drawn once per setting and replicate: a
+  setting that returns after another one, with more replicates, and
+  Beta(1.0000001,100) after Beta(1,100) at another probe count, whose seeds
+  and printed setting equal Beta(1,100)'s;
 * one estimate per BAD_TOPOLOGIES file, each malformed in a different way
   (exit 2), so the log pins every topology error message;
 * one le-xi estimate on star3 per BAD_DATA file, each malformed in a
@@ -124,6 +128,10 @@ EDGE_GRIDS = (
     # pcem's datasets stop at different sweeps in both pools
     ("layered49", "cell 1 100 300 40 le-xi,pcem,mvwa\ncell 1 1000 150 33 pcem,mvwa\n"
                   "cell 2 1000 80 1 le-xi,pcem\ncell 5 1000 400 20 pcem\n"),
+    # Beta(1,100) returns after Beta(2,60) with more replicates, and
+    # Beta(1.0000001,100) follows it at another probe count
+    ("twotree12", "cell 1 100 60 3 le-xi,pcem\ncell 2 60 60 2 mvwa,nem\n"
+                  "cell 1 100 100 5 le-xi,mvwa\ncell 1.0000001 100 80 2 le-xi,pcem,mvwa\n"),
 )
 WIDE_STARS = (64, 65)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"

@@ -1,7 +1,8 @@
 """Monte Carlo benchmark: methods x rate settings x sample sizes x replicates.
 
 Per setting and replicate, one true rate vector is drawn and reused for
-every sample size, so MSE comparisons across sizes are paired.  All seeds
+every sample size, so MSE comparisons across sizes are paired; run_grid
+draws it once while consecutive cells share the setting.  All seeds
 derive from the master seed plus the cell coordinates; reruns are
 byte-identical apart from the runtime column.
 A cell's replicates are simulated and counted together, in batches of at
@@ -9,7 +10,9 @@ most BLOCK_PROBES probes per tree.  nem, the one reader of a pattern table,
 runs on each batch's tables as they are made; the batches' views, reports
 and true rates are pooled across cells up to POOL_POSITIONS positions, and
 le-xi, pcem and mvwa run once on each pool, each row timed at an equal
-share of that call.  The rows are those of running each alone.
+share of that call.  The pooled reports are filled only where a method
+reads them: the array paths take their flags from the pool's count rows.
+The rows are those of running each alone.
 """
 
 from __future__ import annotations
@@ -174,10 +177,15 @@ def mse(theta_hat: dict[int, float | None], theta_true: dict[int, float]) -> flo
     2M random doubles) and from np.power with an array exponent (54556), and
     numpy sums pairwise, not left to right; a vectorised mse would change
     the CSV."""
-    common = [i for i, v in theta_hat.items() if v is not None and i in theta_true]
+    total, common = 0.0, 0
+    # one pass in theta_hat's key order, each square added left to right
+    for i, v in theta_hat.items():
+        if v is not None and i in theta_true:
+            total += (v - theta_true[i]) ** 2
+            common += 1
     if not common:
         raise ValueError("no estimable links in common")
-    return left_sum((theta_hat[i] - theta_true[i]) ** 2 for i in common) / len(common)
+    return total / common
 
 
 def _theta_seed(master: int, cell: GridCell, replicate: int) -> np.random.SeedSequence:
@@ -248,12 +256,18 @@ def run_grid(grid: ExperimentGrid, net: GeneralNetwork,
     would take the pool past POOL_POSITIONS positions, counted as datasets
     times the sum of the trees' positions (a batch past it alone is a pool of
     its own); then each of those methods runs on the pool's datasets whose
-    cell lists it (_pool_rows).
+    cell lists it (_pool_rows).  The true rates of a setting's replicates are
+    drawn once and kept while the next cell has the same (beta_a, beta_b),
+    the floats and not the setting string or the seeds, which coincide for
+    settings a little apart; a setting that returns later is drawn again.
     workers is accepted and ignored: the replicates run on the calling thread.
     """
     rows, pool = [], []
     size = sum(len(tree.order) for tree in net.trees)   # positions per dataset
+    setting, drawn = None, {}   # the current (beta_a, beta_b)'s true rates, by replicate
     for cell in grid.cells():
+        if (cell.beta_a, cell.beta_b) != setting:
+            setting, drawn = (cell.beta_a, cell.beta_b), {}
         tree_probes = -(-cell.probes // len(net.trees))   # the first tree's share
         step = max(1, BLOCK_PROBES // max(tree_probes, 1))
         pooled = any(m in _BATCHED for m in cell.methods)   # not nem alone
@@ -262,8 +276,11 @@ def run_grid(grid: ExperimentGrid, net: GeneralNetwork,
             if pooled and (len(pool) + len(reps)) * size > POOL_POSITIONS:
                 rows += _pool_rows(net, pool)
                 pool = []
-            truths = [sample_theta(cell.beta_a, cell.beta_b, net, np.random.Generator(
-                np.random.Philox(seed=_theta_seed(grid.master_seed, cell, rep)))) for rep in reps]
+            for rep in reps:
+                if rep not in drawn:
+                    drawn[rep] = sample_theta(cell.beta_a, cell.beta_b, net, np.random.Generator(
+                        np.random.Philox(seed=_theta_seed(grid.master_seed, cell, rep))))
+            truths = [drawn[rep] for rep in reps]
             tables = simulate_replicates(
                 [SimConfig(net, cell.probes, _data_seed(grid.master_seed, cell, rep),
                            replicate=rep) for rep in reps], truths)

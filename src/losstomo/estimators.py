@@ -33,8 +33,10 @@ positions in one call (datasets times the network's positions for le_xi,
 times the observed trees' positions for mvwa), they read the views as
 (datasets x positions) arrays (statistics.count_rows), _solve_rows sorts
 every brother set on (datasets x sets) arrays as _solve_node does, and
-_finish_rows turns xi into theta and flags, nan for None; mvwa's regularity
-flags, variances and average follow on arrays too (_combine_rows).  Below
+_finish_rows turns xi into theta and flags, nan for None; the regularity
+flags come from the count rows (statistics.regularity_rows), not from the
+reports, and mvwa's variances and average follow on arrays too
+(_combine_rows).  Below
 it, numpy's per-call overhead and the first build of a structure's padded
 tables (topology.PaddedForm) outweigh the per-dataset saving:
 _solve_xi settles each set per dataset with _solve_node and _finish runs
@@ -50,7 +52,9 @@ flag rule of all four (_flag_rows on arrays), _clamp the one projection
 onto [0, 1], shared with project_to_theta_star, and _clamp_mean the one
 clamp of mvwa's averages.  Links whose data fail the regularity
 conditions are still estimated but flagged; links with no information at
-all come back as None.
+all come back as None.  A report that a caller passes in reaches its
+result; where flags are read on arrays, and in pcem_replicates, it is only
+carried there, so a report of internal_views_replicates stays unfilled.
 """
 
 from __future__ import annotations
@@ -260,7 +264,7 @@ class EstimateResult:
         return sorted(i for i, v in self.theta_hat.items() if v is not None)
 
     def violations(self) -> int:
-        return sum(1 for f in self.flags.values() if f != FLAG_OK)
+        return len(self.flags) - list(self.flags.values()).count(FLAG_OK)
 
 
 def _clamp(v: float | None) -> float | None:
@@ -450,14 +454,6 @@ def _flag_rows(theta: np.ndarray, bad: np.ndarray) -> np.ndarray:
                     np.where(bad, 2, np.where((theta <= 0.0) | (theta >= 1.0), 1, 0)))
 
 
-def _marks(id_sets: list[frozenset[int]], net: GeneralNetwork) -> np.ndarray:
-    """(datasets x positions over net.order): True at each dataset's link ids."""
-    marks = np.zeros((len(id_sets), len(net.order)), bool)
-    for row, ids in zip(marks, id_sets):
-        row[[net.pos[i] for i in ids]] = True
-    return marks
-
-
 def _on_arrays(positions: int) -> bool:
     """The size rule: solve and finish on arrays from ARRAY_MIN_POSITIONS
     positions in all, summed over the datasets and the networks or trees of
@@ -498,25 +494,27 @@ def le_xi_replicates(views_list: list[InternalView], net: GeneralNetwork,
     """le_xi on each dataset's views and report (None: computed here).
 
     mvwa's two steps on net alone, for every dataset at once: by the size
-    rule, _solve_xi and a _finish per dataset, or _solve_rows and
-    _finish_rows on (datasets x positions) arrays.  A result's iterations
-    is its own largest solver iteration count.
+    rule, _solve_xi and a _finish per dataset on its report's flags, or
+    _solve_rows and _finish_rows on (datasets x positions) arrays, flagged
+    by regularity_rows on the count rows.  A result's iterations is its own
+    largest solver iteration count.
     """
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
-    flagged = [report.flagged() for report in reports]
     if _on_arrays(len(views_list) * len(net.order)):
-        (xi,), (iterations,) = _solve_rows([(net, _pass_rows(count_rows(views_list, net)))])
-        theta, rank = _finish_rows(xi, net, _marks(flagged, net))
+        counts = count_rows(views_list, net)
+        (xi,), (iterations,) = _solve_rows([(net, _pass_rows(counts))])
+        theta, rank = _finish_rows(xi, net, regularity_rows(net, counts[:, 0], counts[:, 1]))
         at = list(net.id_pos)
         finished = zip(_values(theta[:, at]), _values(xi[:, at]),
                        _FLAG_NAMES[rank[:, at]].tolist(), iterations.tolist())
     else:
         xis, iterations = _solve_xi([(net, pass_fractions(*v.counts(net))) for v in views_list])
-        finished = ([[rows[q] for q in net.id_pos] for rows in (theta, xi, flags)] + [its]
-                    for xi, its, (theta, flags) in zip(
-                        xis, iterations, map(_finish, xis, itertools.repeat(net), flagged)))
+        finished = []
+        for xi, its, report in zip(xis, iterations, reports):
+            theta, flags = _finish(xi, net, report.flagged())
+            finished.append([[rows[q] for q in net.id_pos] for rows in (theta, xi, flags)] + [its])
     ids = [net.order[q] for q in net.id_pos]
     out = [EstimateResult("le-xi", dict(zip(ids, theta)), dict(zip(ids, xi)),
                           dict(zip(ids, flags)), its, report, 0.0)
@@ -631,15 +629,17 @@ def pcem_replicates(views_list: list[InternalView], net: GeneralNetwork,
     and each dataset's rates are pcem's bits.  A dataset leaves the sweeps
     once its max|theta change| <= tol, with its own iterations and
     converged; tol <= 0 runs every dataset max_iter sweeps.  The finish runs
-    on arrays too: theta nan for no_information, xi from xi_rows, flags by
-    _flag_rows; the keys keep pcem's order.  Each result gets an equal share
-    of the call's time.
+    on arrays too: theta nan where n1 + n0 == 0 (no_information), xi from
+    xi_rows, flags by _flag_rows on regularity_rows of the count rows; the
+    keys keep pcem's order.  Each result gets an equal share of the call's
+    time.
     """
     t0 = time.perf_counter()
     reports = [regularity_report(v, net) if r is None else r
                for v, r in zip(views_list, reports)]
     form, m = net.padded, len(net.order)
-    n1, n0 = count_rows(views_list, net).astype(float).transpose(1, 0, 2)
+    counts = count_rows(views_list, net)
+    n1, n0 = counts.astype(float).transpose(1, 0, 2)
     theta = np.full((len(views_list), m), 0.03)   # pcem's default start
     iterations = np.zeros(len(views_list), np.intp)
     converged = np.zeros(len(views_list), bool)
@@ -676,9 +676,9 @@ def pcem_replicates(views_list: list[InternalView], net: GeneralNetwork,
             if not len(live):
                 break
     theta[live] = th
-    theta[_marks([r.no_information for r in reports], net)] = math.nan
+    theta[counts.sum(axis=1) == 0] = math.nan   # no information
     xi = xi_rows(theta, form)[:, net.id_pos]
-    rank = _flag_rows(theta, _marks([r.flagged() for r in reports], net))
+    rank = _flag_rows(theta, regularity_rows(net, counts[:, 0], counts[:, 1]))
     links = [(i, net.pos[i]) for i in net.links]
     ids = [net.order[q] for q in net.id_pos]
     out = [EstimateResult("pcem", {i: rates[q] for i, q in links}, dict(zip(ids, x)),

@@ -27,16 +27,20 @@ n1 and n0 as (2 x positions) rows (_CountedView), and builds its link-keyed
 dicts only when something reads them.  InternalView.counts (lists) and
 InternalView.rows, stacked by count_rows, are the positional reads.  Tables
 are checked where they are counted (internal_views) or leave the program
-(simulate, parse_data).  regularity_rows flags a tree's links on many
-datasets' counts at once.
+(simulate, parse_data).  Each view's regularity report holds the same
+aggregated row and fills its fields on first read (_CountedReport), so a
+pooled grid whose estimators take their flags on arrays builds none:
+regularity_rows flags the links of a network or a tree on many datasets'
+counts at once, as regularity_by_position does on one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -256,6 +260,39 @@ class RegularityReport:
     def flagged(self) -> frozenset[int]:
         return self.n1_zero | self.n0_zero | self.no_information | self.brother_sum_violation
 
+    def __eq__(self, other):
+        # over the five fields, so that a report equals a _CountedReport of
+        # the same counts; the dataclass __eq__ refuses another class
+        if not isinstance(other, RegularityReport):
+            return NotImplemented
+        return _report_fields(self) == _report_fields(other)
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(RegularityReport))
+_report_fields = attrgetter(*_REPORT_FIELDS)
+
+
+class _CountedReport(RegularityReport):
+    """A RegularityReport as internal_views_replicates returns it: it holds
+    the dataset's aggregated (2 x positions) count row over net.order, and
+    the first read of a field fills all five from regularity_by_position;
+    later reads are plain attributes.  The estimators' array paths take
+    their flags from the count rows (regularity_rows), so a report that
+    only travels into their results is never filled."""
+
+    def __init__(self, net: GeneralNetwork, rows: np.ndarray):
+        self._net, self._rows = net, rows
+
+    def __getattr__(self, name: str):
+        if name not in _REPORT_FIELDS:
+            raise AttributeError(name)
+        vars(self).update(vars(regularity_by_position(self._net, *self._rows.tolist())))
+        return vars(self)[name]
+
+    def __repr__(self):
+        # a result prints alike wherever its report was made
+        return repr(RegularityReport(*_report_fields(self)))
+
 
 def internal_views(patterns: PatternTable, net: GeneralNetwork
                    ) -> tuple[InternalView, RegularityReport]:
@@ -306,8 +343,8 @@ def internal_views_replicates(tables: list[PatternTable], net: GeneralNetwork
         for r in reps:
             by_tree[r][k] = rows[r]
     return [(_CountedView(net, {k: trees[k] for k in t.counts}, rows, dict(t.probes)),
-             regularity_by_position(net, *counts))
-            for t, trees, rows, counts in zip(tables, by_tree, total, total.tolist())]
+             _CountedReport(net, rows))
+            for t, trees, rows in zip(tables, by_tree, total)]
 
 
 def check_fits(patterns: PatternTable, net: GeneralNetwork):
@@ -348,18 +385,22 @@ def regularity_by_position(s: GeneralNetwork | MulticastTree, n1: list, n0: list
                             not (n1_zero or n0_zero or no_info or brother_bad))
 
 
-def regularity_rows(tree: MulticastTree, n1: np.ndarray, n0: np.ndarray) -> np.ndarray:
-    """regularity_by_position(tree, n1, n0).flagged() on (datasets x positions)
-    count arrays over tree.order, as a mask: a tree's brother set is fed by
-    its parent alone."""
-    form = tree.padded
+def regularity_rows(s: GeneralNetwork | MulticastTree, n1: np.ndarray, n0: np.ndarray
+                    ) -> np.ndarray:
+    """regularity_by_position(s, n1, n0).flagged() on (datasets x positions)
+    count arrays over s.order, s a network or a tree, as a mask: the sums of
+    n1 over each set's feeds and brothers (s.padded's feeds and brothers,
+    padded with a column of 0) decide which sets fail, and a failed set
+    marks its brothers."""
+    form, m = s.padded, len(s.order)
     padded = np.concatenate([n1, np.zeros((len(n1), 1), n1.dtype)], axis=1)
-    below = 0
-    for k in form.kids:
-        below = below + padded[:, k]
-    fails = (form.seed > 0.0) & (n1 > 0) & (n1 >= below)
+    attempts = padded[:, form.feeds].sum(axis=1)
+    fails = (attempts > 0) & (attempts >= padded[:, form.brothers].sum(axis=1))
+    # each position's set; a root's is the padding column of fails
+    at = np.full(m + 1, fails.shape[1])
+    at[form.brothers] = np.arange(fails.shape[1])
     fails = np.concatenate([fails, np.zeros((len(n1), 1), bool)], axis=1)
-    return (n1 == 0) | (n0 == 0) | fails[:, form.parent]
+    return (n1 == 0) | (n0 == 0) | fails[:, at[:m]]
 
 
 def parse_data(text: str, net: GeneralNetwork, check: bool = True) -> PatternTable:

@@ -19,7 +19,7 @@ links feeding each set (feed_pos) and of the root links (root_pos), read by
 statistics.regularity_by_position, le_xi and mvwa.  No other module builds
 a link-to-index map.  Each structure's padded property holds the same form
 as index arrays (PaddedForm), built on first use, for the estimators' array
-path over (datasets x positions).
+path over (datasets x positions) and statistics.regularity_rows.
 
 Only this module reads a network's link dicts (child_links, parent_links,
 brother_sets, source_links); the numeric layers read the positional form.
@@ -139,7 +139,7 @@ class MulticastTree:
     @cached_property
     def padded(self) -> PaddedForm:
         return PaddedForm(self.child_pos, tuple(() if p < 0 else (p,) for p in self.parent_pos),
-                          self.brother_pos)
+                          self.brother_pos, self.feed_pos)
 
     def __eq__(self, other):
         return (isinstance(other, MulticastTree)
@@ -230,7 +230,7 @@ class GeneralNetwork:
 
     @cached_property
     def padded(self) -> PaddedForm:
-        return PaddedForm(self.child_pos, self.parent_pos, self.brother_pos)
+        return PaddedForm(self.child_pos, self.parent_pos, self.brother_pos, self.feed_pos)
 
     def __eq__(self, other):
         return (isinstance(other, GeneralNetwork)
@@ -270,8 +270,10 @@ class PaddedForm:
            listed, then the padding index: the slots of le_xi's and mvwa's
            array sort.  On a network these sets group links by the node
            they hang from, which may differ from the child sets of kids.
+    feeds: (widest feed set x sets), the links feeding each brother set,
+           feed_pos, then the padding index: one parent per set on a tree,
+           maybe several on a network; statistics.regularity_rows sums them.
     A form whose links have one parent at most, as every tree's, also has
-    parent: each position's parent, the padding index at a root;
     falls: (positions, parents, brothers) per depth below the roots,
            shallowest first, where brothers lists each position's parent's
            other children by ascending id: the root-to-leaf order.
@@ -279,10 +281,12 @@ class PaddedForm:
 
     def __init__(self, child_pos: tuple[tuple[int, ...], ...],
                  parent_pos: tuple[tuple[int, ...], ...],
-                 brother_pos: tuple[tuple[int, ...], ...]):
+                 brother_pos: tuple[tuple[int, ...], ...],
+                 feed_pos: tuple[tuple[int, ...], ...]):
         m = len(child_pos)
         self.kids = kids = _padded_table(child_pos)
         self.brothers = _padded_table(brother_pos, m)
+        self.feeds = _padded_table(feed_pos, m)
         self.seed = (kids < m).any(axis=0).astype(float)
         self.rises = tuple((at, kids[:, at]) for at in _levels(_chain_lengths(kids), 1))
         ups = _padded_table(parent_pos)
@@ -290,7 +294,8 @@ class PaddedForm:
         self.drops = tuple((at, ups[:, at]) for at in depths)
         if len(ups) > 1:
             return
-        self.parent = parent = ups[0] if len(ups) else np.full(m, m, np.intp)
+        # each position's parent, the padding index at a root
+        parent = ups[0] if len(ups) else np.full(m, m, np.intp)
         # each position's parent's children, itself moved last and dropped
         family = np.concatenate([kids, np.full((len(kids), 1), m, np.intp)], axis=1)[:, parent]
         last = np.argsort(family == np.arange(m), axis=0, kind="stable")

@@ -673,3 +673,75 @@ def test_estimate_exits_3_when_em_stops_at_max_iter(star_files, tmp_path, capsys
     assert capped.read_text().startswith("link_id,theta_hat,")
     assert main(args + ["--out", str(default)]) == 0
     assert capsys.readouterr().err == ""
+
+
+# the benchmark's layered49 grid: 16 cells of 10 replicates, four settings
+BENCHMARK_GRID = "".join(f"cell {a} {b} {n} 10 le-xi,pcem,mvwa\n"
+                         for a, b in [(1, 100), (5, 1000), (2, 1000), (1, 1000)]
+                         for n in (50, 100, 200, 500))
+REPORT_FIELDS = {"n1_zero", "n0_zero", "no_information", "brother_sum_violation", "all_ok"}
+
+
+@pytest.mark.parametrize("array", [estimators.ARRAY_MIN_POSITIONS, 0], ids=["rule", "arrays"])
+def test_grid_fills_only_the_reports_a_method_reads(array, monkeypatch):
+    # its pools hold 70, 70 and 20 datasets; pcem, mvwa and le-xi past the
+    # size rule read flags from the pool's count rows, so only le-xi's last
+    # pool (960 positions, below ARRAY_MIN_POSITIONS) fills its reports, and
+    # none is filled when every call takes the array path
+    monkeypatch.setattr(estimators, "ARRAY_MIN_POSITIONS", array)
+    net = fixtures.layered49()
+    made = []
+    real = bench.internal_views_replicates
+    monkeypatch.setattr(bench, "internal_views_replicates", lambda tables, net: [
+        made.append(pair[1]) or pair for pair in real(tables, net)])
+    rows = run_grid(parse_grid(BENCHMARK_GRID, master_seed=1), net).rows
+    filled = [bool(REPORT_FIELDS & vars(report).keys()) for report in made]
+    assert len(rows) == 480
+    assert filled == [False] * 140 + [array > 0] * 20
+
+
+def _record_draws(monkeypatch) -> list[tuple[float, float]]:
+    draws = []
+    real = bench.sample_theta
+    monkeypatch.setattr(bench, "sample_theta", lambda a, b, net, rng: draws.append((a, b))
+                        or real(a, b, net, rng))
+    return draws
+
+
+def test_grid_draws_one_truth_per_setting_and_replicate(monkeypatch):
+    draws = _record_draws(monkeypatch)
+    rows = run_grid(parse_grid(BENCHMARK_GRID, master_seed=1), fixtures.layered49()).rows
+    assert len(rows) == 480
+    assert draws == [(a, b) for a, b in [(1, 100), (5, 1000), (2, 1000), (1, 1000)]
+                     for _ in range(10)]
+
+
+def test_returning_settings_redraw_their_truths(monkeypatch):
+    # truths are kept only while consecutive cells share (beta_a, beta_b):
+    # Beta(1,20) returns after Beta(2,60), with more replicates, and is drawn
+    # again; Beta(1.0000001,20) prints as Beta(1,20) and has its seeds
+    net = fixtures.twotree12()
+    grid = parse_grid("cell 1 20 60 3 le-xi,pcem\ncell 2 60 60 2 mvwa\n"
+                      "cell 1 20 100 5 le-xi,mvwa\ncell 1.0000001 20 80 2 pcem\n",
+                      master_seed=3)
+    draws = _record_draws(monkeypatch)
+    rows = run_grid(grid, net).rows
+    assert draws == [(1, 20)] * 3 + [(2, 60)] * 2 + [(1, 20)] * 5 + [(1.0000001, 20)] * 2
+    assert _strip(rows) == _strip(run_grid_reference(grid, net).rows)
+
+
+def test_violations_count_every_flag_but_ok():
+    flags = dict(zip(range(1, 8), ["ok", "boundary_projected", "ok", "regularity_violated",
+                                   "non_estimable", "regularity_violated", "ok"]))
+    assert estimators.EstimateResult("le-xi", {}, {}, flags, 0, None, 0.0).violations() == 4
+    assert estimators.EstimateResult("le-xi", {}, {}, {}, 0, None, 0.0).violations() == 0
+
+
+def test_mse_adds_the_squares_left_to_right_in_key_order():
+    # these five squares add to 0.2617 left to right, and to
+    # 0.26169999999999993 right to left
+    hat = {1: 0.84, 2: 0.76, 3: 0.42, 4: 0.26, 5: 0.51}
+    truth = {1: 0.4, 2: 0.78, 3: 0.3, 4: 0.48, 5: 0.58}
+    assert mse(hat, truth) == 0.2617 / 5
+    assert mse(dict(reversed(hat.items())), truth) == 0.26169999999999993 / 5
+    assert mse({**hat, 6: None, 7: 0.5}, truth) == 0.2617 / 5

@@ -32,8 +32,9 @@ from losstomo.estimators import (_brother_columns, _residual_and_slope,
                                  _solve_interior_rows, le_xi, le_xi_replicates, left_sum, mvwa,
                                  mvwa_replicates, pcem, pcem_replicates)
 from losstomo.simulator import SimConfig, sample_theta, simulate
-from losstomo.statistics import (InternalView, PatternTable, internal_views,
-                                 internal_views_replicates, pass_fractions)
+from losstomo.statistics import (InternalView, PatternTable, count_rows, internal_views,
+                                 internal_views_replicates, pass_fractions,
+                                 regularity_by_position, regularity_rows)
 from losstomo.topology import parse_topology
 
 from mvwa_reference import mvwa_reference
@@ -558,3 +559,56 @@ def test_array_solve_leaves_a_set_with_a_none_brother_none():
     assert r[4] is None and r[3] + r[5] > 1.0 and 0.0 < min(r[3], r[5]) < 1.0
     alone = _assert_array_solve_matches_scalar(pairs, net)[0]
     assert [alone.xi_hat[i] for i in (3, 4, 5)] == [None] * 3
+
+
+def _assert_rows_flag_as_reports(pairs, net):
+    """regularity_rows on the count rows of net, and of each tree with counts,
+    marks the positions that regularity_by_position flags, dataset by dataset,
+    and n1 + n0 == 0 on net's rows marks its no_information.  Returns the
+    link ids of the failed brother sets fed by several links."""
+    views = [v for v, _ in pairs]
+    counts = count_rows(views, net)
+    several = set()
+    for (_, report), row, mask in zip(pairs, counts,
+                                      regularity_rows(net, counts[:, 0], counts[:, 1])):
+        want = regularity_by_position(net, *row.tolist())
+        assert report == want
+        assert mask.tolist() == [i in want.flagged() for i in net.order]
+        assert (row.sum(axis=0) == 0).tolist() == [i in want.no_information for i in net.order]
+        several |= {net.order[q] for b, feeds in zip(net.brother_pos, net.feed_pos)
+                    if len(feeds) > 1 for q in b} & want.brother_sum_violation
+    for tree in net.trees:
+        rows = count_rows([v for v in views if tree.tree_id in v.tree_ids()], tree)
+        for row, mask in zip(rows, regularity_rows(tree, rows[:, 0], rows[:, 1])):
+            flagged = regularity_by_position(tree, *row.tolist()).flagged()
+            assert mask.tolist() == [i in flagged for i in tree.order]
+    return several
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_datasets())
+def test_regularity_rows_equal_reports_small_nets(case):
+    net, tables = case
+    _assert_rows_flag_as_reports(internal_views_replicates(tables, net), net)
+
+
+@pytest.mark.parametrize("make_net,probe_counts,several", [
+    # node 1's brothers are fed by links 1 and 2 in one numbering, by link 2
+    # alone in the other
+    pytest.param(lambda: parse_topology(SPLIT_NODE), [1, 40, 400], {3, 4}, id="split_node"),
+    pytest.param(lambda: parse_topology(SPLIT_NODE_SWAPPED), [1, 40, 400], set(),
+                 id="split_node_swapped"),
+    pytest.param(lambda: parse_topology(SPLIT_THREE), [1, 40, 400], {3, 4, 5},
+                 id="split_three"),
+    pytest.param(lambda: HUB, [1, 2000], {142, 756}, id="hub"),
+])
+def test_regularity_rows_equal_reports(make_net, probe_counts, several):
+    # the lossless and dead links of _edge_tables fail brother sets, some of
+    # them fed by several links; on SPLIT_THREE, node 1's set fails where
+    # links 3 and 5 lose every probe
+    net = make_net()
+    tables = _edge_tables(net, probe_counts) + _tables(net, 1, 100, probe_counts[1:])
+    if net.name == "split_three":
+        tables.append(simulate(SimConfig(net, 400, 0),
+                               {1: 0.1, 2: 0.1, 3: 1.0, 4: 0.2, 5: 1.0}))
+    assert _assert_rows_flag_as_reports(internal_views_replicates(tables, net), net) == several

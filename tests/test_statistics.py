@@ -406,6 +406,50 @@ def test_replicate_views_of_simulated_cells_equal_each_table_alone():
             _assert_identical(view, _reference_views(table, net)[0])
 
 
+REPORT_FIELDS = ("n1_zero", "n0_zero", "no_information", "brother_sum_violation", "all_ok")
+# the first read of a counted report: == either way round, flagged(), all_ok
+FIRST_READS = {
+    "eq": lambda lazy, eager: lazy == eager,
+    "eq-reversed": lambda lazy, eager: eager == lazy,
+    "flagged": lambda lazy, eager: lazy.flagged() == eager.flagged(),
+    "all_ok": lambda lazy, eager: lazy.all_ok == eager.all_ok,
+}
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_READS))
+def test_counted_reports_fill_on_first_read_and_equal_eager_ones(first):
+    # internal_views_replicates' reports hold their count rows; the first read
+    # of any field fills all five from regularity_by_position, and the report
+    # then equals regularity_report's, field by field and both ways under ==
+    kinds = set()
+    for net, probes in [(fixtures.twotree12(), 1), (fixtures.twotree12(), 300),
+                        (fixtures.layered49(), 500), (STAR, 2000)]:
+        tables = [_simulated(net, 1, 30, probes, seed) for seed in range(4)]
+        for view, lazy in internal_views_replicates(tables, net):
+            eager = regularity_report(view, net)
+            assert type(eager) is not type(lazy)
+            assert not vars(lazy).keys() & set(REPORT_FIELDS)
+            assert FIRST_READS[first](lazy, eager)
+            assert vars(lazy).keys() >= set(REPORT_FIELDS)
+            assert lazy == eager and eager == lazy and not lazy != eager
+            assert [getattr(lazy, f) for f in REPORT_FIELDS] == \
+                [getattr(eager, f) for f in REPORT_FIELDS]
+            assert lazy.flagged() == eager.flagged() and lazy.all_ok == eager.all_ok
+            assert repr(lazy) == repr(eager)
+            kinds.add(eager.all_ok)
+    assert kinds == {True, False}
+
+
+def test_reports_of_different_counts_differ():
+    net = fixtures.twotree12()
+    (_, a), (_, b) = internal_views_replicates(
+        [_simulated(net, 1, 30, 1, 0), _simulated(net, 1, 30, 300, 0)], net)
+    assert a != b and b != a and a != regularity_report(internal_views(
+        _simulated(net, 1, 30, 300, 0), net)[0], net)
+    with pytest.raises(AttributeError):
+        a.not_a_field
+
+
 def _views_edge_cases():
     """(network, table builder) pairs: the tables are built inside the test, so
     a simulate fault fails that test, not the module's collection."""
