@@ -57,7 +57,8 @@ alone in the other.  The commands:
   at the edges of its true rates, drawn once per setting and replicate: a
   setting that returns after another one, with more replicates, and
   Beta(1.0000001,100) after Beta(1,100) at another probe count, whose seeds
-  and printed setting equal Beta(1,100)'s;
+  and printed setting equal Beta(1,100)'s; and at the simulator's slices: 100
+  replicates of kary_tree(4, 4) whose one stacked block spans 12 slices;
 * one estimate per BAD_TOPOLOGIES file, each malformed in a different way
   (exit 2), so the log pins every topology error message;
 * one le-xi estimate on star3 per BAD_DATA file, each malformed in a
@@ -132,6 +133,9 @@ EDGE_GRIDS = (
     # Beta(1.0000001,100) follows it at another probe count
     ("twotree12", "cell 1 100 60 3 le-xi,pcem\ncell 2 60 60 2 mvwa,nem\n"
                   "cell 1 100 100 5 le-xi,mvwa\ncell 1.0000001 100 80 2 le-xi,pcem,mvwa\n"),
+    # 100 replicates of 40 probes stack in one simulator block of kary_tree(4, 4)
+    # (341 links), 9 whole replicates to a SLICE_WORDS slice: 12 slices
+    ("kary_4_4", "cell 1 100 40 100 le-xi,pcem,mvwa\n"),
 )
 WIDE_STARS = (64, 65)
 ALL_DARK = "data all-dark\nprobes 1 4\nreceivers 1 : 2 3\npattern 1 00 4\n"
@@ -297,6 +301,8 @@ def run_matrix(log: list[str]) -> None:
     _run(log, "bench", "--topology", "layered49.topo", "--grid", str(grid),
          "--out", "bench.csv", "--seed", "0")
     benches = [Path("bench.csv")]
+    Path("kary_4_4.topo").write_text(serialize_topology(fixtures.kary_tree(4, 4)),
+                                     encoding="utf-8")
     for n, (name, cells) in enumerate(EDGE_GRIDS):
         Path(f"edge{n}.grid").write_text(cells, encoding="utf-8")
         benches.append(Path(f"bench-edge{n}.csv"))

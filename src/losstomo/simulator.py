@@ -5,9 +5,12 @@ losses at per-link rates, a plain {link_id: rate} dict, and each tree's
 probes are counted by receiver pattern.
 Randomness is addressed by (seed, replicate, tree, block): probes are
 generated in fixed-size blocks with an independent counter-based stream per
-block, and only one block's draws are held at a time.
+block.  A block's stream is drawn in slices of whole probes, at most
+SLICE_WORDS words at a time where a probe fits: Philox is counter-based, so
+random_raw(a) then random_raw(b) give the words of random_raw(a + b), and
+each slice is reduced to its keys before the next one is drawn.
 
-A block is drawn probe-major, one (probes x links) array of raw 64-bit
+A slice is drawn probe-major, one (probes x links) array of raw 64-bit
 Philox words in C order.  Generator.random would turn word w into the
 uniform u = (w >> 11) * 2**-53, so u < theta exactly when
 w < ceil(theta * 2**53) << 11: one comparison of the words with these
@@ -15,17 +18,22 @@ per-link integer thresholds finds the losses that comparing the uniforms
 with the rates finds, without the floats.  theta = 1 has no uint64
 threshold (2**64); its links pass no probe.
 
-Each block works from its losses alone.  Link q's mask packs, as bit j of
+Each slice works from its losses alone.  Link q's mask packs, as bit j of
 uint64 words for leaf j, every leaf but those below q; a lossy probe's
 pattern is the AND of its lost links' masks, one bitwise_and.reduceat per
-block.  theta = 1 links are folded into a base mask that every lossy
+slice.  theta = 1 links are folded into a base mask that every lossy
 pattern is ANDed with and every lossless probe gets.  Patterns are counted
 as bytes, in the order first seen, and only each tree's distinct ones are
-decoded to '0'/'1'.  simulate is simulate_replicates on one config, its table
-checked as it leaves; run_grid's are checked where internal_views counts them.
+decoded to '0'/'1', a slice's worth of characters at a time, so a call holds
+one slice besides the keys and the table it returns.  simulate is
+simulate_replicates on one config, its table checked as it leaves, in
+pieces of a slice; run_grid's are checked where internal_views counts them.
 simulate_replicates stacks the configs' blocks of one index for one compare
-and one reduceat, each config with its own stream, base mask and counts;
-run_grid hands it at most one block of probes per tree in all, or one config.
+and one reduceat per slice, each config with its own stream, base mask and
+counts; whole configs share a slice while they fit, and a config larger than
+a slice is cut by rows.  run_grid hands it at most one block of probes per
+tree in all, or one config: on the benchmark grid's layered49, at most
+4096 x 28 words, one slice.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .topology import GeneralNetwork
 BLOCK_PROBES = 4096
 THETA_CLAMP = 1e-6
 _NEVER = 1 << 64   # the threshold of theta = 1: above every 64-bit word
+SLICE_WORDS = 1 << 17   # words drawn and compared at a time: 1 MB, inside a 2 MB L2
 
 
 @dataclass
@@ -73,12 +82,29 @@ def sample_theta(a: float, b: float, net: GeneralNetwork,
     return {i: float(v) for i, v in zip(ids, clipped)}
 
 
+def _slices(configs: int, rows: int, m: int) -> list[tuple[int, int, int, int]]:
+    """A block's stack of configs x rows probes of m words each, cut into
+    slices (c0, c1, r0, r1), rows r0:r1 of configs c0:c1, in stack order.
+    Whole configs share a slice while they fit in SLICE_WORDS words; a config
+    larger than that is cut into slices of whole probes, one at least."""
+    fit = SLICE_WORDS // (rows * m)
+    if fit >= configs:   # one slice, as for every grid batch, without a comprehension
+        return [(0, configs, 0, rows)]
+    if fit:
+        return [(c, min(c + fit, configs), 0, rows) for c in range(0, configs, fit)]
+    step = max(1, SLICE_WORDS // m)
+    return [(c, c + 1, r, min(r + step, rows)) for c in range(configs)
+            for r in range(0, rows, step)]
+
+
 def _tree_counts(cfgs: list[SimConfig], ths: list[dict[int, float]], tree_id: int,
                  probes: int) -> list[dict[str, int]]:
     """Tree tree_id's receiver patterns and their counts, in first-seen order,
-    per config.  A config's keys are its lossy probes' ANDed masks, with its
-    base key inserted once per block, at the first lossless probe, to count
-    for all of them."""
+    per config.  Each block's stack is walked in _slices; each config draws
+    its slices' words from one stream per block, in stream order.  A config's
+    keys are its lossy probes' ANDed masks, counted slice by slice in probe
+    order, with its base key inserted at its first lossless probe, unless
+    already counted, to count for all of them."""
     tree = cfgs[0].net.tree_by_id[tree_id]
     m, w = len(tree.order), len(tree.leaves)
     below = [0] * m
@@ -104,36 +130,51 @@ def _tree_counts(cfgs: list[SimConfig], ths: list[dict[int, float]], tree_id: in
     keys: list[Counter[bytes]] = [Counter() for _ in cfgs]
     for block in range(-(-probes // BLOCK_PROBES)):
         rows = min(BLOCK_PROBES, probes - block * BLOCK_PROBES)
-        words = [np.random.Philox(seed=np.random.SeedSequence(
-            (c.seed, c.replicate, tree_id, block))).random_raw(rows * m) for c in cfgs]
-        words = words[0] if len(cfgs) == 1 else np.concatenate(words)
-        lost = np.flatnonzero(words.reshape(len(cfgs), rows, m) < limits)
-        del words   # freed before the next block's words are drawn
-        probe, pos = np.divmod(lost, m)
-        head = np.empty(len(probe), bool)   # set at each lossy probe's first loss
-        head[:1] = True
-        np.not_equal(probe[1:], probe[:-1], out=head[1:])
-        heads = np.flatnonzero(head)
-        first = probe[heads]   # each lossy probe's row in the stack
-        block_keys = np.bitwise_and.reduceat(masks[pos], heads)
-        if some_dark:
-            block_keys &= base_words[first // rows]
-        block_keys = block_keys.view(key).ravel().tolist()
-        ends = np.searchsorted(first, np.arange(0, len(cfgs) * rows + 1, rows)).tolist()
-        for r, (a, b) in enumerate(zip(ends, ends[1:])):
-            seg = block_keys[a:b]
-            if b - a < rows:
-                # the lossy probes before the first lossless one are rows 0, 1, ...
-                seg.insert(np.count_nonzero(first[a:b] - r * rows == np.arange(b - a)),
-                           base_keys[r])
-            keys[r].update(seg)
-            if rows - (b - a) > 1:
-                keys[r][base_keys[r]] += rows - (b - a) - 1
-    distinct = keys[0] if len(keys) == 1 else dict.fromkeys(itertools.chain.from_iterable(keys))
-    bits = np.unpackbits(np.frombuffer(b"".join(distinct), np.uint8).reshape(-1, nb),
-                         axis=1, count=w, bitorder="little")
-    text = (bits + 48).tobytes().decode("ascii")
-    texts = [text[s:s + w] for s in range(0, len(text), w)]
+        for c0, c1, r0, r1 in _slices(len(cfgs), rows, m):
+            if r0 == 0:   # the slice's configs start their streams of this block
+                gens = [np.random.Philox(seed=np.random.SeedSequence(
+                    (c.seed, c.replicate, tree_id, block))) for c in cfgs[c0:c1]]
+            n = r1 - r0
+            words = [g.random_raw(n * m) for g in gens]
+            words = words[0] if len(gens) == 1 else np.concatenate(words)
+            lost = np.flatnonzero(words.reshape(len(gens), n, m) < limits[c0:c1])
+            del words   # freed before the next slice's words are drawn
+            probe, pos = np.divmod(lost, m)
+            head = np.empty(len(probe), bool)   # set at each lossy probe's first loss
+            head[:1] = True
+            np.not_equal(probe[1:], probe[:-1], out=head[1:])
+            heads = np.flatnonzero(head)
+            first = probe[heads]   # each lossy probe's row in the slice
+            slice_keys = np.bitwise_and.reduceat(masks[pos], heads)
+            if some_dark:
+                slice_keys &= base_words[c0 + first // n]
+            slice_keys = slice_keys.view(key).ravel().tolist()
+            ends = [0, len(first)] if len(gens) == 1 else np.searchsorted(
+                first, np.arange(0, len(gens) * n + 1, n)).tolist()
+            for j, (a, b) in enumerate(zip(ends, ends[1:])):
+                counts, base = keys[c0 + j], base_keys[c0 + j]
+                seg = slice_keys[a:b]
+                lossless = n - (b - a)
+                if lossless and base not in counts:
+                    # the lossy probes before the first lossless one are the
+                    # config's first rows in the slice
+                    lead = np.count_nonzero(first[a:b] == np.arange(j * n, j * n + b - a))
+                    seg.insert(lead, base)
+                    lossless -= 1
+                counts.update(seg)
+                if lossless:
+                    counts[base] += lossless
+    del below, masks   # m masks of w bits, freed before the decode
+    distinct = list(keys[0] if len(keys) == 1
+                    else dict.fromkeys(itertools.chain.from_iterable(keys)))
+    texts: list[str] = []
+    step = max(1, SLICE_WORDS // nb)   # keys a piece: SLICE_WORDS * 8 characters at most
+    for s in range(0, len(distinct), step):
+        bits = np.unpackbits(np.frombuffer(b"".join(distinct[s:s + step]), np.uint8)
+                             .reshape(-1, nb), axis=1, count=w, bitorder="little")
+        bits += 48
+        text = str(bits, "ascii")   # decoded from the array's buffer, with no bytes copy
+        texts += [text[i:i + w] for i in range(0, len(text), w)]
     if len(keys) == 1:   # its keys are the distinct ones, in order
         return [dict(zip(texts, keys[0].values()))]
     decode = dict(zip(distinct, texts)).__getitem__
@@ -144,7 +185,7 @@ def simulate(cfg: SimConfig, theta: dict[int, float], workers: int = 1) -> Patte
     """Collapsed receiver observations of one experiment: simulate_replicates
     on cfg, checked.  workers is ignored; blocks run on the calling thread."""
     table = simulate_replicates([cfg], [theta])[0]
-    table.validate()
+    table.validate(SLICE_WORDS * 8)
     return table
 
 

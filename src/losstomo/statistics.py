@@ -64,9 +64,20 @@ class PatternTable:
     receivers: dict[int, tuple[int, ...]]       # tree_id -> leaf link ids, ascending
     counts: dict[int, dict[str, int]]           # tree_id -> bit pattern -> count
 
-    def validate(self):
+    def validate(self, piece: int | None = None):
+        """Check every tree's entries with bit_matrix or, given piece, as
+        bit_matrix does on at most piece characters of keys at a time, with no
+        matrix built: simulate checks its tables a slice at a time."""
         for k in self.probes:
-            self.bit_matrix(k)
+            if piece is None:
+                self.bit_matrix(k)
+                continue
+            keys, width = list(self.counts.get(k, {})), len(self.receivers[k])
+            step = max(1, piece // max(width, 1))
+            if not (self._counts_add_up(k) and all(
+                    _bit_codes(keys[s:s + step], width) is not None
+                    for s in range(0, len(keys), step))):
+                self._raise_first_error(k)
 
     def bit_matrix(self, k: int) -> np.ndarray:
         """Tree k's patterns as a (patterns x receivers) bool matrix.
@@ -77,22 +88,16 @@ class PatternTable:
         probes[k].  When a check fails, the per-pattern loop raises the
         DataError that names the first bad pattern.
         """
-        pats = self.counts.get(k, {})
-        width = len(self.receivers[k])
-        raw = _ascii_keys(pats, width)
-        if raw is not None:
-            # on large tables, min and max of the array are faster than a translate
-            codes = np.frombuffer(raw, np.uint8).reshape(len(pats), width)
-            zero, one = ord("0"), ord("1")
-            if (codes.min(initial=zero) >= zero and codes.max(initial=one) <= one
-                    and min(pats.values(), default=1) >= 1
-                    and sum(pats.values()) == self.probes[k]):
-                return codes == one
-        self._check_patterns(k)
-        # only keys that are not str get past the loop
-        raise DataError(f"tree {k}: patterns are not {width}-character strings of 0 and 1")
+        codes = _bit_codes(self.counts.get(k, {}), len(self.receivers[k]))
+        if codes is not None and self._counts_add_up(k):
+            return codes == ord("1")
+        self._raise_first_error(k)
 
-    def _check_patterns(self, k: int):
+    def _counts_add_up(self, k: int) -> bool:
+        pats = self.counts.get(k, {})
+        return min(pats.values(), default=1) >= 1 and sum(pats.values()) == self.probes[k]
+
+    def _raise_first_error(self, k: int):
         width = len(self.receivers[k])
         total = 0
         for bits, c in self.counts.get(k, {}).items():
@@ -103,16 +108,23 @@ class PatternTable:
             total += c
         if total != self.probes[k]:
             raise DataError(f"tree {k}: pattern counts sum to {total}, expected {self.probes[k]}")
+        # only keys that are not str get past the loop
+        raise DataError(f"tree {k}: patterns are not {width}-character strings of 0 and 1")
 
 
-def _ascii_keys(keys: dict[str, int], width: int) -> bytes | None:
-    """The keys joined as ASCII bytes when every key is a width-long str of ASCII
-    characters, else None."""
+def _bit_codes(keys, width: int) -> np.ndarray | None:
+    """The keys as a (keys x width) array of ASCII codes when every key is a
+    width-long str of 0 and 1, else None."""
     try:
         raw = "".join(keys).encode("ascii")
     except (TypeError, UnicodeEncodeError):
         return None
-    return raw if set(map(len, keys)) <= {width} else None
+    if not set(map(len, keys)) <= {width}:
+        return None
+    # on large tables, min and max of the array are faster than a translate
+    codes = np.frombuffer(raw, np.uint8).reshape(len(keys), width)
+    zero, one = ord("0"), ord("1")
+    return codes if codes.min(initial=zero) >= zero and codes.max(initial=one) <= one else None
 
 
 @dataclass(frozen=True)

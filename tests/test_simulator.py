@@ -1,10 +1,13 @@
+import contextlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from losstomo import fixtures
+from losstomo import fixtures, simulator
 from losstomo.simulator import (BLOCK_PROBES, SimConfig, sample_theta, simulate,
                                 simulate_replicates)
 from losstomo.statistics import internal_views, serialize_data
@@ -326,3 +329,169 @@ def test_simulate_replicates_need_one_network_and_probe_count():
     with pytest.raises(ValueError, match="share a network and a probe count"):
         simulate_replicates([SimConfig(net, 10, 1), SimConfig(fixtures.twotree12(), 10, 1)],
                             [theta, theta])
+
+
+# words per slice: one probe per slice; 1000 words, which leave a partial last
+# slice on most blocks here; and one slice per block stack
+SLICE_SIZES = [1, 1000, 10**9]
+
+
+@contextlib.contextmanager
+def _slice_words(words):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "SLICE_WORDS", words)
+        yield
+
+
+@pytest.mark.parametrize("configs,rows,m,words", [
+    (1, BLOCK_PROBES, 28, 1 << 17),   # layered49's larger tree: one slice
+    (28, 146, 28, 1 << 17),           # a grid batch of 4088 rows: still one slice
+    (100, 40, 341, 1 << 17),          # kary_tree(4, 4): 9 whole configs a slice
+    (5, 300, 7, 4200),                # 2 whole configs a slice, then 1
+    (3, 300, 7, 1000),                # each config cut into 142, 142 and 16 rows
+    (2, 10, 5, 1),                    # one probe a slice
+    (1, 3, 2000, 1000),               # a probe larger than a slice is a slice
+])
+def test_slices_cut_the_stack_in_order_within_the_budget(configs, rows, m, words):
+    with _slice_words(words):
+        plan = simulator._slices(configs, rows, m)
+    cells = [(c, r) for c0, c1, r0, r1 in plan for c in range(c0, c1) for r in range(r0, r1)]
+    assert cells == [(c, r) for c in range(configs) for r in range(rows)]
+    for c0, c1, r0, r1 in plan:
+        assert (c1 - c0) * (r1 - r0) * m <= words or (c1 - c0, r1 - r0) == (1, 1)
+        assert c1 - c0 == 1 or (r0, r1) == (0, rows)   # configs share a slice only whole
+    # slices are as large as the budget allows
+    fit = words // (rows * m)
+    assert len(plan) == (-(-configs // fit) if fit
+                         else configs * -(-rows // max(1, words // m)))
+
+
+@pytest.mark.parametrize("words", SLICE_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(case=_sim_cases())
+def test_simulate_equals_block_reference_across_slices(words, case):
+    with _slice_words(words):
+        _assert_equals_reference(*case)
+
+
+@pytest.mark.parametrize("words", SLICE_SIZES)
+def test_simulate_equals_reference_across_slices_on_kary_4_4(words):
+    # 341 links, 256 leaves in four uint64 words: at 1000 words two probes a
+    # slice, and the 123-row second block ends in a one-probe slice; links 3
+    # (internal) and 300 (a leaf) never pass, so every pattern is ANDed with
+    # the base mask
+    net = fixtures.kary_tree(4, 4)
+    theta = sample_theta(1, 100, net, np.random.default_rng(4)) | {3: 1.0, 300: 1.0}
+    with _slice_words(words):
+        _assert_equals_reference(SimConfig(net, BLOCK_PROBES + 123, seed=2, replicate=1), theta)
+
+
+@pytest.mark.parametrize("words", SLICE_SIZES)
+@pytest.mark.parametrize("leaves", [63, 65, 129])
+def test_simulate_equals_reference_on_wide_stars_across_slices(leaves, words):
+    # as on the wide stars above; at 1000 words a slice holds 15, 15 and 7
+    # probes, and the decode takes 125, 62 and 41 keys at a time
+    net = fixtures.kary_tree(leaves, 1)
+    rng = np.random.default_rng(leaves)
+    theta = {i: float(rng.choice([0.0, 5e-324, 1e-3, 0.5, 1.0])) for i in net.links}
+    theta |= {1: 1e-3, leaves + 1: 0.5}
+    with _slice_words(words):
+        _assert_equals_reference(SimConfig(net, 2 * BLOCK_PROBES + 123, seed=3), theta)
+
+
+@pytest.mark.parametrize("cut", ["one-probe", "paired", "split"])
+@pytest.mark.parametrize("net,probes,keys,thetas", _replicate_cases(),
+                         ids=["toy7-1", "twotree12-1", "twotree12-300", "twotree12-3000",
+                              "layered49-blocks", "star65-blocks"])
+def test_simulate_replicates_equal_each_config_alone_across_slices(net, probes, keys, thetas,
+                                                                   cut):
+    # paired: the smallest tree's block holds two whole configs a slice, so
+    # the five configs' stack spans three slices; split: the largest tree's
+    # configs are each cut by rows into three slices or more
+    cfgs = [SimConfig(net, probes, seed, replicate=rep) for seed, rep in keys]
+    shapes = [(min(BLOCK_PROBES, n), len(net.tree_by_id[k].order))
+              for k, n in cfgs[0].tree_probes().items() if n]
+    sizes = [rows * m for rows, m in shapes]
+    words = {"one-probe": 1, "paired": 2 * min(sizes), "split": max(sizes) // 3}[cut]
+    with _slice_words(words):
+        plans = [simulator._slices(len(cfgs), rows, m) for rows, m in shapes]
+        if cut == "paired":
+            assert any(len(plan) == 3 and plan[0][1] == 2 for plan in plans)
+        elif cut == "split" and max(rows for rows, _ in shapes) > 3:
+            assert any(plan[0][1] == 1 and plan[0][3] < plan[-1][3] for plan in plans)
+        got = simulate_replicates(cfgs, thetas)
+    for cfg, theta, table in zip(cfgs, thetas, got):
+        want = simulate_reference(cfg, theta)
+        assert table == want
+        for k, counts in want.counts.items():
+            assert list(table.counts[k]) == list(counts)   # first-seen key order
+
+
+def _first_lossless_row(cfg: SimConfig, theta: dict[int, float], tree_id: int) -> int:
+    """The first probe of block 0 that loses no link, from the uniforms the
+    simulator's words stand for."""
+    tree = cfg.net.tree_by_id[tree_id]
+    rows = min(BLOCK_PROBES, cfg.tree_probes()[tree_id])
+    ss = np.random.SeedSequence((cfg.seed, cfg.replicate, tree_id, 0))
+    words = np.random.Philox(seed=ss).random_raw(rows * len(tree.order)).reshape(rows, -1)
+    u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
+    return int(np.flatnonzero((u >= [theta[i] for i in tree.order]).all(axis=1))[0])
+
+
+def test_simulate_first_lossless_probe_in_a_later_slice():
+    # toy7 at rate 0.3: the first lossless probe comes late in block 0, and the
+    # slice holds about half as many probes, so it falls in the second slice,
+    # after a whole slice of lossy probes; stacked, a second config's first
+    # lossless probe falls elsewhere
+    net = fixtures.toy7()
+    theta = dict.fromkeys(net.links, 0.3)
+    cfgs = [SimConfig(net, 2 * BLOCK_PROBES + 123, seed=0),
+            SimConfig(net, 2 * BLOCK_PROBES + 123, seed=0, replicate=1)]
+    first = _first_lossless_row(cfgs[0], theta, 1)
+    per = first // 2 + 1
+    assert per <= first < 2 * per
+    assert _first_lossless_row(cfgs[1], theta, 1) != first
+    with _slice_words(per * len(net.links)):
+        _assert_equals_reference(cfgs[0], theta)
+        got = simulate_replicates(cfgs, [theta, theta])
+    assert list(got[0].counts[1]).index("1111") == 7
+    for cfg, table in zip(cfgs, got):
+        want = simulate_reference(cfg, theta)
+        assert table == want and list(table.counts[1]) == list(want.counts[1])
+
+
+@pytest.mark.parametrize("words", SLICE_SIZES)
+def test_simulate_base_mask_across_slices(words):
+    # link 2 passes nothing, so lossy probes repeat the lossless pattern in
+    # every slice; the root passes nothing in the second config, whose every
+    # probe is all dark
+    net = fixtures.toy7()
+    thetas = [{1: 0.0, 2: 1.0, 3: 0.0, 4: 0.5, 5: 0.5, 6: 0.2, 7: 0.0},
+              {1: 1.0, 2: 0.1, 3: 0.1, 4: 0.5, 5: 0.5, 6: 0.2, 7: 0.0}]
+    cfgs = [SimConfig(net, 2 * BLOCK_PROBES + 123, seed=11, replicate=r) for r in (0, 1)]
+    with _slice_words(words):
+        got = simulate_replicates(cfgs, thetas)
+        _assert_equals_reference(cfgs[0], thetas[0])
+    assert list(got[0].counts[1]) == ["0011", "0001"]
+    assert got[1].counts[1] == {"0000": 2 * BLOCK_PROBES + 123}
+    for cfg, theta, table in zip(cfgs, thetas, got):
+        assert table == simulate_reference(cfg, theta)
+
+
+@pytest.mark.parametrize("b", [1000, 100])
+def test_simulate_peak_memory_stays_within_its_table_and_a_few_slices(b):
+    # kary_tree(4, 5): 1365 links, 1024 leaves; at Beta(1,100) nearly every
+    # probe is its own pattern.  A whole block of words is 45 MB; the draws,
+    # the reduce, the decode and the check must each hold about one slice
+    net = fixtures.kary_tree(4, 5)
+    theta = sample_theta(1, b, net, np.random.default_rng(1))
+    cfg = SimConfig(net, 2 * BLOCK_PROBES, seed=1)
+    tracemalloc.start()
+    try:
+        table = simulate(cfg, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pattern_bytes = sum(map(sys.getsizeof, table.counts[1]))
+    assert len(table.counts[1]) > 4000
+    assert peak < pattern_bytes + 8 * simulator.SLICE_WORDS * 8

@@ -515,6 +515,31 @@ def test_malformed_table_names_first_bad_pattern(counts, msg):
         assert str(exc.value) == msg
 
 
+@pytest.mark.parametrize("piece", [1, 2, 5, 10**9])
+@pytest.mark.parametrize("counts", [
+    {"1x": 4}, {"111": 4}, {"11": 2, "1": 1, "101": 1}, {"11": 1, "10": 1, "0x": 1, "x0": 1},
+    {"11": 1, "10": 1, "01": 1, "0": 1}, {"11": 4, "00": 0}, {"11": 2, "00": 1}, {},
+    {"11": 1, "10": 1, "01": 1, "00": 1},
+])
+def test_validate_in_pieces_checks_as_bit_matrix_does(counts, piece, monkeypatch):
+    # a bad key in a later piece, or keys of wrong lengths whose piece joins to
+    # a whole number of patterns, still raise the first bad pattern's error;
+    # no bit matrix is built
+    table = PatternTable("t", {1: 4}, {1: (2, 3)}, {1: counts})
+    try:
+        table.validate()
+        want = None
+    except DataError as exc:
+        want = str(exc)
+    monkeypatch.setattr(PatternTable, "bit_matrix", None)
+    if want is None:
+        table.validate(piece)
+    else:
+        with pytest.raises(DataError) as exc:
+            table.validate(piece)
+        assert str(exc.value) == want
+
+
 def test_malformed_second_tree_is_named():
     table = PatternTable("t", {1: 2, 2: 2}, {1: (2, 3), 2: (2, 3)},
                          {1: {"11": 2}, 2: {"11": 1, "1-": 1}})
